@@ -29,6 +29,11 @@ pub fn thread_cpu() -> Duration {
 /// The process's peak resident set size (`VmHWM`) in bytes, or `None`
 /// where `/proc/self/status` does not report it.
 ///
+/// `VmHWM` includes the executable's and libc's resident code pages. How
+/// many of them the kernel maps around each fault depends on the page
+/// cache, which moves the peak by a few percent between runs of the same
+/// input.
+///
 /// `getrusage` is not used: its `ru_maxrss` keeps the peak of the image
 /// that exec'd this one (here `cargo run`), so it can exceed this
 /// process's own peak.

@@ -164,6 +164,9 @@ fn main() -> ExitCode {
     for failure in &report.failures {
         eprintln!("FAILED {failure}");
     }
+    for note in &report.notes {
+        eprintln!("{note}");
+    }
     for m in &report.metrics {
         println!("{:<36} {:>16.6} {}", m.name, m.value, m.unit);
     }
@@ -180,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_the_driver_command_line() {
+    fn parses_the_benchmark_command_line() {
         assert_eq!(
             parse(&args("--workload upcast-gnp --seed 7 --seconds 12 --trace 1")),
             Ok(Command::Run { workload: Workload::UpcastGnp, seed: 7, seconds: 12, trace: true })
@@ -213,6 +216,7 @@ mod tests {
                 unit: "s",
                 value: 1.2034567891,
             }],
+            notes: Vec::new(),
         };
         let line = result_line(&report);
         assert_eq!(

@@ -20,7 +20,7 @@ const PINS_JSON: &str = include_str!("../pins.json");
 
 /// Instances in one run's suite: one per stratum of the pinned pool. Eight
 /// strata of a 16-instance pool keep the suite's spread of work small
-/// across seeds while a pass stays a few seconds long.
+/// across seeds while a pass stays under a second long.
 pub const STRATA: usize = 8;
 
 /// What one instance produced, or must produce.
@@ -139,15 +139,22 @@ pub fn pool(workload: Workload) -> Result<Vec<Pin>, String> {
 /// each group by `seed`. Different seeds run different instances, while
 /// every suite spans the pool's range of work, so runs at different
 /// seeds measure comparable amounts of work.
+///
+/// Seeds `2k - 1` and `2k` share their draw and take neighbouring
+/// positions in every group, so when each group holds at least two
+/// instances their suites share none: the held-out seed 2 runs none of
+/// default seed 1's instances.
 pub fn suite(pool: &[Pin], seed: u64, strata: usize) -> Vec<Pin> {
     let mut sorted = pool.to_vec();
     sorted.sort_by_key(|p| (p.messages, p.instance));
     let strata = strata.clamp(1, sorted.len());
+    let pair = seed.div_ceil(2);
     (0..strata)
         .map(|j| {
             let lo = j * sorted.len() / strata;
-            let hi = (j + 1) * sorted.len() / strata;
-            sorted[lo + (derive_seed(seed, j as u64) % (hi - lo) as u64) as usize]
+            let width = ((j + 1) * sorted.len() / strata - lo) as u64;
+            let position = (derive_seed(pair, j as u64) % width + seed % width) % width;
+            sorted[lo + position as usize]
         })
         .collect()
 }
@@ -205,6 +212,30 @@ mod tests {
             .map(|seed| suite(&pool, seed, 4).iter().map(|p| p.instance).collect())
             .collect();
         assert!(distinct.len() > 1, "seeds must select different suites");
+    }
+
+    #[test]
+    fn partner_seeds_share_no_instance() {
+        let synthetic: Vec<Pin> = (0..16)
+            .map(|i| Pin { instance: i, edges: 0, rounds: 0, messages: i, words: 0, digest: 0 })
+            .collect();
+        for k in 1..20 {
+            let a: Vec<u64> =
+                suite(&synthetic, 2 * k - 1, STRATA).iter().map(|p| p.instance).collect();
+            let b: Vec<u64> = suite(&synthetic, 2 * k, STRATA).iter().map(|p| p.instance).collect();
+            assert!(
+                a.iter().all(|i| !b.contains(i)),
+                "seeds {} and {}: {a:?} {b:?}",
+                2 * k - 1,
+                2 * k
+            );
+        }
+        // The shipped pools hold a disjoint default and held-out suite.
+        for w in Workload::ALL {
+            let pool = pool(w).unwrap();
+            let default = suite(&pool, 1, STRATA);
+            assert!(suite(&pool, 2, STRATA).iter().all(|p| !default.contains(p)), "{}", w.name());
+        }
     }
 
     #[test]

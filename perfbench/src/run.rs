@@ -40,6 +40,8 @@ pub struct Report {
     pub failures: Vec<String>,
     /// The metrics, in `BENCHMARK.json` order.
     pub metrics: Vec<Metric>,
+    /// How the metrics were sampled, for the log.
+    pub notes: Vec<String>,
 }
 
 /// One generated instance and one timed call on it.
@@ -84,35 +86,52 @@ impl Report {
     }
 }
 
-/// The sum over suite instances of each instance's median sample. Every
-/// suite spans the pool's range of work, so the sum over all of it varies
-/// less from seed to seed than any one instance does.
-fn sum_of_medians(per_instance: &[Vec<f64>]) -> f64 {
-    per_instance.iter().filter_map(|xs| median(xs)).sum()
+/// The quantile of each instance's samples that the end-to-end timings
+/// report.
+///
+/// On a shared host a call runs in one of two modes: at full speed, or
+/// up to 1.8x slower while a neighbour loads the core's caches. The share
+/// of slow calls drifts over minutes, from under a tenth to nearly all of
+/// them, so the median and the fastest call jump between the modes from
+/// run to run. A high quantile stays on the slow mode while more than a
+/// tenth of the calls are slow, which held in nearly every stretch
+/// measured, and the slow mode's speed is steady.
+pub const TIMING_QUANTILE: f64 = 0.9;
+
+/// The sum over suite instances of each instance's [`TIMING_QUANTILE`]
+/// sample. Every suite spans the pool's range of work, so the sum over
+/// all of it varies less from seed to seed than any one instance does.
+fn sum_at_quantile(per_instance: &[Vec<f64>]) -> f64 {
+    per_instance.iter().filter_map(|xs| quantile(xs, TIMING_QUANTILE)).sum()
 }
 
-/// An untraced run: the end-to-end metrics.
+/// An untraced run: the end-to-end metrics. Each timing is taken per
+/// instance as the [`TIMING_QUANTILE`] of its samples.
 ///
-/// * `setup_s`: median thread CPU time to generate one instance.
-/// * `wall_s`: each instance's median call wall time, averaged over the
-///   suite.
+/// * `setup_s`: thread CPU time to generate one instance, averaged over
+///   the suite.
+/// * `wall_s`: call wall time, averaged over the suite.
 /// * `msgs_per_cpu_s`: the suite's simulated messages over the sum of
-///   each instance's median call CPU time.
+///   its instances' call CPU times.
 /// * `peak_rss_mb`: the peak RSS of the fresh process after generating
 ///   the suite's first instance and calling the entry point on it once.
+///
+/// The warm-up call is not a sample. The notes give the sample count and
+/// the wall time at other quantiles.
 pub fn untraced(w: Workload, shape: Shape, suite: &[Pin], seconds: f64) -> Report {
     let mut report = Report::default();
-    let mut setups = vec![report.call(w, shape, &suite[0], None).setup.as_secs_f64()];
+    report.call(w, shape, &suite[0], None);
     let peak_rss_mb =
         peak_rss_bytes().expect("/proc/self/status reports VmHWM on Linux") as f64 / 1e6;
 
+    let mut setup = vec![Vec::new(); suite.len()];
     let mut wall = vec![Vec::new(); suite.len()];
     let mut cpu = vec![Vec::new(); suite.len()];
     let start = Instant::now();
     loop {
         for (i, pin) in suite.iter().enumerate() {
             let call = report.call(w, shape, pin, None);
-            setups.push(call.setup.as_secs_f64());
+            setup[i].push(call.setup.as_secs_f64());
             wall[i].push(call.wall.as_secs_f64());
             cpu[i].push(call.cpu.as_secs_f64());
         }
@@ -120,11 +139,21 @@ pub fn untraced(w: Workload, shape: Shape, suite: &[Pin], seconds: f64) -> Repor
             break;
         }
     }
+    let n = suite.len() as f64;
+    let wall_at = |q: f64| wall.iter().filter_map(|xs| quantile(xs, q)).sum::<f64>() / n;
+    report.notes.push(format!(
+        "{} samples per instance; suite-mean call wall time at quantiles 0 / 0.1 / 0.5 / 0.9: {:.6} / {:.6} / {:.6} / {:.6} s",
+        wall[0].len(),
+        wall_at(0.0),
+        wall_at(0.1),
+        wall_at(0.5),
+        wall_at(0.9),
+    ));
     let messages: u64 = suite.iter().map(|p| p.messages).sum();
     report.metrics = vec![
-        metric("setup_s", "s", median(&setups).unwrap_or(0.0)),
-        metric("wall_s", "s", sum_of_medians(&wall) / suite.len() as f64),
-        metric("msgs_per_cpu_s", "1/s", messages as f64 / sum_of_medians(&cpu)),
+        metric("setup_s", "s", sum_at_quantile(&setup) / n),
+        metric("wall_s", "s", sum_at_quantile(&wall) / n),
+        metric("msgs_per_cpu_s", "1/s", messages as f64 / sum_at_quantile(&cpu)),
         metric("peak_rss_mb", "MB", peak_rss_mb),
     ];
     report
@@ -297,6 +326,13 @@ mod tests {
 
     fn value(report: &Report, name: &str) -> f64 {
         report.metrics.iter().find(|m| m.name == name).unwrap().value
+    }
+
+    #[test]
+    fn timings_sum_each_instances_quantile() {
+        let ramp: Vec<f64> = (0..=10).map(f64::from).collect();
+        assert_eq!(sum_at_quantile(&[ramp, vec![4.0; 3]]), 9.0 + 4.0);
+        assert_eq!(sum_at_quantile(&[vec![2.5], vec![]]), 2.5);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use dhc_graph::{generator, Graph};
 /// One named workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
-    /// `run_dhc1` with 16 classes of 64 on a dense `G(n, p)`.
+    /// `run_dhc1` with 8 classes of 40 on a dense `G(n, p)`.
     Dhc1Dense,
     /// `run_dhc2_with_colors` on a clustered graph with its colouring.
     Dhc2Clustered,
@@ -60,9 +60,9 @@ impl Workload {
     /// The benchmark's input size.
     pub fn full(self) -> Shape {
         match self {
-            Workload::Dhc1Dense => Shape { classes: 16, class_size: 64 },
-            Workload::Dhc2Clustered => Shape { classes: 20, class_size: 64 },
-            Workload::UpcastGnp => Shape { classes: 1, class_size: 4096 },
+            Workload::Dhc1Dense => Shape { classes: 8, class_size: 40 },
+            Workload::Dhc2Clustered => Shape { classes: 16, class_size: 32 },
+            Workload::UpcastGnp => Shape { classes: 1, class_size: 1024 },
         }
     }
 
