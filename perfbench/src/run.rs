@@ -6,9 +6,9 @@
 //! suite until `seconds` have passed, so every suite instance is measured
 //! equally often.
 
-use crate::clock::{peak_rss_bytes, thread_cpu};
+use crate::clock::{clock_probe, peak_rss_bytes, thread_cpu};
 use crate::pins::{verify, Pin};
-use crate::stats::{median, quantile};
+use crate::stats::{fast_mode, median, quantile};
 use crate::trace::{self, Phase, Recorder, Split};
 use crate::workload::{Shape, Workload};
 use dhc_core::{DhcError, RunOutcome};
@@ -86,27 +86,50 @@ impl Report {
     }
 }
 
-/// The quantile of each instance's samples that the end-to-end timings
-/// report.
+/// How much slower than an instance's fastest sample a sample may be and
+/// still count as taken at full speed.
 ///
 /// On a shared host a call runs in one of two modes: at full speed, or
-/// up to 1.8x slower while a neighbour loads the core's caches. The share
-/// of slow calls drifts over minutes, from under a tenth to nearly all of
-/// them, so the median and the fastest call jump between the modes from
-/// run to run. A high quantile stays on the slow mode while more than a
-/// tenth of the calls are slow, which held in nearly every stretch
-/// measured, and the slow mode's speed is steady.
-pub const TIMING_QUANTILE: f64 = 0.9;
+/// 1.5-1.9x slower while another tenant shares the core. The share of
+/// slow calls drifts within a run and between runs, from a few percent to
+/// nearly all of them, so every fixed quantile of the samples, the 90th
+/// as much as the median, jumps between the modes from run to run. The
+/// full-speed samples lie within a fifth of the fastest, and their
+/// median holds still for as long as an instance has a few of them.
+pub const FAST_BAND: f64 = 1.2;
 
-/// The sum over suite instances of each instance's [`TIMING_QUANTILE`]
-/// sample. Every suite spans the pool's range of work, so the sum over
-/// all of it varies less from seed to seed than any one instance does.
-fn sum_at_quantile(per_instance: &[Vec<f64>]) -> f64 {
-    per_instance.iter().filter_map(|xs| quantile(xs, TIMING_QUANTILE)).sum()
+/// The full-speed median of [`clock_probe`] at a 3.0 GHz core clock on
+/// the measuring host. End-to-end timings are scaled to this clock.
+///
+/// The host's core clock follows its load, between 2.4 and 3.4 GHz in
+/// the runs measured, and moves a run's full-speed call times with it:
+/// across runs of one workload they tracked the probe's full-speed time
+/// with a correlation of 0.93-0.98.
+pub const REFERENCE_PROBE_S: f64 = 267e-6;
+
+/// The median of `xs`'s full-speed samples (see [`FAST_BAND`]).
+fn full_speed(xs: &[f64]) -> Option<f64> {
+    median(&fast_mode(xs, FAST_BAND))
+}
+
+/// The sum over suite instances of each instance's full-speed median.
+/// Every suite spans the pool's range of work, so the sum over all of it
+/// varies less from seed to seed than any one instance does.
+fn sum_full_speed(per_instance: &[Vec<f64>]) -> f64 {
+    per_instance.iter().filter_map(|xs| full_speed(xs)).sum()
+}
+
+/// The factor that scales a time measured in this run to the reference
+/// clock: [`REFERENCE_PROBE_S`] over the full-speed median of the run's
+/// clock probes.
+fn clock_scale(probes: &[f64]) -> f64 {
+    full_speed(probes).map_or(1.0, |p| REFERENCE_PROBE_S / p)
 }
 
 /// An untraced run: the end-to-end metrics. Each timing is taken per
-/// instance as the [`TIMING_QUANTILE`] of its samples.
+/// instance as the median of its full-speed samples (see [`FAST_BAND`])
+/// and scaled to the reference clock with a [`clock_probe`] after every
+/// call (see [`REFERENCE_PROBE_S`]).
 ///
 /// * `setup_s`: thread CPU time to generate one instance, averaged over
 ///   the suite.
@@ -116,8 +139,9 @@ fn sum_at_quantile(per_instance: &[Vec<f64>]) -> f64 {
 /// * `peak_rss_mb`: the peak RSS of the fresh process after generating
 ///   the suite's first instance and calling the entry point on it once.
 ///
-/// The warm-up call is not a sample. The notes give the sample count and
-/// the wall time at other quantiles.
+/// The warm-up call is not a sample. The notes give the sample count, the
+/// share of full-speed calls, the clock scale, and the unscaled median
+/// and 90th-percentile wall time over all calls.
 pub fn untraced(w: Workload, shape: Shape, suite: &[Pin], seconds: f64) -> Report {
     let mut report = Report::default();
     report.call(w, shape, &suite[0], None);
@@ -127,10 +151,12 @@ pub fn untraced(w: Workload, shape: Shape, suite: &[Pin], seconds: f64) -> Repor
     let mut setup = vec![Vec::new(); suite.len()];
     let mut wall = vec![Vec::new(); suite.len()];
     let mut cpu = vec![Vec::new(); suite.len()];
+    let mut probes = Vec::new();
     let start = Instant::now();
     loop {
         for (i, pin) in suite.iter().enumerate() {
             let call = report.call(w, shape, pin, None);
+            probes.push(clock_probe().as_secs_f64());
             setup[i].push(call.setup.as_secs_f64());
             wall[i].push(call.wall.as_secs_f64());
             cpu[i].push(call.cpu.as_secs_f64());
@@ -140,20 +166,24 @@ pub fn untraced(w: Workload, shape: Shape, suite: &[Pin], seconds: f64) -> Repor
         }
     }
     let n = suite.len() as f64;
+    let scale = clock_scale(&probes);
     let wall_at = |q: f64| wall.iter().filter_map(|xs| quantile(xs, q)).sum::<f64>() / n;
+    let fast_calls: usize = wall.iter().map(|xs| fast_mode(xs, FAST_BAND).len()).sum();
     report.notes.push(format!(
-        "{} samples per instance; suite-mean call wall time at quantiles 0 / 0.1 / 0.5 / 0.9: {:.6} / {:.6} / {:.6} / {:.6} s",
+        "{} samples per instance, {:.0}% of calls at full speed; clock scale {:.4}; unscaled suite-mean call wall time: full-speed {:.6} s, quantiles 0 / 0.5 / 0.9 {:.6} / {:.6} / {:.6} s",
         wall[0].len(),
+        100.0 * fast_calls as f64 / probes.len() as f64,
+        scale,
+        sum_full_speed(&wall) / n,
         wall_at(0.0),
-        wall_at(0.1),
         wall_at(0.5),
         wall_at(0.9),
     ));
     let messages: u64 = suite.iter().map(|p| p.messages).sum();
     report.metrics = vec![
-        metric("setup_s", "s", sum_at_quantile(&setup) / n),
-        metric("wall_s", "s", sum_at_quantile(&wall) / n),
-        metric("msgs_per_cpu_s", "1/s", messages as f64 / sum_at_quantile(&cpu)),
+        metric("setup_s", "s", scale * sum_full_speed(&setup) / n),
+        metric("wall_s", "s", scale * sum_full_speed(&wall) / n),
+        metric("msgs_per_cpu_s", "1/s", messages as f64 / (scale * sum_full_speed(&cpu))),
         metric("peak_rss_mb", "MB", peak_rss_mb),
     ];
     report
@@ -329,10 +359,19 @@ mod tests {
     }
 
     #[test]
-    fn timings_sum_each_instances_quantile() {
-        let ramp: Vec<f64> = (0..=10).map(f64::from).collect();
-        assert_eq!(sum_at_quantile(&[ramp, vec![4.0; 3]]), 9.0 + 4.0);
-        assert_eq!(sum_at_quantile(&[vec![2.5], vec![]]), 2.5);
+    fn timings_sum_each_instances_full_speed_median() {
+        // Full speed is 10-12 here; the 18s are slow calls.
+        let mostly_slow = vec![18.0, 10.0, 18.0, 11.0, 18.0, 12.0, 18.0];
+        assert_eq!(sum_full_speed(&[mostly_slow, vec![4.0; 3]]), 11.0 + 4.0);
+        assert_eq!(sum_full_speed(&[vec![2.5], vec![]]), 2.5);
+    }
+
+    #[test]
+    fn the_clock_scale_divides_by_the_probes_full_speed_median() {
+        let p = REFERENCE_PROBE_S;
+        // A probe at 2x the reference time, and one slowed by a neighbour.
+        assert_eq!(clock_scale(&[2.0 * p, 2.1 * p, 4.0 * p, 2.0 * p]), 0.5);
+        assert_eq!(clock_scale(&[]), 1.0);
     }
 
     #[test]

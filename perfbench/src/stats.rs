@@ -20,6 +20,12 @@ pub fn median(xs: &[f64]) -> Option<f64> {
     quantile(xs, 0.5)
 }
 
+/// The samples at most `band` times the smallest one, in sample order.
+pub fn fast_mode(xs: &[f64], band: f64) -> Vec<f64> {
+    let Some(fastest) = xs.iter().copied().min_by(f64::total_cmp) else { return Vec::new() };
+    xs.iter().copied().filter(|&x| x <= fastest * band).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,5 +47,13 @@ mod tests {
         assert_eq!(quantile(&[0.0, 10.0], 0.25), Some(2.5));
         // Out-of-range q is clamped, not extrapolated.
         assert_eq!(quantile(&[1.0, 2.0], 7.0), Some(2.0));
+    }
+
+    #[test]
+    fn fast_mode_keeps_the_samples_near_the_fastest() {
+        let xs = [1.9, 1.0, 1.1, 1.75, 1.2, 1.21];
+        assert_eq!(fast_mode(&xs, 1.2), vec![1.0, 1.1, 1.2]);
+        assert_eq!(fast_mode(&xs, 1.0), vec![1.0]);
+        assert_eq!(fast_mode(&[], 1.2), Vec::<f64>::new());
     }
 }
