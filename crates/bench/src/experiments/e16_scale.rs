@@ -1,16 +1,17 @@
 //! **E16 — memory-lean scale sweep** (not a paper claim): runtime and
 //! memory trajectory of the hot path as `n` grows, recorded to
-//! `BENCH_scale.json`. Every point runs twice — **fat** (enum payloads,
-//! full round log: the pre-lean representation kept as the equivalence
-//! oracle) and **lean** (`--packed-payloads` wire + streaming-only
-//! metrics) — and the two runs are asserted bit-identical (cycle order,
-//! rounds, messages, words, max round traffic) wherever the oracle runs.
+//! `BENCH_scale.json`. Every point runs twice — **fat** (full per-round
+//! traffic log, kept as the equivalence oracle) and **lean**
+//! (`with_round_traffic(false)`: streaming-only metrics) — and the two
+//! runs are asserted bit-identical (cycle order, rounds, messages, words,
+//! max round traffic) wherever the oracle runs, which pins that dropping
+//! the round log changes no simulated quantity.
 //!
 //! Two workloads:
 //!
 //! - **DRA on G(n, 6 ln n / (n−1))** — the whole-graph rotation walk.
 //!   Its message complexity is Θ(n²), so these rows stay small
-//!   (n ≤ 2·10³); they anchor the per-message cost of both wires.
+//!   (n ≤ 2·10³); they anchor the per-message cost.
 //! - **Clustered DHC2** — `k` clusters of `s = 200` nodes
 //!   (intra-cluster G(s, 8 ln s / (s−1)); `⌈3·√(|A|·|B|)⌉` cross edges
 //!   per merge pair, matching DHC2's deterministic color-pairing merge
@@ -62,7 +63,7 @@ pub const BRIDGE_FACTOR: f64 = 3.0;
 /// are gated behind the experiments binary's explicit `--heavy` flag.
 pub const HEAVY_SCALE_NODES: usize = 100_000;
 
-/// The fat (enum-payload) oracle runs alongside the lean path up to
+/// The fat (full round log) oracle runs alongside the lean path up to
 /// this size; beyond it only the lean path runs (the acceptance bar is
 /// bit-identity at n ≤ 10⁵, and the fat run would double multi-minute
 /// wall-clock without changing what the row demonstrates).
@@ -261,7 +262,7 @@ fn measure_point(
     let collector = collector.as_ref();
     for attempt in 0..8u64 {
         let base = DhcConfig::new(seed ^ (0xE16C + attempt)).with_partitions(k);
-        let lean_cfg = base.clone().with_packed_payloads(true).with_round_traffic(false);
+        let lean_cfg = base.clone().with_round_traffic(false);
         let Ok((lean_row, lean)) = timed(algo, g, colors, k, &lean_cfg, "lean", collector) else {
             continue;
         };
@@ -276,8 +277,8 @@ fn measure_point(
                 && fat.metrics.max_round_traffic == lean.metrics.max_round_traffic;
             assert!(
                 same,
-                "fat and lean runs diverged at {algo} n = {n} (the packed wire must be \
-                 bit-identical to the enum oracle)"
+                "fat and lean runs diverged at {algo} n = {n} (dropping the round log must \
+                 not change any simulated quantity)"
             );
             rows.insert(0, fat_row);
             bit_identical = Some(true);
@@ -302,8 +303,8 @@ fn render_doc(
         "e16",
         "scale",
         "DRA on G(n, 6 ln n/(n-1)) + clustered DHC2 (k clusters of s nodes, intra \
-         G(s, 8 ln s/(s-1)), ceil(3 sqrt(|A||B|)) cross edges per merge pair); fat = enum \
-         payloads + round log, lean = packed wire + streaming metrics",
+         G(s, 8 ln s/(s-1)), ceil(3 sqrt(|A||B|)) cross edges per merge pair); fat = full \
+         round log, lean = streaming metrics only",
         cores,
         seed,
     );
@@ -362,8 +363,8 @@ pub fn run(params: &Params, seed: u64) -> String {
     let s = params.cluster_size;
     let mut out = String::new();
     out.push_str(&format!(
-        "E16 memory-lean scale sweep: fat (enum + round log) vs lean (packed wire + \
-         streaming metrics) runtime and memory trajectory (machine has {cores} core(s))\n\n"
+        "E16 memory-lean scale sweep: fat (full round log) vs lean (streaming metrics \
+         only) runtime and memory trajectory (machine has {cores} core(s))\n\n"
     ));
     let mut t = Table::new(vec![
         "algo",

@@ -100,7 +100,7 @@ pub const CATALOG: [(&str, &str); 16] = [
     ("e13", "Engine throughput baseline: flood-echo and broadcast-storm rounds/sec"),
     ("e14", "Partition-pipeline baseline: zero-copy class views vs materialized subgraphs"),
     ("e15", "Adversary degradation: success rates under seeded drop/delay/crash faults"),
-    ("e16", "Memory-lean scale sweep: fat vs packed/streaming runtime and peak memory"),
+    ("e16", "Memory-lean scale sweep: fat vs lean (no round log) runtime and peak memory"),
 ];
 
 /// All experiment ids in order.

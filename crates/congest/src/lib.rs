@@ -126,9 +126,7 @@ pub use machine::{MachineMap, MachineMetrics, MachineRoundLog};
 pub use mailbox::{Inbox, InboxIter};
 pub use metrics::{Metrics, Report};
 pub use network::Network;
-pub use payload::{
-    EnumCodec, MsgCodec, PackedCodec, PackedMsg, PackedPayload, Payload, PACKED_MAX_WORDS,
-};
+pub use payload::Payload;
 pub use scratch::EngineScratch;
 pub use trace::{Trace, TraceEvent};
 

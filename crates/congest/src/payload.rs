@@ -31,138 +31,6 @@ impl Payload for () {
 impl Payload for u64 {}
 impl Payload for usize {}
 
-/// Default inline width (in logical words) of a [`PackedMsg`].
-///
-/// Six covers the sequential hot-path protocols (the widest are the DHC
-/// rotation broadcasts at 6 words); wider protocols pick their own width —
-/// `PackedMsg<W>` is generic over it — so each wire type stays exactly as
-/// small as its widest message requires (DHC2's merge level uses
-/// `PackedMsg<9>` for its bridge decisions).
-pub const PACKED_MAX_WORDS: usize = 6;
-
-/// A word-packed wire representation of a protocol message.
-///
-/// A `k`-word CONGEST message is `k` ids/indices plus a small tag; this
-/// stores exactly that — a variant tag and up to `W` half-words (`u32`,
-/// one per logical word, valid for `n < 2³²`) — in a flat `2 + 4W`-byte
-/// value (28 bytes at the default width), versus 40+ bytes for a padded
-/// `usize`-field enum. [`words`](Payload::words) reports the stored
-/// *logical* width, so [`Metrics`](crate::Metrics) and bandwidth
-/// accounting are bit-identical to the unpacked representation.
-///
-/// Protocols opt in through [`PackedPayload`] (the lossless bridge) and run
-/// either representation through a [`MsgCodec`]; the enum path stays
-/// available as the equivalence oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackedMsg<const W: usize = PACKED_MAX_WORDS> {
-    /// Variant tag (protocol-defined).
-    pub tag: u8,
-    /// Logical CONGEST size in words; `words()` reports this.
-    pub nw: u8,
-    /// The message's logical words, one `u32` each; `buf[self.nw..]` is 0.
-    pub buf: [u32; W],
-}
-
-impl<const W: usize> PackedMsg<W> {
-    /// Builds a packed message from a tag and its logical words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `W` words are supplied or if `words` is empty
-    /// (a CONGEST message is at least one word).
-    #[inline]
-    pub fn new(tag: u8, words: &[u32]) -> Self {
-        assert!(
-            !words.is_empty() && words.len() <= W,
-            "packed message must carry 1..={W} words, got {}",
-            words.len()
-        );
-        let mut buf = [0u32; W];
-        buf[..words.len()].copy_from_slice(words);
-        PackedMsg { tag, nw: words.len() as u8, buf }
-    }
-
-    /// The logical words carried by this message.
-    #[inline]
-    pub fn payload(&self) -> &[u32] {
-        &self.buf[..self.nw as usize]
-    }
-}
-
-impl<const W: usize> Payload for PackedMsg<W> {
-    fn words(&self) -> usize {
-        self.nw as usize
-    }
-}
-
-/// A payload with a lossless packed wire form.
-///
-/// `unpack(pack(m)) == m` must hold for every message `m`, and both forms
-/// must report the same [`words`](Payload::words) — packing changes the
-/// in-memory footprint, never the CONGEST accounting.
-pub trait PackedPayload: Payload {
-    /// The compact wire type — `PackedMsg<W>` at the narrowest `W` that
-    /// fits this protocol's widest message.
-    type Wire: Payload;
-    /// Encodes into the compact wire form.
-    fn pack(&self) -> Self::Wire;
-    /// Decodes from the compact wire form.
-    ///
-    /// # Panics
-    ///
-    /// May panic on a wire value not produced by [`pack`](Self::pack) of
-    /// the same type.
-    fn unpack(msg: &Self::Wire) -> Self;
-}
-
-/// Chooses the wire representation a protocol's logical messages travel
-/// in: the logical enum itself ([`EnumCodec`], the oracle) or the packed
-/// inline form ([`PackedCodec`], the memory-lean path).
-///
-/// Protocol node types take the codec as a type parameter (defaulting to
-/// [`EnumCodec`]) so one protocol implementation serves both
-/// representations and equivalence tests can pin them against each other.
-pub trait MsgCodec<L: Payload>: Send + Sync + 'static {
-    /// The on-wire message type.
-    type Wire: Payload;
-    /// Logical → wire.
-    fn encode(msg: L) -> Self::Wire;
-    /// Wire → logical.
-    fn decode(wire: &Self::Wire) -> L;
-}
-
-/// Identity codec: the wire form *is* the logical enum (the fat oracle).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EnumCodec;
-
-impl<L: Payload> MsgCodec<L> for EnumCodec {
-    type Wire = L;
-    #[inline(always)]
-    fn encode(msg: L) -> L {
-        msg
-    }
-    #[inline(always)]
-    fn decode(wire: &L) -> L {
-        wire.clone()
-    }
-}
-
-/// Packing codec: messages travel as [`PackedMsg`] (the lean path).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PackedCodec;
-
-impl<L: PackedPayload> MsgCodec<L> for PackedCodec {
-    type Wire = L::Wire;
-    #[inline(always)]
-    fn encode(msg: L) -> L::Wire {
-        msg.pack()
-    }
-    #[inline(always)]
-    fn decode(wire: &L::Wire) -> L {
-        L::unpack(wire)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,31 +53,5 @@ mod tests {
     fn custom_word_count() {
         assert_eq!(Wide(vec![1, 2, 3]).words(), 3);
         assert_eq!(Wide(vec![]).words(), 1);
-    }
-
-    #[test]
-    fn packed_msg_reports_logical_width() {
-        let m: PackedMsg = PackedMsg::new(3, &[7, 9]);
-        assert_eq!(m.words(), 2);
-        assert_eq!(m.payload(), &[7, 9]);
-        assert_eq!(m.buf[2..], [0u32; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "packed message must carry")]
-    fn packed_msg_rejects_oversized() {
-        let _: PackedMsg = PackedMsg::new(0, &[0; 7]);
-    }
-
-    #[test]
-    fn wide_packed_msg_takes_what_the_default_rejects() {
-        let m: PackedMsg<9> = PackedMsg::new(1, &[0; 9]);
-        assert_eq!(m.words(), 9);
-    }
-
-    #[test]
-    fn enum_codec_is_identity() {
-        let w = <EnumCodec as MsgCodec<u64>>::encode(9);
-        assert_eq!(<EnumCodec as MsgCodec<u64>>::decode(&w), 9);
     }
 }

@@ -19,13 +19,9 @@
 //! traces, and errors are bit-identical to fresh construction (pinned
 //! by the `scratch_reuse` test suite).
 //!
-//! The scratch is typed by the **wire message type** `M`, not by the
-//! protocol: any two protocols whose messages travel in the same wire
-//! form can share one scratch. That is what makes the word-packed wire
-//! representation ([`crate::PackedMsg`]) compose with reuse — under
-//! [`crate::PackedCodec`] every protocol's wire type *is* `PackedMsg`,
-//! so one scratch can span, say, the Phase 1 class runs and the
-//! hypernode stitch that follows them.
+//! The scratch is typed by the **message type** `M`, not by the
+//! protocol: any two protocols that exchange the same message type can
+//! share one scratch.
 
 use crate::adversary::Fate;
 use crate::effects::Effects;
@@ -35,7 +31,7 @@ use crate::{NodeId, Payload};
 use dhc_pool::WorkerPool;
 
 /// Recycled allocations of finished [`Network`](crate::Network)s,
-/// ready to seed the next network carrying the same wire message type.
+/// ready to seed the next network carrying the same message type.
 ///
 /// Starts cold (no buffers, no threads); warms up on the first
 /// [`finish_with_scratch`](crate::Network::finish_with_scratch). A

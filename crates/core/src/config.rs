@@ -60,17 +60,6 @@ pub struct DhcConfig {
     /// the sequential fold bit for bit; the knob exists for
     /// benchmarking and the equivalence suites.
     pub commit_shards: usize,
-    /// Protocol messages travel as **word-packed** wire values
-    /// ([`dhc_congest::PackedMsg`], 28 bytes inline) instead of the
-    /// padded logical enums when `true` — the memory-lean hot path for
-    /// million-node runs. Outcomes, [`dhc_congest::Metrics`], and
-    /// traces are **bit-identical** either way: packing changes only
-    /// the in-memory representation, never the CONGEST word accounting
-    /// (pinned by `crates/core/tests/packed_equivalence.rs`). Applies
-    /// to the DRA (Phase 1), the DHC1 hypernode stitch, Upcast, and
-    /// DHC2's merge levels (whose 9-word bridge decisions ride a wider
-    /// `PackedMsg<9>` wire, 40 bytes vs 56 for the enum).
-    pub packed_payloads: bool,
     /// Phase 1 runs each color class as a **zero-copy**
     /// [`dhc_graph::ClassView`] over one shared
     /// [`dhc_graph::PartitionedGraph`] by default (`false`). Setting
@@ -126,7 +115,6 @@ impl DhcConfig {
             commit_shards: 0,
             materialize_phase1: false,
             record_round_traffic: true,
-            packed_payloads: false,
             adversary: None,
             collector: None,
         }
@@ -187,14 +175,6 @@ impl DhcConfig {
     /// [`materialize_phase1`](Self::materialize_phase1).
     pub fn with_materialized_phase1(mut self, materialize: bool) -> Self {
         self.materialize_phase1 = materialize;
-        self
-    }
-
-    /// `true` sends protocol messages in the word-packed wire form —
-    /// the memory-lean path. Never changes results; see
-    /// [`packed_payloads`](Self::packed_payloads).
-    pub fn with_packed_payloads(mut self, packed: bool) -> Self {
-        self.packed_payloads = packed;
         self
     }
 

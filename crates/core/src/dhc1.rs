@@ -36,26 +36,22 @@
 
 use crate::kmachine::KMachineProbe;
 use crate::output::NodeCycleOutput;
-use crate::runner::{draw_colors, run_phase1_with, Phase1Outcome, PhaseBreakdown, RunOutcome};
+use crate::runner::{draw_colors, run_phase1, Phase1Outcome, PhaseBreakdown, RunOutcome};
 use crate::{cycle_from_incident_pairs, DhcConfig, DhcError};
-use dhc_congest::{
-    Context, EngineScratch, EnumCodec, Inbox, MsgCodec, Network, NodeId, PackedCodec, PackedMsg,
-    PackedPayload, Payload, Protocol, SimError, Span,
-};
+use dhc_congest::{Context, Inbox, Network, NodeId, Payload, Protocol, SimError, Span};
 use dhc_graph::rng::derive_seed;
 use dhc_graph::{Graph, Partition};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::marker::PhantomData;
 
 /// Identifier of one hypernode-rotation broadcast: `(initiator, sequence)`.
 pub type RotKey = (NodeId, u32);
 
-/// Messages of the hypernode-stitching phase (exposed so equivalence
-/// tests can pin the packed wire form against the enum oracle).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Messages of the hypernode-stitching phase. Positions are `u32` words,
+/// like the node ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HypMsg {
     /// A terminal announces itself (and its color) to all neighbors.
     TermAnnounce {
@@ -65,14 +61,14 @@ pub enum HypMsg {
     /// Live terminal → drawn terminal: extend or rotate.
     HypProgress {
         /// The head hypernode's path position.
-        pos: usize,
+        pos: u32,
     },
     /// Fresh hypernode accepted the extension.
     HypFreshAck,
     /// Entry terminal → its partner: you are the new live exit.
     BecomeHead {
         /// The accepting hypernode's new path position.
-        pos: usize,
+        pos: u32,
     },
     /// Target was not usable (entry terminal, or early closing attempt).
     HypReject,
@@ -82,9 +78,9 @@ pub enum HypMsg {
         /// Instance key.
         key: RotKey,
         /// Old head hypernode position.
-        h: usize,
+        h: u32,
         /// Rotation pivot hypernode position.
-        j: usize,
+        j: u32,
         /// The drawn terminal (the pivot's exit).
         y: NodeId,
         /// The drawing live terminal.
@@ -125,50 +121,6 @@ impl Payload for HypMsg {
     }
 }
 
-impl PackedPayload for HypMsg {
-    type Wire = PackedMsg;
-
-    fn pack(&self) -> PackedMsg {
-        match *self {
-            HypMsg::TermAnnounce { color } => PackedMsg::new(0, &[color]),
-            HypMsg::HypProgress { pos } => PackedMsg::new(1, &[pos as u32]),
-            HypMsg::HypFreshAck => PackedMsg::new(2, &[0]),
-            HypMsg::BecomeHead { pos } => PackedMsg::new(3, &[pos as u32]),
-            HypMsg::HypReject => PackedMsg::new(4, &[0]),
-            HypMsg::HypRotation { key, h, j, y, x } => {
-                PackedMsg::new(5, &[key.0, key.1, h as u32, j as u32, y, x])
-            }
-            HypMsg::HypRotAck { key } => PackedMsg::new(6, &[key.0, key.1]),
-            HypMsg::HypResume => PackedMsg::new(7, &[0]),
-            HypMsg::HypDone { x, y } => PackedMsg::new(8, &[x, y]),
-            HypMsg::HypAbort => PackedMsg::new(9, &[0]),
-        }
-    }
-
-    fn unpack(m: &PackedMsg) -> Self {
-        let w = m.payload();
-        match m.tag {
-            0 => HypMsg::TermAnnounce { color: w[0] },
-            1 => HypMsg::HypProgress { pos: w[0] as usize },
-            2 => HypMsg::HypFreshAck,
-            3 => HypMsg::BecomeHead { pos: w[0] as usize },
-            4 => HypMsg::HypReject,
-            5 => HypMsg::HypRotation {
-                key: (w[0], w[1]),
-                h: w[2] as usize,
-                j: w[3] as usize,
-                y: w[4],
-                x: w[5],
-            },
-            6 => HypMsg::HypRotAck { key: (w[0], w[1]) },
-            7 => HypMsg::HypResume,
-            8 => HypMsg::HypDone { x: w[0], y: w[1] },
-            9 => HypMsg::HypAbort,
-            t => panic!("unknown HypMsg tag {t}"),
-        }
-    }
-}
-
 /// Role of a terminal on the hypernode path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TermRole {
@@ -182,9 +134,9 @@ enum TermRole {
     Exit,
 }
 
-/// Per-node state of the stitching protocol, generic over the wire codec.
+/// Per-node state of the stitching protocol.
 #[derive(Debug)]
-pub(crate) struct HypNode<C: MsgCodec<HypMsg> = EnumCodec> {
+pub(crate) struct HypNode {
     id: NodeId,
     color: u32,
     idx: usize,
@@ -217,11 +169,9 @@ pub(crate) struct HypNode<C: MsgCodec<HypMsg> = EnumCodec> {
     pub done: bool,
     /// Set when the stitch aborted.
     pub failed: bool,
-
-    _codec: PhantomData<C>,
 }
 
-impl<C: MsgCodec<HypMsg>> HypNode<C> {
+impl HypNode {
     /// `state` is this node's Phase-1 result; `k` the number of subcycles.
     #[allow(clippy::too_many_arguments)] // mirrors the Phase-1 state tuple
     pub(crate) fn new(
@@ -273,22 +223,21 @@ impl<C: MsgCodec<HypMsg>> HypNode<C> {
             rot_seq: 0,
             done: false,
             failed: false,
-            _codec: PhantomData,
         }
     }
 
-    fn abort_flood(&mut self, ctx: &mut Context<'_, C::Wire>, skip: Option<NodeId>) {
+    fn abort_flood(&mut self, ctx: &mut Context<'_, HypMsg>, skip: Option<NodeId>) {
         if self.done || self.failed {
             return;
         }
         self.failed = true;
-        ctx.flood_except(skip, C::encode(HypMsg::HypAbort));
+        ctx.flood_except(skip, HypMsg::HypAbort);
         ctx.halt();
     }
 
     fn done_flood(
         &mut self,
-        ctx: &mut Context<'_, C::Wire>,
+        ctx: &mut Context<'_, HypMsg>,
         x: NodeId,
         y: NodeId,
         skip: Option<NodeId>,
@@ -300,18 +249,18 @@ impl<C: MsgCodec<HypMsg>> HypNode<C> {
         if self.id == x {
             self.link = Some(y);
         }
-        ctx.flood_except(skip, C::encode(HypMsg::HypDone { x, y }));
+        ctx.flood_except(skip, HypMsg::HypDone { x, y });
         ctx.halt();
     }
 
     /// The live terminal draws the next unused cross edge.
-    fn head_act(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn head_act(&mut self, ctx: &mut Context<'_, HypMsg>) {
         debug_assert!(self.live && !self.awaiting);
         match self.unused.pop() {
             None => self.abort_flood(ctx, None),
             Some((t, _)) => {
                 let pos = self.hypidx.expect("live terminal's hypernode is on the path");
-                ctx.send(t, C::encode(HypMsg::HypProgress { pos }));
+                ctx.send(t, HypMsg::HypProgress { pos: pos as u32 });
                 self.awaiting = true;
                 ctx.charge_compute(1);
             }
@@ -324,7 +273,7 @@ impl<C: MsgCodec<HypMsg>> HypNode<C> {
         }
     }
 
-    fn on_progress(&mut self, ctx: &mut Context<'_, C::Wire>, x: NodeId, pos: usize) {
+    fn on_progress(&mut self, ctx: &mut Context<'_, HypMsg>, x: NodeId, pos: usize) {
         self.remove_unused(x);
         match self.hypidx {
             None => {
@@ -332,8 +281,8 @@ impl<C: MsgCodec<HypMsg>> HypNode<C> {
                 self.role = TermRole::Entry;
                 self.link = Some(x);
                 self.hypidx = Some(pos + 1);
-                ctx.send(self.partner, C::encode(HypMsg::BecomeHead { pos: pos + 1 }));
-                ctx.send(x, C::encode(HypMsg::HypFreshAck));
+                ctx.send(self.partner, HypMsg::BecomeHead { pos: (pos + 1) as u32 });
+                ctx.send(x, HypMsg::HypFreshAck);
             }
             Some(j) => {
                 match self.role {
@@ -348,13 +297,13 @@ impl<C: MsgCodec<HypMsg>> HypNode<C> {
                         self.rot_parent = None;
                         self.rot_initiator = true;
                         self.rot_pending = ctx.degree();
-                        ctx.send_all(C::encode(HypMsg::HypRotation {
+                        ctx.send_all(HypMsg::HypRotation {
                             key,
-                            h: pos,
-                            j,
+                            h: pos as u32,
+                            j: j as u32,
                             y: self.id,
                             x,
-                        }));
+                        });
                     }
                     TermRole::Free => {
                         // Only hypernode 0's open start is Free-on-path.
@@ -364,13 +313,13 @@ impl<C: MsgCodec<HypMsg>> HypNode<C> {
                             self.link = Some(x);
                             self.done_flood(ctx, x, self.id, None);
                         } else {
-                            ctx.send(x, C::encode(HypMsg::HypReject));
+                            ctx.send(x, HypMsg::HypReject);
                         }
                     }
                     _ => {
                         // Entry terminal (or live exit, unreachable):
                         // unusable in this orientation.
-                        ctx.send(x, C::encode(HypMsg::HypReject));
+                        ctx.send(x, HypMsg::HypReject);
                     }
                 }
             }
@@ -409,17 +358,17 @@ impl<C: MsgCodec<HypMsg>> HypNode<C> {
         }
     }
 
-    fn rot_complete_check(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn rot_complete_check(&mut self, ctx: &mut Context<'_, HypMsg>) {
         if self.rot_pending != 0 || self.rot_key.is_none() {
             return;
         }
         if self.rot_initiator {
             let target = self.rot_resume_target.expect("initiator saved old link");
-            ctx.send(target, C::encode(HypMsg::HypResume));
+            ctx.send(target, HypMsg::HypResume);
             self.rot_initiator = false;
         } else if let Some(p) = self.rot_parent {
             let key = self.rot_key.expect("checked above");
-            ctx.send(p, C::encode(HypMsg::HypRotAck { key }));
+            ctx.send(p, HypMsg::HypRotAck { key });
             self.rot_parent = None;
         }
     }
@@ -427,11 +376,11 @@ impl<C: MsgCodec<HypMsg>> HypNode<C> {
     #[allow(clippy::too_many_arguments)] // one parameter per message field
     fn on_rotation(
         &mut self,
-        ctx: &mut Context<'_, C::Wire>,
+        ctx: &mut Context<'_, HypMsg>,
         from: NodeId,
         key: RotKey,
-        h: usize,
-        j: usize,
+        h: u32,
+        j: u32,
         y: NodeId,
         x: NodeId,
     ) {
@@ -443,9 +392,9 @@ impl<C: MsgCodec<HypMsg>> HypNode<C> {
         self.rot_key = Some(key);
         self.rot_parent = Some(from);
         self.rot_initiator = false;
-        self.apply_rotation(h, j, y, x);
+        self.apply_rotation(h as usize, j as usize, y, x);
         self.rot_pending = ctx.degree() - 1;
-        ctx.send_all_except(from, C::encode(HypMsg::HypRotation { key, h, j, y, x }));
+        ctx.send_all_except(from, HypMsg::HypRotation { key, h, j, y, x });
         self.rot_complete_check(ctx);
     }
 
@@ -460,10 +409,10 @@ impl<C: MsgCodec<HypMsg>> HypNode<C> {
     }
 }
 
-impl<C: MsgCodec<HypMsg>> Protocol for HypNode<C> {
-    type Msg = C::Wire;
+impl Protocol for HypNode {
+    type Msg = HypMsg;
 
-    fn init(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn init(&mut self, ctx: &mut Context<'_, HypMsg>) {
         if ctx.degree() == 0 {
             // Unreachable after a successful Phase 1, but keeps the engine
             // from stalling on degenerate inputs.
@@ -472,7 +421,7 @@ impl<C: MsgCodec<HypMsg>> Protocol for HypNode<C> {
             return;
         }
         if self.is_terminal {
-            ctx.send_all(C::encode(HypMsg::TermAnnounce { color: self.color }));
+            ctx.send_all(HypMsg::TermAnnounce { color: self.color });
         }
         if self.live {
             // Ensure the initial head is invoked after the announce round
@@ -481,12 +430,12 @@ impl<C: MsgCodec<HypMsg>> Protocol for HypNode<C> {
         }
     }
 
-    fn round(&mut self, ctx: &mut Context<'_, C::Wire>, inbox: Inbox<'_, C::Wire>) {
+    fn round(&mut self, ctx: &mut Context<'_, HypMsg>, inbox: Inbox<'_, HypMsg>) {
         if !self.announces_seen {
             self.announces_seen = true;
             if self.is_terminal {
                 for (from, msg) in inbox.iter() {
-                    if let HypMsg::TermAnnounce { color } = C::decode(msg) {
+                    if let HypMsg::TermAnnounce { color } = *msg {
                         if color != self.color {
                             self.unused.push((from, color));
                         }
@@ -503,9 +452,9 @@ impl<C: MsgCodec<HypMsg>> Protocol for HypNode<C> {
             if self.done || self.failed {
                 break;
             }
-            match C::decode(msg) {
+            match *msg {
                 HypMsg::TermAnnounce { .. } => {}
-                HypMsg::HypProgress { pos } => self.on_progress(ctx, from, pos),
+                HypMsg::HypProgress { pos } => self.on_progress(ctx, from, pos as usize),
                 HypMsg::HypFreshAck => {
                     // Our drawn terminal accepted: the cross edge stands.
                     self.link = Some(from);
@@ -514,7 +463,7 @@ impl<C: MsgCodec<HypMsg>> Protocol for HypNode<C> {
                 }
                 HypMsg::BecomeHead { pos } => {
                     self.role = TermRole::Exit;
-                    self.hypidx = Some(pos);
+                    self.hypidx = Some(pos as usize);
                     self.link = None;
                     self.live = true;
                     self.awaiting = false;
@@ -579,33 +528,8 @@ pub(crate) fn run(
     let compacted = Partition::from_colors(colors, k);
 
     let mut run_span = Span::root(cfg.collector.as_ref(), "run", format!("dhc1 n={n} k={k}"));
-    let outcome = if cfg.packed_payloads {
-        // On the packed wire every protocol's messages are `PackedMsg`,
-        // so the `√n` Phase 1 class networks and the whole-graph stitch
-        // network chain through one buffer set.
-        let mut scratch: EngineScratch<PackedMsg> = EngineScratch::new();
-        let phase1 = run_phase1_with::<PackedCodec>(
-            graph,
-            &compacted,
-            cfg,
-            km.as_deref_mut(),
-            Some(&mut scratch),
-            &run_span,
-        )?;
-        stitch::<PackedCodec>(graph, cfg, km, k, &phase1, &mut scratch, &run_span)?
-    } else {
-        // Enum wires differ per protocol (`DraMsg` vs `HypMsg`); Phase 1
-        // chains its own internal scratch, the stitch starts cold.
-        let phase1 = run_phase1_with::<EnumCodec>(
-            graph,
-            &compacted,
-            cfg,
-            km.as_deref_mut(),
-            None,
-            &run_span,
-        )?;
-        stitch::<EnumCodec>(graph, cfg, km, k, &phase1, &mut EngineScratch::new(), &run_span)?
-    };
+    let phase1 = run_phase1(graph, &compacted, cfg, km.as_deref_mut(), &run_span)?;
+    let outcome = stitch(graph, cfg, km, k, &phase1, &run_span)?;
     run_span.add(outcome.metrics.rounds as u64, outcome.metrics.messages, outcome.metrics.words);
     drop(run_span);
     if let Some(col) = &cfg.collector {
@@ -614,15 +538,14 @@ pub(crate) fn run(
     Ok(outcome)
 }
 
-/// The hypernode stitch (Phase 2), pinned to a wire codec, seeded from
-/// `scratch` — warm with the Phase 1 buffers on the packed path.
-fn stitch<C: MsgCodec<HypMsg>>(
+/// The hypernode stitch (Phase 2). Its messages differ from Phase 1's,
+/// so its network allocates its own engine buffers.
+fn stitch(
     graph: &Graph,
     cfg: &DhcConfig,
     km: Option<&mut KMachineProbe>,
     k: usize,
     phase1: &Phase1Outcome,
-    scratch: &mut EngineScratch<C::Wire>,
     parent: &Span,
 ) -> Result<RunOutcome, DhcError> {
     let mut metrics = phase1.metrics.clone();
@@ -640,7 +563,7 @@ fn stitch<C: MsgCodec<HypMsg>>(
     }
 
     let mut phase_span = parent.child("phase", format!("hypernode-stitch k={k}"));
-    let nodes: Vec<HypNode<C>> = phase1
+    let nodes: Vec<HypNode> = phase1
         .states
         .iter()
         .enumerate()
@@ -650,7 +573,7 @@ fn stitch<C: MsgCodec<HypMsg>>(
         .collect();
     let mut net = match km.as_deref() {
         Some(p) => Network::new_with_machines(graph, cfg.sim_config(), nodes, p.global_map())?,
-        None => Network::new_with_scratch(graph, cfg.sim_config(), nodes, scratch)?,
+        None => Network::new(graph, cfg.sim_config(), nodes)?,
     };
     let run_result = net.run();
     let (report, nodes) = net.finish();

@@ -37,8 +37,7 @@ use crate::output::pairs_from_links;
 use crate::runner::{draw_colors, run_phase1, PhaseBreakdown, RunOutcome};
 use crate::{cycle_from_incident_pairs, DhcConfig, DhcError};
 use dhc_congest::{
-    Context, EngineScratch, EnumCodec, Inbox, Metrics, MsgCodec, Network, NodeId, PackedCodec,
-    PackedMsg, PackedPayload, Payload, Protocol, SimError, Span,
+    Context, EngineScratch, Inbox, Metrics, Network, NodeId, Payload, Protocol, SimError, Span,
 };
 use dhc_graph::{Graph, Partition};
 use std::collections::{HashMap, HashSet};
@@ -61,9 +60,9 @@ pub(crate) struct Candidate {
     w_id: NodeId,
     u_id: NodeId,
     x_id: NodeId,
-    v_idx: usize,
-    w_idx: usize,
-    s2: usize,
+    v_idx: u32,
+    w_idx: u32,
+    s2: u32,
     case: Case,
 }
 
@@ -85,10 +84,10 @@ fn min_cand(a: Option<Candidate>, b: Option<Candidate>) -> Option<Candidate> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Decision {
     case: Case,
-    v_idx: usize,
-    w_idx: usize,
-    s1: usize,
-    s2: usize,
+    v_idx: u32,
+    w_idx: u32,
+    s1: u32,
+    s2: u32,
     v_id: NodeId,
     w_id: NodeId,
     u_id: NodeId,
@@ -108,11 +107,13 @@ pub(crate) struct CycleState {
 /// Applies the splice to one node's state. `active_side` says whether the
 /// node belongs to the even-colored (active) cycle.
 pub(crate) fn apply_decision(st: &mut CycleState, d: &Decision, active_side: bool) {
-    let u_idx = (d.v_idx + 1) % d.s1;
+    let (v_idx, w_idx) = (d.v_idx as usize, d.w_idx as usize);
+    let (s1, s2) = (d.s1 as usize, d.s2 as usize);
+    let u_idx = (v_idx + 1) % s1;
     if active_side {
         // Cycle 1 keeps orientation; reindex so u sits at 0 and v at s1-1.
-        st.idx = (st.idx + d.s1 - u_idx) % d.s1;
-        if st.idx == d.s1 - 1 {
+        st.idx = (st.idx + s1 - u_idx) % s1;
+        if st.idx == s1 - 1 {
             // This is v: its successor becomes w.
             st.succ = d.w_id;
         }
@@ -125,12 +126,12 @@ pub(crate) fn apply_decision(st: &mut CycleState, d: &Decision, active_side: boo
             Case::SuccSide => {
                 // Cycle 2 reversed: w at s1, then pred-direction.
                 let old_idx = st.idx;
-                st.idx = d.s1 + ((d.w_idx + d.s2 - old_idx) % d.s2);
+                st.idx = s1 + ((w_idx + s2 - old_idx) % s2);
                 std::mem::swap(&mut st.succ, &mut st.pred);
-                if old_idx == d.w_idx {
+                if old_idx == w_idx {
                     st.pred = d.v_id;
                 }
-                if old_idx == (d.w_idx + 1) % d.s2 {
+                if old_idx == (w_idx + 1) % s2 {
                     // This is x = succ(w): its (post-swap) successor is u.
                     st.succ = d.u_id;
                 }
@@ -138,29 +139,30 @@ pub(crate) fn apply_decision(st: &mut CycleState, d: &Decision, active_side: boo
             Case::PredSide => {
                 // Cycle 2 keeps orientation: w at s1, forward.
                 let old_idx = st.idx;
-                st.idx = d.s1 + ((old_idx + d.s2 - d.w_idx) % d.s2);
-                if old_idx == d.w_idx {
+                st.idx = s1 + ((old_idx + s2 - w_idx) % s2);
+                if old_idx == w_idx {
                     st.pred = d.v_id;
                 }
-                if old_idx == (d.w_idx + d.s2 - 1) % d.s2 {
+                if old_idx == (w_idx + s2 - 1) % s2 {
                     // This is x = pred(w): its successor is u.
                     st.succ = d.u_id;
                 }
             }
         }
     }
-    st.size = d.s1 + d.s2;
+    st.size = s1 + s2;
     st.color /= 2;
 }
 
-/// Messages of one merge level.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Messages of one merge level. Indices and sizes are `u32` words, like
+/// the node ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MergeMsg {
     /// Current color announcement (round 1).
     Color { color: u32 },
     /// Passive node → active neighbors: cycle bookkeeping needed to test
     /// bridges (the paper's `verified` reply, batched).
-    SuccPred { succ: NodeId, pred: NodeId, idx: usize, size: usize },
+    SuccPred { succ: NodeId, pred: NodeId, idx: u32, size: u32 },
     /// Pipelined item: one partner-colored neighbor id of the sender
     /// (sent from `u` to its cycle predecessor `v`).
     NbrItem { x: NodeId },
@@ -188,99 +190,6 @@ impl Payload for MergeMsg {
     }
 }
 
-/// The merge level's packed wire form: 9 `u32` slots (a bridge decision is
-/// four node ids, two indices, two sizes, and a case), 40 bytes inline
-/// versus 56 for the padded enum. The bridge case rides in the tag;
-/// logical [`words`](Payload::words) are preserved exactly — a
-/// `CollectReply` is 9 CONGEST words whether or not a candidate is inside.
-impl PackedPayload for MergeMsg {
-    type Wire = PackedMsg<9>;
-
-    fn pack(&self) -> PackedMsg<9> {
-        match *self {
-            MergeMsg::Color { color } => PackedMsg::new(0, &[color]),
-            MergeMsg::SuccPred { succ, pred, idx, size } => {
-                PackedMsg::new(1, &[succ, pred, idx as u32, size as u32])
-            }
-            MergeMsg::NbrItem { x } => PackedMsg::new(2, &[x]),
-            MergeMsg::NbrEnd => PackedMsg::new(3, &[0]),
-            MergeMsg::CollectReq => PackedMsg::new(4, &[0]),
-            MergeMsg::NoBridge => PackedMsg::new(5, &[0]),
-            MergeMsg::CollectReply { best: None } => PackedMsg::new(6, &[0; 9]),
-            MergeMsg::CollectReply { best: Some(c) } => PackedMsg::new(
-                if c.case == Case::SuccSide { 7 } else { 8 },
-                &[
-                    c.v_id,
-                    c.w_id,
-                    c.u_id,
-                    c.x_id,
-                    c.v_idx as u32,
-                    c.w_idx as u32,
-                    c.s2 as u32,
-                    0,
-                    0,
-                ],
-            ),
-            MergeMsg::Decision(d) => PackedMsg::new(
-                if d.case == Case::SuccSide { 9 } else { 10 },
-                &[
-                    d.v_id,
-                    d.w_id,
-                    d.u_id,
-                    d.x_id,
-                    d.v_idx as u32,
-                    d.w_idx as u32,
-                    d.s1 as u32,
-                    d.s2 as u32,
-                    0,
-                ],
-            ),
-        }
-    }
-
-    fn unpack(m: &PackedMsg<9>) -> Self {
-        let w = m.payload();
-        match m.tag {
-            0 => MergeMsg::Color { color: w[0] },
-            1 => MergeMsg::SuccPred {
-                succ: w[0],
-                pred: w[1],
-                idx: w[2] as usize,
-                size: w[3] as usize,
-            },
-            2 => MergeMsg::NbrItem { x: w[0] },
-            3 => MergeMsg::NbrEnd,
-            4 => MergeMsg::CollectReq,
-            5 => MergeMsg::NoBridge,
-            6 => MergeMsg::CollectReply { best: None },
-            t @ (7 | 8) => MergeMsg::CollectReply {
-                best: Some(Candidate {
-                    v_id: w[0],
-                    w_id: w[1],
-                    u_id: w[2],
-                    x_id: w[3],
-                    v_idx: w[4] as usize,
-                    w_idx: w[5] as usize,
-                    s2: w[6] as usize,
-                    case: if t == 7 { Case::SuccSide } else { Case::PredSide },
-                }),
-            },
-            t @ (9 | 10) => MergeMsg::Decision(Decision {
-                v_id: w[0],
-                w_id: w[1],
-                u_id: w[2],
-                x_id: w[3],
-                v_idx: w[4] as usize,
-                w_idx: w[5] as usize,
-                s1: w[6] as usize,
-                s2: w[7] as usize,
-                case: if t == 9 { Case::SuccSide } else { Case::PredSide },
-            }),
-            t => panic!("unknown MergeMsg tag {t}"),
-        }
-    }
-}
-
 /// Role of a node at this level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
@@ -293,14 +202,8 @@ enum Role {
 }
 
 /// Per-node protocol state for one merge level.
-///
-/// Generic over the wire [`MsgCodec`]: [`EnumCodec`] (default) exchanges
-/// the [`MergeMsg`] enum itself, [`PackedCodec`](dhc_congest::PackedCodec)
-/// the 9-word [`PackedMsg`] form. Both execute identically — the codec
-/// only chooses the in-memory representation in flight.
 #[derive(Debug)]
-pub(crate) struct MergeNode<C: MsgCodec<MergeMsg> = EnumCodec> {
-    _codec: std::marker::PhantomData<C>,
+pub(crate) struct MergeNode {
     id: NodeId,
     st: CycleState,
     role: Role,
@@ -321,7 +224,7 @@ pub(crate) struct MergeNode<C: MsgCodec<MergeMsg> = EnumCodec> {
     uset: HashSet<NodeId>,
     nbr_end_received: bool,
     /// As `v`: partner neighbors' bookkeeping: (w, succ, pred, idx, size).
-    succpred: Vec<(NodeId, NodeId, NodeId, usize, usize)>,
+    succpred: Vec<(NodeId, NodeId, NodeId, u32, u32)>,
 
     cand: Option<Candidate>,
     cand_ready: bool,
@@ -339,7 +242,7 @@ pub(crate) struct MergeNode<C: MsgCodec<MergeMsg> = EnumCodec> {
     pub no_bridge: bool,
 }
 
-impl<C: MsgCodec<MergeMsg>> MergeNode<C> {
+impl MergeNode {
     pub(crate) fn new(id: NodeId, st: CycleState, colors_remaining: usize) -> Self {
         let role = if st.color % 2 == 1 {
             Role::Passive
@@ -349,7 +252,6 @@ impl<C: MsgCodec<MergeMsg>> MergeNode<C> {
             Role::Leftover
         };
         MergeNode {
-            _codec: std::marker::PhantomData,
             id,
             st,
             role,
@@ -385,16 +287,16 @@ impl<C: MsgCodec<MergeMsg>> MergeNode<C> {
     }
 
     /// Sends up to 4 queued neighbor-list items (+ terminator) per round.
-    fn pump_pipeline(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn pump_pipeline(&mut self, ctx: &mut Context<'_, MergeMsg>) {
         if self.role != Role::Active || self.sent_end {
             return;
         }
         let to = self.st.pred;
         for _ in 0..4 {
             match self.send_queue.pop() {
-                Some(x) => ctx.send(to, C::encode(MergeMsg::NbrItem { x })),
+                Some(x) => ctx.send(to, MergeMsg::NbrItem { x }),
                 None => {
-                    ctx.send(to, C::encode(MergeMsg::NbrEnd));
+                    ctx.send(to, MergeMsg::NbrEnd);
                     self.sent_end = true;
                     return;
                 }
@@ -405,11 +307,12 @@ impl<C: MsgCodec<MergeMsg>> MergeNode<C> {
 
     /// Computes this node's best local bridge candidate once all inputs
     /// arrived.
-    fn finalize_candidate(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn finalize_candidate(&mut self, ctx: &mut Context<'_, MergeMsg>) {
         if self.role != Role::Active || self.cand_ready || !self.nbr_end_received {
             return;
         }
         let u_id = self.st.succ;
+        let v_idx = self.st.idx as u32;
         for &(w, sw, pw, w_idx, s2) in &self.succpred {
             let cand = if self.uset.contains(&sw) {
                 Some(Candidate {
@@ -417,7 +320,7 @@ impl<C: MsgCodec<MergeMsg>> MergeNode<C> {
                     w_id: w,
                     u_id,
                     x_id: sw,
-                    v_idx: self.st.idx,
+                    v_idx,
                     w_idx,
                     s2,
                     case: Case::SuccSide,
@@ -428,7 +331,7 @@ impl<C: MsgCodec<MergeMsg>> MergeNode<C> {
                     w_id: w,
                     u_id,
                     x_id: pw,
-                    v_idx: self.st.idx,
+                    v_idx,
                     w_idx,
                     s2,
                     case: Case::PredSide,
@@ -444,7 +347,7 @@ impl<C: MsgCodec<MergeMsg>> MergeNode<C> {
     }
 
     /// Collect-wave completion check (active color class).
-    fn collect_check(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn collect_check(&mut self, ctx: &mut Context<'_, MergeMsg>) {
         if self.role != Role::Active
             || !self.collect_seen
             || !self.cand_ready
@@ -455,7 +358,7 @@ impl<C: MsgCodec<MergeMsg>> MergeNode<C> {
         }
         self.collect_replied = true;
         match self.collect_parent {
-            Some(p) => ctx.send(p, C::encode(MergeMsg::CollectReply { best: self.best })),
+            Some(p) => ctx.send(p, MergeMsg::CollectReply { best: self.best }),
             None => {
                 // Coordinator: decide.
                 debug_assert!(self.is_coordinator());
@@ -470,7 +373,7 @@ impl<C: MsgCodec<MergeMsg>> MergeNode<C> {
                             case: c.case,
                             v_idx: c.v_idx,
                             w_idx: c.w_idx,
-                            s1: self.st.size,
+                            s1: self.st.size as u32,
                             s2: c.s2,
                             v_id: c.v_id,
                             w_id: c.w_id,
@@ -490,20 +393,19 @@ impl<C: MsgCodec<MergeMsg>> MergeNode<C> {
     /// Floods `msg` over the two paired color classes, optionally
     /// skipping the neighbor it arrived from. Broadcasts when the relay
     /// set is the whole neighborhood (observationally identical).
-    fn relay_flood(&self, ctx: &mut Context<'_, C::Wire>, msg: MergeMsg, skip: Option<NodeId>) {
-        let wire = C::encode(msg);
+    fn relay_flood(&self, ctx: &mut Context<'_, MergeMsg>, msg: MergeMsg, skip: Option<NodeId>) {
         if self.relay_all {
-            ctx.flood_except(skip, wire);
+            ctx.flood_except(skip, msg);
         } else {
             for &to in &self.relay_nbrs {
                 if Some(to) != skip {
-                    ctx.send(to, wire.clone());
+                    ctx.send(to, msg);
                 }
             }
         }
     }
 
-    fn on_decision(&mut self, ctx: &mut Context<'_, C::Wire>, from: NodeId, d: Decision) {
+    fn on_decision(&mut self, ctx: &mut Context<'_, MergeMsg>, from: NodeId, d: Decision) {
         if self.decided || self.no_bridge {
             return;
         }
@@ -513,7 +415,7 @@ impl<C: MsgCodec<MergeMsg>> MergeNode<C> {
         ctx.halt();
     }
 
-    fn on_no_bridge(&mut self, ctx: &mut Context<'_, C::Wire>, from: NodeId) {
+    fn on_no_bridge(&mut self, ctx: &mut Context<'_, MergeMsg>, from: NodeId) {
         if self.decided || self.no_bridge {
             return;
         }
@@ -523,20 +425,20 @@ impl<C: MsgCodec<MergeMsg>> MergeNode<C> {
     }
 }
 
-impl<C: MsgCodec<MergeMsg>> Protocol for MergeNode<C> {
-    type Msg = C::Wire;
+impl Protocol for MergeNode {
+    type Msg = MergeMsg;
 
-    fn init(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn init(&mut self, ctx: &mut Context<'_, MergeMsg>) {
         if ctx.degree() == 0 {
             // Unreachable after a successful Phase 1; guards degenerate use.
             self.no_bridge = true;
             ctx.halt();
             return;
         }
-        ctx.send_all(C::encode(MergeMsg::Color { color: self.st.color }));
+        ctx.send_all(MergeMsg::Color { color: self.st.color });
     }
 
-    fn round(&mut self, ctx: &mut Context<'_, C::Wire>, inbox: Inbox<'_, C::Wire>) {
+    fn round(&mut self, ctx: &mut Context<'_, MergeMsg>, inbox: Inbox<'_, MergeMsg>) {
         if !self.colors_known {
             self.colors_known = true;
             let (active_c, partner_c) = match self.role {
@@ -550,8 +452,8 @@ impl<C: MsgCodec<MergeMsg>> Protocol for MergeNode<C> {
                     return;
                 }
             };
-            for (from, wire) in inbox.iter() {
-                if let MergeMsg::Color { color } = C::decode(wire) {
+            for (from, msg) in inbox.iter() {
+                if let MergeMsg::Color { color } = *msg {
                     if color == self.st.color {
                         self.same_nbrs.push(from);
                     }
@@ -576,7 +478,7 @@ impl<C: MsgCodec<MergeMsg>> Protocol for MergeNode<C> {
                         self.collect_pending = self.same_nbrs.len();
                         let nbrs = self.same_nbrs.clone();
                         for to in nbrs {
-                            ctx.send(to, C::encode(MergeMsg::CollectReq));
+                            ctx.send(to, MergeMsg::CollectReq);
                         }
                         // A coordinator with no same-color neighbors would be
                         // a 1-node cycle, which Phase 1 excludes (size >= 3).
@@ -584,15 +486,15 @@ impl<C: MsgCodec<MergeMsg>> Protocol for MergeNode<C> {
                 }
                 Role::Passive => {
                     // Answer with cycle bookkeeping (the `verified` data).
-                    let wire = C::encode(MergeMsg::SuccPred {
+                    let msg = MergeMsg::SuccPred {
                         succ: self.st.succ,
                         pred: self.st.pred,
-                        idx: self.st.idx,
-                        size: self.st.size,
-                    });
+                        idx: self.st.idx as u32,
+                        size: self.st.size as u32,
+                    };
                     let nbrs = self.partner_nbrs.clone();
                     for to in nbrs {
-                        ctx.send(to, wire.clone());
+                        ctx.send(to, msg);
                     }
                 }
                 Role::Leftover => unreachable!("handled above"),
@@ -600,11 +502,11 @@ impl<C: MsgCodec<MergeMsg>> Protocol for MergeNode<C> {
             return;
         }
 
-        for (from, wire) in inbox.iter() {
+        for (from, msg) in inbox.iter() {
             if self.decided || self.no_bridge {
                 break;
             }
-            match C::decode(wire) {
+            match *msg {
                 MergeMsg::Color { .. } => {}
                 MergeMsg::SuccPred { succ, pred, idx, size } => {
                     self.succpred.push((from, succ, pred, idx, size));
@@ -625,7 +527,7 @@ impl<C: MsgCodec<MergeMsg>> Protocol for MergeNode<C> {
                         let nbrs = self.same_nbrs.clone();
                         for to in nbrs {
                             if to != from {
-                                ctx.send(to, C::encode(MergeMsg::CollectReq));
+                                ctx.send(to, MergeMsg::CollectReq);
                             }
                         }
                     }
@@ -720,65 +622,15 @@ pub(crate) fn run_with_colors(
         })
         .collect();
 
-    if cfg.packed_payloads {
-        run_merge_levels::<PackedCodec>(
-            graph,
-            cfg,
-            &mut states,
-            k,
-            &mut metrics,
-            &mut phases,
-            km,
-            &run_span,
-        )?;
-    } else {
-        run_merge_levels::<EnumCodec>(
-            graph,
-            cfg,
-            &mut states,
-            k,
-            &mut metrics,
-            &mut phases,
-            km,
-            &run_span,
-        )?;
-    }
-
-    let succ: Vec<Option<NodeId>> = states.iter().map(|s| Some(s.succ)).collect();
-    let pred: Vec<Option<NodeId>> = states.iter().map(|s| Some(s.pred)).collect();
-    let pairs = pairs_from_links(&succ, &pred)?;
-    let cycle = cycle_from_incident_pairs(graph, &pairs)?;
-    run_span.add(metrics.rounds as u64, metrics.messages, metrics.words);
-    drop(run_span);
-    if let Some(col) = &cfg.collector {
-        col.flush();
-    }
-    Ok(RunOutcome { cycle, metrics, phases })
-}
-
-/// The `⌈log₂ k⌉` merge levels, monomorphized on the wire codec (the
-/// [`DhcConfig::packed_payloads`] dispatch happens once, in
-/// [`run_with_colors`]). All levels speak the same wire type, so one
-/// buffer set chains through every level's whole-graph network.
-#[allow(clippy::too_many_arguments)]
-fn run_merge_levels<C: MsgCodec<MergeMsg>>(
-    graph: &Graph,
-    cfg: &DhcConfig,
-    states: &mut [CycleState],
-    k: usize,
-    metrics: &mut Metrics,
-    phases: &mut Vec<PhaseBreakdown>,
-    mut km: Option<&mut KMachineProbe>,
-    parent: &Span,
-) -> Result<(), DhcError> {
-    let n = graph.node_count();
     let mut colors_remaining = k;
     let mut level = 0usize;
-    let mut merge_scratch: EngineScratch<C::Wire> = EngineScratch::new();
+    // All levels speak `MergeMsg`, so one buffer set chains through every
+    // level's whole-graph network.
+    let mut merge_scratch: EngineScratch<MergeMsg> = EngineScratch::new();
     while colors_remaining > 1 {
         let mut level_span =
-            parent.child("merge-level", format!("merge-level-{level} cycles={colors_remaining}"));
-        let nodes: Vec<MergeNode<C>> =
+            run_span.child("merge-level", format!("merge-level-{level} cycles={colors_remaining}"));
+        let nodes: Vec<MergeNode> =
             (0..n).map(|v| MergeNode::new((v) as u32, states[v], colors_remaining)).collect();
         let mut net = match km.as_deref() {
             Some(p) => Network::new_with_machines(graph, cfg.sim_config(), nodes, p.global_map())?,
@@ -822,14 +674,23 @@ fn run_merge_levels<C: MsgCodec<MergeMsg>>(
         colors_remaining = colors_remaining.div_ceil(2);
         level += 1;
     }
-    Ok(())
+
+    let succ: Vec<Option<NodeId>> = states.iter().map(|s| Some(s.succ)).collect();
+    let pred: Vec<Option<NodeId>> = states.iter().map(|s| Some(s.pred)).collect();
+    let pairs = pairs_from_links(&succ, &pred)?;
+    let cycle = cycle_from_incident_pairs(graph, &pairs)?;
+    run_span.add(metrics.rounds as u64, metrics.messages, metrics.words);
+    drop(run_span);
+    if let Some(col) = &cfg.collector {
+        col.flush();
+    }
+    Ok(RunOutcome { cycle, metrics, phases })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dhc_graph::{generator, rng::rng_from_seed, thresholds};
-    use proptest::prelude::*;
 
     #[test]
     fn apply_decision_succ_side_matches_manual_splice() {
@@ -1030,85 +891,5 @@ mod tests {
         let b = run(&g, &cfg, None).unwrap();
         assert_eq!(a.cycle.order(), b.cycle.order());
         assert_eq!(a.metrics.rounds, b.metrics.rounds);
-    }
-
-    #[test]
-    fn clustered_explicit_colors_packed_matches_enum() {
-        // The e16 operating point in miniature: dense clusters as classes,
-        // merge-tree-aligned bridges, and the 9-word packed merge wire
-        // pinned bit-for-bit against the enum oracle.
-        let (k, s) = (5, 24);
-        let p = 8.0 * (s as f64).ln() / (s as f64 - 1.0);
-        let (g, colors) =
-            generator::clustered(k, s, p.min(1.0), 3.0, &mut rng_from_seed(60)).unwrap();
-        let partition = Partition::from_colors(colors, k);
-        let base = (61..69)
-            .map(DhcConfig::new)
-            .find(|cfg| run_with_colors(&g, cfg, &partition, None).is_ok())
-            .expect("clustered DHC2 should succeed for at least one of 8 seeds");
-        let fat = run_with_colors(&g, &base, &partition, None).unwrap();
-        let lean = run_with_colors(&g, &base.clone().with_packed_payloads(true), &partition, None)
-            .unwrap();
-        assert_eq!(fat.cycle.order(), lean.cycle.order());
-        assert_eq!(fat.metrics, lean.metrics);
-        assert_eq!(fat.phases, lean.phases);
-    }
-
-    proptest! {
-        /// Every merge-level message survives the 9-word packed wire form
-        /// unchanged, with identical CONGEST word accounting.
-        #[test]
-        fn merge_msg_packs_losslessly(m in merge_msg_strategy()) {
-            let packed = m.pack();
-            prop_assert_eq!(packed.words(), m.words());
-            prop_assert_eq!(MergeMsg::unpack(&packed), m.clone());
-        }
-    }
-
-    fn cand_strategy() -> impl Strategy<Value = Candidate> {
-        let id = any::<u32>();
-        let idx = 0usize..(1usize << 32);
-        let case = any::<bool>().prop_map(|b| if b { Case::SuccSide } else { Case::PredSide });
-        ((id, id, id, id), (idx.clone(), idx.clone(), idx, case)).prop_map(
-            |((v_id, w_id, u_id, x_id), (v_idx, w_idx, s2, case))| Candidate {
-                v_id,
-                w_id,
-                u_id,
-                x_id,
-                v_idx,
-                w_idx,
-                s2,
-                case,
-            },
-        )
-    }
-
-    fn merge_msg_strategy() -> impl Strategy<Value = MergeMsg> {
-        let id = any::<u32>();
-        let idx = 0usize..(1usize << 32);
-        prop_oneof![
-            id.prop_map(|color| MergeMsg::Color { color }),
-            (id, id, idx.clone(), idx.clone())
-                .prop_map(|(succ, pred, idx, size)| MergeMsg::SuccPred { succ, pred, idx, size }),
-            id.prop_map(|x| MergeMsg::NbrItem { x }),
-            Just(MergeMsg::NbrEnd),
-            Just(MergeMsg::CollectReq),
-            Just(MergeMsg::NoBridge),
-            prop_oneof![Just(None), cand_strategy().prop_map(Some)]
-                .prop_map(|best| MergeMsg::CollectReply { best }),
-            (cand_strategy(), idx.clone(), idx).prop_map(|(c, s1, s2)| {
-                MergeMsg::Decision(Decision {
-                    case: c.case,
-                    v_idx: c.v_idx,
-                    w_idx: c.w_idx,
-                    s1,
-                    s2,
-                    v_id: c.v_id,
-                    w_id: c.w_id,
-                    u_id: c.u_id,
-                    x_id: c.x_id,
-                })
-            }),
-        ]
     }
 }

@@ -28,14 +28,11 @@
 //! flood, so the simulation always terminates with a typed outcome.
 
 use crate::error::PartitionFailure;
-use dhc_congest::{
-    Context, EnumCodec, Inbox, MsgCodec, NodeId, PackedMsg, PackedPayload, Payload, Protocol,
-};
+use dhc_congest::{Context, Inbox, NodeId, Payload, Protocol};
 use dhc_graph::rng::derive_seed;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::marker::PhantomData;
 
 /// Identifier of one rotation broadcast instance: `(initiator, sequence)`.
 pub type RotKey = (NodeId, u32);
@@ -43,8 +40,9 @@ pub type RotKey = (NodeId, u32);
 /// Messages of the distributed rotation protocol.
 ///
 /// Every variant carries a constant number of node ids / indices, i.e.
-/// `O(log n)` bits — one CONGEST message.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `O(log n)` bits — one CONGEST message. Positions, counts and sizes are
+/// `u32` words, like the node ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DraMsg {
     /// Announce own color (round 1).
     Color {
@@ -61,12 +59,12 @@ pub enum DraMsg {
         /// The wave this ack belongs to.
         root: NodeId,
         /// Nodes in the acked subtree (including the sender).
-        count: usize,
+        count: u32,
     },
     /// Head → drawn neighbor: "extend or rotate; I am at position `pos`".
     Progress {
         /// The head's path position (0-based `cycindex`).
-        pos: usize,
+        pos: u32,
     },
     /// Fresh receiver → old head: "I appended myself; I am your successor".
     FreshAck,
@@ -76,9 +74,9 @@ pub enum DraMsg {
         /// Instance key.
         key: RotKey,
         /// Old head position.
-        h: usize,
+        h: u32,
         /// Rotation pivot position (the initiator's position).
-        j: usize,
+        j: u32,
         /// Id of the pivot node `v_j`.
         vj: NodeId,
         /// Id of the old head `v_h`.
@@ -98,7 +96,7 @@ pub enum DraMsg {
         /// The final head (whose closing edge reached the tail).
         head: NodeId,
         /// Partition size = cycle length.
-        size: usize,
+        size: u32,
     },
     /// Failure flood.
     Abort {
@@ -121,50 +119,6 @@ impl Payload for DraMsg {
     }
 }
 
-impl PackedPayload for DraMsg {
-    type Wire = PackedMsg;
-
-    fn pack(&self) -> PackedMsg {
-        match *self {
-            DraMsg::Color { color } => PackedMsg::new(0, &[color]),
-            DraMsg::Wave { root } => PackedMsg::new(1, &[root]),
-            DraMsg::WaveAck { root, count } => PackedMsg::new(2, &[root, count as u32]),
-            DraMsg::Progress { pos } => PackedMsg::new(3, &[pos as u32]),
-            DraMsg::FreshAck => PackedMsg::new(4, &[0]),
-            DraMsg::Rotation { key, h, j, vj, vh } => {
-                PackedMsg::new(5, &[key.0, key.1, h as u32, j as u32, vj, vh])
-            }
-            DraMsg::RotAck { key } => PackedMsg::new(6, &[key.0, key.1]),
-            DraMsg::Resume => PackedMsg::new(7, &[0]),
-            DraMsg::Done { tail, head, size } => PackedMsg::new(8, &[tail, head, size as u32]),
-            DraMsg::Abort { reason } => PackedMsg::new(9, &[reason as u32]),
-        }
-    }
-
-    fn unpack(m: &PackedMsg) -> Self {
-        let w = m.payload();
-        match m.tag {
-            0 => DraMsg::Color { color: w[0] },
-            1 => DraMsg::Wave { root: w[0] },
-            2 => DraMsg::WaveAck { root: w[0], count: w[1] as usize },
-            3 => DraMsg::Progress { pos: w[0] as usize },
-            4 => DraMsg::FreshAck,
-            5 => DraMsg::Rotation {
-                key: (w[0], w[1]),
-                h: w[2] as usize,
-                j: w[3] as usize,
-                vj: w[4],
-                vh: w[5],
-            },
-            6 => DraMsg::RotAck { key: (w[0], w[1]) },
-            7 => DraMsg::Resume,
-            8 => DraMsg::Done { tail: w[0], head: w[1], size: w[2] as usize },
-            9 => DraMsg::Abort { reason: w[0] as u8 },
-            t => panic!("unknown DraMsg tag {t}"),
-        }
-    }
-}
-
 fn encode_failure(f: PartitionFailure) -> u8 {
     match f {
         PartitionFailure::TooSmall => 0,
@@ -180,13 +134,8 @@ fn decode_failure(b: u8) -> PartitionFailure {
 }
 
 /// Per-node state of the DRA protocol.
-///
-/// Generic over the wire [`MsgCodec`]: [`EnumCodec`] (default) exchanges
-/// the [`DraMsg`] enum itself, [`PackedCodec`](dhc_congest::PackedCodec)
-/// the word-packed [`PackedMsg`] form. Both execute identically — the
-/// codec only chooses the in-memory representation in flight.
 #[derive(Debug)]
-pub struct DraNode<C: MsgCodec<DraMsg> = EnumCodec> {
+pub struct DraNode {
     id: NodeId,
     /// Partition color of this node.
     pub color: u32,
@@ -236,11 +185,9 @@ pub struct DraNode<C: MsgCodec<DraMsg> = EnumCodec> {
     pub done: bool,
     /// Set when this node's partition aborted.
     pub failed: Option<PartitionFailure>,
-
-    _codec: PhantomData<C>,
 }
 
-impl<C: MsgCodec<DraMsg>> DraNode<C> {
+impl DraNode {
     /// Creates the protocol state for node `id` with partition color
     /// `color`; randomness is derived from `(seed, id)`.
     pub fn new(id: NodeId, color: u32, seed: u64) -> Self {
@@ -281,7 +228,6 @@ impl<C: MsgCodec<DraMsg>> DraNode<C> {
             rot_seq: 0,
             done: false,
             failed: None,
-            _codec: PhantomData,
         }
     }
 
@@ -290,20 +236,20 @@ impl<C: MsgCodec<DraMsg>> DraNode<C> {
         self.is_leader
     }
 
-    fn fail_and_flood(&mut self, ctx: &mut Context<'_, C::Wire>, reason: PartitionFailure) {
+    fn fail_and_flood(&mut self, ctx: &mut Context<'_, DraMsg>, reason: PartitionFailure) {
         self.failed = Some(reason);
         self.flood(ctx, DraMsg::Abort { reason: encode_failure(reason) }, None);
         ctx.halt();
     }
 
     /// The head draws the next unused edge and sends `Progress`.
-    fn head_act(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn head_act(&mut self, ctx: &mut Context<'_, DraMsg>) {
         debug_assert!(self.is_head && !self.awaiting_reply && !self.await_resume);
         match self.unused.pop() {
             None => self.fail_and_flood(ctx, PartitionFailure::OutOfEdges),
             Some(u) => {
                 let pos = self.cycindex.expect("head is on the path");
-                ctx.send(u, C::encode(DraMsg::Progress { pos }));
+                ctx.send(u, DraMsg::Progress { pos: pos as u32 });
                 self.awaiting_reply = true;
                 ctx.charge_compute(1);
             }
@@ -320,27 +266,26 @@ impl<C: MsgCodec<DraMsg>> DraNode<C> {
     /// neighbor (the relay pattern). Uses the broadcast fabric when the
     /// partition spans the whole neighborhood — one payload copy instead
     /// of `deg(v)` — and is observationally identical either way.
-    fn flood(&self, ctx: &mut Context<'_, C::Wire>, msg: DraMsg, skip: Option<NodeId>) {
+    fn flood(&self, ctx: &mut Context<'_, DraMsg>, msg: DraMsg, skip: Option<NodeId>) {
         if self.flood_all {
-            ctx.flood_except(skip, C::encode(msg));
+            ctx.flood_except(skip, msg);
         } else {
-            let wire = C::encode(msg);
             for &to in &self.part_nbrs {
                 if Some(to) != skip {
-                    ctx.send(to, wire.clone());
+                    ctx.send(to, msg);
                 }
             }
         }
     }
 
-    fn wave_complete_check(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn wave_complete_check(&mut self, ctx: &mut Context<'_, DraMsg>) {
         if self.wave_pending != 0 {
             return;
         }
         match self.wave_parent {
             Some(p) => {
-                let count = 1 + self.wave_acc;
-                ctx.send(p, C::encode(DraMsg::WaveAck { root: self.best_root, count }));
+                let count = (1 + self.wave_acc) as u32;
+                ctx.send(p, DraMsg::WaveAck { root: self.best_root, count });
             }
             None => {
                 if self.best_root == self.id {
@@ -360,18 +305,18 @@ impl<C: MsgCodec<DraMsg>> DraNode<C> {
         }
     }
 
-    fn rot_complete_check(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn rot_complete_check(&mut self, ctx: &mut Context<'_, DraMsg>) {
         if self.rot_pending != 0 || self.rot_key.is_none() {
             return;
         }
         if self.rot_initiator {
             let target =
                 self.rot_resume_target.expect("initiator saved its old successor as resume target");
-            ctx.send(target, C::encode(DraMsg::Resume));
+            ctx.send(target, DraMsg::Resume);
             self.rot_initiator = false;
         } else if let Some(p) = self.rot_parent {
             let key = self.rot_key.expect("checked above");
-            ctx.send(p, C::encode(DraMsg::RotAck { key }));
+            ctx.send(p, DraMsg::RotAck { key });
         }
         // Keep rot_key so late duplicates of this instance are recognized;
         // pending stays 0 and further duplicates are ignored via saturation.
@@ -410,7 +355,7 @@ impl<C: MsgCodec<DraMsg>> DraNode<C> {
         }
     }
 
-    fn on_progress(&mut self, ctx: &mut Context<'_, C::Wire>, s: NodeId, pos: usize) {
+    fn on_progress(&mut self, ctx: &mut Context<'_, DraMsg>, s: NodeId, pos: usize) {
         self.remove_unused(s);
         match self.cycindex {
             None => {
@@ -418,7 +363,7 @@ impl<C: MsgCodec<DraMsg>> DraNode<C> {
                 self.cycindex = Some(pos + 1);
                 self.pred = Some(s);
                 self.is_head = true;
-                ctx.send(s, C::encode(DraMsg::FreshAck));
+                ctx.send(s, DraMsg::FreshAck);
                 self.head_act(ctx);
             }
             Some(0) if self.is_leader && self.cycle_size == Some(pos + 1) => {
@@ -426,14 +371,14 @@ impl<C: MsgCodec<DraMsg>> DraNode<C> {
                 // path start. Flood success.
                 self.pred = Some(s);
                 self.done = true;
-                let size = self.cycle_size.expect("leader knows size");
+                let size = self.cycle_size.expect("leader knows size") as u32;
                 let tail = self.id;
                 self.flood(ctx, DraMsg::Done { tail, head: s, size }, None);
                 ctx.halt();
             }
             Some(j) => {
                 // Rotation: this node is the pivot v_j.
-                let h = pos;
+                let (h, j) = (pos as u32, j as u32);
                 self.rot_seq += 1;
                 let key = (self.id, self.rot_seq);
                 self.rot_resume_target = self.succ;
@@ -452,11 +397,11 @@ impl<C: MsgCodec<DraMsg>> DraNode<C> {
     #[allow(clippy::too_many_arguments)] // one parameter per message field
     fn on_rotation(
         &mut self,
-        ctx: &mut Context<'_, C::Wire>,
+        ctx: &mut Context<'_, DraMsg>,
         s: NodeId,
         key: RotKey,
-        h: usize,
-        j: usize,
+        h: u32,
+        j: u32,
         vj: NodeId,
         vh: NodeId,
     ) {
@@ -469,7 +414,7 @@ impl<C: MsgCodec<DraMsg>> DraNode<C> {
         self.rot_key = Some(key);
         self.rot_parent = Some(s);
         self.rot_initiator = false;
-        self.apply_rotation(h, j, vj, vh);
+        self.apply_rotation(h as usize, j as usize, vj, vh);
         self.rot_pending = self.part_nbrs.len() - 1;
         self.flood(ctx, DraMsg::Rotation { key, h, j, vj, vh }, Some(s));
         self.rot_complete_check(ctx);
@@ -477,17 +422,17 @@ impl<C: MsgCodec<DraMsg>> DraNode<C> {
 
     fn on_done(
         &mut self,
-        ctx: &mut Context<'_, C::Wire>,
+        ctx: &mut Context<'_, DraMsg>,
         s: NodeId,
         tail: NodeId,
         head: NodeId,
-        size: usize,
+        size: u32,
     ) {
         if self.done || self.failed.is_some() {
             return;
         }
         self.done = true;
-        self.cycle_size = Some(size);
+        self.cycle_size = Some(size as usize);
         if self.id == head {
             self.succ = Some(tail);
             self.awaiting_reply = false;
@@ -497,7 +442,7 @@ impl<C: MsgCodec<DraMsg>> DraNode<C> {
         ctx.halt();
     }
 
-    fn on_abort(&mut self, ctx: &mut Context<'_, C::Wire>, s: NodeId, reason: u8) {
+    fn on_abort(&mut self, ctx: &mut Context<'_, DraMsg>, s: NodeId, reason: u8) {
         if self.done || self.failed.is_some() {
             return;
         }
@@ -507,10 +452,10 @@ impl<C: MsgCodec<DraMsg>> DraNode<C> {
     }
 }
 
-impl<C: MsgCodec<DraMsg>> Protocol for DraNode<C> {
-    type Msg = C::Wire;
+impl Protocol for DraNode {
+    type Msg = DraMsg;
 
-    fn init(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn init(&mut self, ctx: &mut Context<'_, DraMsg>) {
         if ctx.degree() == 0 {
             // An isolated node can never participate (and would otherwise
             // never be invoked again): fail its 1-node partition component.
@@ -518,14 +463,14 @@ impl<C: MsgCodec<DraMsg>> Protocol for DraNode<C> {
             ctx.halt();
             return;
         }
-        ctx.send_all(C::encode(DraMsg::Color { color: self.color }));
+        ctx.send_all(DraMsg::Color { color: self.color });
     }
 
-    fn round(&mut self, ctx: &mut Context<'_, C::Wire>, inbox: Inbox<'_, C::Wire>) {
+    fn round(&mut self, ctx: &mut Context<'_, DraMsg>, inbox: Inbox<'_, DraMsg>) {
         if !self.colors_known {
             // Round 1: all Color messages arrive together.
             for (from, msg) in inbox.iter() {
-                if let DraMsg::Color { color } = C::decode(msg) {
+                if let DraMsg::Color { color } = *msg {
                     if color == self.color {
                         self.part_nbrs.push(from);
                     }
@@ -553,7 +498,7 @@ impl<C: MsgCodec<DraMsg>> Protocol for DraNode<C> {
             if self.done || self.failed.is_some() {
                 break;
             }
-            match C::decode(msg) {
+            match *msg {
                 DraMsg::Color { .. } => {}
                 DraMsg::Wave { root } => {
                     if root < self.best_root {
@@ -571,12 +516,12 @@ impl<C: MsgCodec<DraMsg>> Protocol for DraNode<C> {
                 }
                 DraMsg::WaveAck { root, count } => {
                     if root == self.best_root {
-                        self.wave_acc += count;
+                        self.wave_acc += count as usize;
                         self.wave_pending = self.wave_pending.saturating_sub(1);
                         self.wave_complete_check(ctx);
                     }
                 }
-                DraMsg::Progress { pos } => self.on_progress(ctx, from, pos),
+                DraMsg::Progress { pos } => self.on_progress(ctx, from, pos as usize),
                 DraMsg::FreshAck => {
                     self.succ = Some(from);
                     self.awaiting_reply = false;

@@ -86,3 +86,23 @@ pub use runner::{
     run_collect_all, run_dhc1, run_dhc2, run_dhc2_with_colors, run_dra, run_partition_cycles,
     run_upcast, PhaseBreakdown, RunOutcome, Subcycle,
 };
+
+#[cfg(test)]
+mod tests {
+    use std::mem::size_of;
+
+    /// Every effect and mailbox buffer holds messages by value, so a
+    /// `usize` field added to a message type could silently grow them all.
+    #[test]
+    fn message_sizes_fit_the_compact_wire() {
+        let sizes = [
+            ("DraMsg", size_of::<crate::dra::DraMsg>(), 28),
+            ("HypMsg", size_of::<crate::dhc1::HypMsg>(), 28),
+            ("MergeMsg", size_of::<crate::dhc2::MergeMsg>(), 36),
+            ("UpMsg", size_of::<crate::upcast::UpMsg>(), 16),
+        ];
+        for (name, size, max) in sizes {
+            assert!(size <= max, "{name} is {size} bytes, over its {max}-byte budget");
+        }
+    }
+}

@@ -7,7 +7,7 @@ use crate::kmachine::KMachineProbe;
 use crate::output::pairs_from_links;
 use crate::{cycle_from_incident_pairs, DhcConfig, DhcError};
 use dhc_congest::machine::{MachineMap, MachineRoundLog};
-use dhc_congest::{EngineScratch, EnumCodec, Metrics, MsgCodec, Network, PackedCodec, Span};
+use dhc_congest::{EngineScratch, Metrics, Network, Span};
 use dhc_graph::rng::{derive_seed, rng_from_seed};
 use dhc_graph::{Graph, HamiltonianCycle, NodeId, Partition, PartitionedGraph, Topology};
 
@@ -90,16 +90,16 @@ struct PartitionRun<'a> {
 /// neighbor lists). Messages that crossed partition boundaries in a
 /// whole-graph simulation carried only the round-1 color exchange,
 /// which the subgraph construction resolves up front.
-fn run_one_partition<'a, T: Topology, C: MsgCodec<DraMsg>>(
+fn run_one_partition<'a, T: Topology>(
     topo: &T,
     color: u32,
     map: &'a [NodeId],
     cfg: &DhcConfig,
     seed_base: u64,
     machines: Option<MachineMap>,
-    mut scratch: Option<&mut EngineScratch<C::Wire>>,
+    mut scratch: Option<&mut EngineScratch<DraMsg>>,
 ) -> Result<PartitionRun<'a>, DhcError> {
-    let protocols: Vec<DraNode<C>> = map
+    let protocols: Vec<DraNode> = map
         .iter()
         .enumerate()
         .map(|(local, &global)| {
@@ -218,35 +218,16 @@ fn account_cross_color_exchange(
 /// Outcomes are folded in ascending color order and every per-node
 /// stream is keyed by the global node id, so the result is identical
 /// for every parallelism level and for both subgraph representations.
+///
+/// When the classes run sequentially, one [`EngineScratch`] chains
+/// through all of them, so the `√n` per-class networks share a single
+/// set of mailbox/effect/commit buffers instead of allocating `√n`
+/// sets.
 pub(crate) fn run_phase1(
     graph: &Graph,
     partition: &Partition,
     cfg: &DhcConfig,
     km: Option<&mut KMachineProbe>,
-    parent: &Span,
-) -> Result<Phase1Outcome, DhcError> {
-    if cfg.packed_payloads {
-        run_phase1_with::<PackedCodec>(graph, partition, cfg, km, None, parent)
-    } else {
-        run_phase1_with::<EnumCodec>(graph, partition, cfg, km, None, parent)
-    }
-}
-
-/// [`run_phase1`] pinned to a wire codec (the flag dispatch happens once,
-/// up front — every per-class simulation below is monomorphized on `C`).
-///
-/// When the classes run sequentially, one [`EngineScratch`] chains
-/// through all of them, so the `√n` per-class networks share a single
-/// set of mailbox/effect/commit buffers instead of allocating `√n`
-/// sets. A caller-provided `ext` scratch joins that chain (and keeps
-/// the warmed buffers afterwards) — [`crate::dhc1`]'s packed path hands
-/// the same scratch to the stitch network, whose wire type coincides.
-pub(crate) fn run_phase1_with<C: MsgCodec<DraMsg>>(
-    graph: &Graph,
-    partition: &Partition,
-    cfg: &DhcConfig,
-    km: Option<&mut KMachineProbe>,
-    ext: Option<&mut EngineScratch<C::Wire>>,
     parent: &Span,
 ) -> Result<Phase1Outcome, DhcError> {
     let n = graph.node_count();
@@ -263,7 +244,7 @@ pub(crate) fn run_phase1_with<C: MsgCodec<DraMsg>>(
     let spec = km.as_deref();
     let threads = cfg.effective_parallelism(jobs.len());
     let run_job = |&class: &usize,
-                   scratch: Option<&mut EngineScratch<C::Wire>>|
+                   scratch: Option<&mut EngineScratch<DraMsg>>|
      -> Result<PartitionRun<'_>, DhcError> {
         let members = partition.class(class);
         let color = class as u32;
@@ -272,13 +253,13 @@ pub(crate) fn run_phase1_with<C: MsgCodec<DraMsg>>(
         let result = match &pg {
             Some(pg) => {
                 let view = pg.class_view(class).expect("job classes are non-empty");
-                run_one_partition::<_, C>(&view, color, members, cfg, seed_base, machines, scratch)
+                run_one_partition(&view, color, members, cfg, seed_base, machines, scratch)
             }
             None => {
                 let (sub, _) = graph
                     .induced_subgraph(members)
                     .expect("partition classes hold valid, distinct node ids");
-                run_one_partition::<_, C>(&sub, color, members, cfg, seed_base, machines, scratch)
+                run_one_partition(&sub, color, members, cfg, seed_base, machines, scratch)
             }
         };
         if let Ok(run) = &result {
@@ -287,11 +268,9 @@ pub(crate) fn run_phase1_with<C: MsgCodec<DraMsg>>(
         result
     };
     let results: Vec<Result<PartitionRun<'_>, DhcError>> = if threads <= 1 {
-        // Sequential classes share one buffer set — the caller's, when
-        // provided, so the reuse extends beyond this phase.
-        let mut own = EngineScratch::new();
-        let scratch = ext.unwrap_or(&mut own);
-        jobs.iter().map(|class| run_job(class, Some(&mut *scratch))).collect()
+        // Sequential classes share one buffer set.
+        let mut scratch = EngineScratch::new();
+        jobs.iter().map(|class| run_job(class, Some(&mut scratch))).collect()
     } else {
         // The pool joins its workers when dropped at the end of this
         // call; per-round reuse lives inside the engine's own pool, this

@@ -31,10 +31,7 @@ use crate::kmachine::KMachineProbe;
 use crate::output::NodeCycleOutput;
 use crate::runner::{PhaseBreakdown, RunOutcome};
 use crate::{cycle_from_incident_pairs, DhcConfig, DhcError};
-use dhc_congest::{
-    Context, EnumCodec, Inbox, MsgCodec, Network, NodeId, PackedCodec, PackedMsg, PackedPayload,
-    Payload, Protocol, Span,
-};
+use dhc_congest::{Context, Inbox, Network, NodeId, Payload, Protocol, Span};
 use dhc_graph::rng::derive_seed;
 use dhc_graph::{Graph, GraphBuilder};
 use dhc_rotation::{posa_with_restarts, PosaConfig};
@@ -42,15 +39,14 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
-use std::marker::PhantomData;
 
 /// Records forwarded per tree edge per round (each is ≤ 3 words, so 4 of
 /// them fit the default 16-word budget).
 const BATCH: usize = 4;
 
-/// Messages of the Upcast protocol (exposed so equivalence tests can
-/// pin the packed wire form against the enum oracle).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Messages of the Upcast protocol. The subtree count is a `u32` word,
+/// like the node ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpMsg {
     /// Leader-election flood (minimum id wins).
     Wave {
@@ -62,7 +58,7 @@ pub enum UpMsg {
         /// The wave this ack belongs to.
         root: NodeId,
         /// Nodes in the acked subtree (including the sender).
-        count: usize,
+        count: u32,
     },
     /// Root → tree: election finished, begin upcasting.
     Start,
@@ -98,39 +94,9 @@ impl Payload for UpMsg {
     }
 }
 
-impl PackedPayload for UpMsg {
-    type Wire = PackedMsg;
-
-    fn pack(&self) -> PackedMsg {
-        match *self {
-            UpMsg::Wave { root } => PackedMsg::new(0, &[root]),
-            UpMsg::WaveAck { root, count } => PackedMsg::new(1, &[root, count as u32]),
-            UpMsg::Start => PackedMsg::new(2, &[0]),
-            UpMsg::EdgeRec { owner, other } => PackedMsg::new(3, &[owner, other]),
-            UpMsg::UpEnd => PackedMsg::new(4, &[0]),
-            UpMsg::Down { target, pa, pb } => PackedMsg::new(5, &[target, pa, pb]),
-            UpMsg::Abort => PackedMsg::new(6, &[0]),
-        }
-    }
-
-    fn unpack(m: &PackedMsg) -> Self {
-        let w = m.payload();
-        match m.tag {
-            0 => UpMsg::Wave { root: w[0] },
-            1 => UpMsg::WaveAck { root: w[0], count: w[1] as usize },
-            2 => UpMsg::Start,
-            3 => UpMsg::EdgeRec { owner: w[0], other: w[1] },
-            4 => UpMsg::UpEnd,
-            5 => UpMsg::Down { target: w[0], pa: w[1], pb: w[2] },
-            6 => UpMsg::Abort,
-            t => panic!("unknown UpMsg tag {t}"),
-        }
-    }
-}
-
-/// Per-node state of the Upcast protocol, generic over the wire codec.
+/// Per-node state of the Upcast protocol.
 #[derive(Debug)]
-pub(crate) struct UpcastNode<C: MsgCodec<UpMsg> = EnumCodec> {
+pub(crate) struct UpcastNode {
     id: NodeId,
     rng: SmallRng,
     /// `true` for the collect-everything baseline (sample = all edges).
@@ -171,11 +137,9 @@ pub(crate) struct UpcastNode<C: MsgCodec<UpMsg> = EnumCodec> {
     /// Size of the routing table (= descendants in the BFS tree); the
     /// Lemma 18 subtree-balance experiment reads this.
     pub subtree_descendants: usize,
-
-    _codec: PhantomData<C>,
 }
 
-impl<C: MsgCodec<UpMsg>> UpcastNode<C> {
+impl UpcastNode {
     pub(crate) fn new(id: NodeId, cfg: &DhcConfig, all_edges: bool) -> Self {
         UpcastNode {
             id,
@@ -203,7 +167,6 @@ impl<C: MsgCodec<UpMsg>> UpcastNode<C> {
             aborted: false,
             root_edge_count: 0,
             subtree_descendants: 0,
-            _codec: PhantomData,
         }
     }
 
@@ -211,16 +174,13 @@ impl<C: MsgCodec<UpMsg>> UpcastNode<C> {
         self.parent.is_none() && self.best_root == self.id
     }
 
-    fn wave_check(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn wave_check(&mut self, ctx: &mut Context<'_, UpMsg>) {
         if self.pending != 0 {
             return;
         }
         match self.parent {
             Some(p) => {
-                ctx.send(
-                    p,
-                    C::encode(UpMsg::WaveAck { root: self.best_root, count: 1 + self.acc }),
-                );
+                ctx.send(p, UpMsg::WaveAck { root: self.best_root, count: (1 + self.acc) as u32 });
             }
             None if self.best_root == self.id => {
                 let count = 1 + self.acc;
@@ -235,7 +195,7 @@ impl<C: MsgCodec<UpMsg>> UpcastNode<C> {
         }
     }
 
-    fn begin_upcast(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn begin_upcast(&mut self, ctx: &mut Context<'_, UpMsg>) {
         self.started = true;
         self.up_end_pending = self.children.len();
         // Draw the samples.
@@ -262,7 +222,7 @@ impl<C: MsgCodec<UpMsg>> UpcastNode<C> {
         }
         let children = self.children.clone();
         for c in children {
-            ctx.send(c, C::encode(UpMsg::Start));
+            ctx.send(c, UpMsg::Start);
         }
         // Pumping happens once, at the end of the round callback.
     }
@@ -272,7 +232,7 @@ impl<C: MsgCodec<UpMsg>> UpcastNode<C> {
         (self.sample_factor * n.ln()).ceil() as usize
     }
 
-    fn pump_up(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn pump_up(&mut self, ctx: &mut Context<'_, UpMsg>) {
         if !self.started || self.is_root() {
             return;
         }
@@ -281,7 +241,7 @@ impl<C: MsgCodec<UpMsg>> UpcastNode<C> {
         while sent < BATCH {
             match self.upqueue.pop_front() {
                 Some((owner, other)) => {
-                    ctx.send(p, C::encode(UpMsg::EdgeRec { owner, other }));
+                    ctx.send(p, UpMsg::EdgeRec { owner, other });
                     sent += 1;
                 }
                 None => break,
@@ -290,12 +250,12 @@ impl<C: MsgCodec<UpMsg>> UpcastNode<C> {
         if !self.upqueue.is_empty() {
             ctx.wake_in(1);
         } else if !self.sent_up_end && self.up_end_pending == 0 {
-            ctx.send(p, C::encode(UpMsg::UpEnd));
+            ctx.send(p, UpMsg::UpEnd);
             self.sent_up_end = true;
         }
     }
 
-    fn root_finish_check(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn root_finish_check(&mut self, ctx: &mut Context<'_, UpMsg>) {
         if !self.is_root() || self.solved || self.up_end_pending != 0 || !self.started {
             return;
         }
@@ -348,16 +308,14 @@ impl<C: MsgCodec<UpMsg>> UpcastNode<C> {
         // Pumping happens once, at the end of the round callback.
     }
 
-    fn pump_down(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn pump_down(&mut self, ctx: &mut Context<'_, UpMsg>) {
         let mut any_left = false;
         let children: Vec<NodeId> = self.downqueues.keys().copied().collect();
         for c in children {
             let q = self.downqueues.get_mut(&c).expect("key just listed");
             for _ in 0..BATCH {
                 match q.pop_front() {
-                    Some((target, pa, pb)) => {
-                        ctx.send(c, C::encode(UpMsg::Down { target, pa, pb }))
-                    }
+                    Some((target, pa, pb)) => ctx.send(c, UpMsg::Down { target, pa, pb }),
                     None => break,
                 }
             }
@@ -372,7 +330,7 @@ impl<C: MsgCodec<UpMsg>> UpcastNode<C> {
         }
     }
 
-    fn halt_check(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn halt_check(&mut self, ctx: &mut Context<'_, UpMsg>) {
         let queues_empty = self.downqueues.values().all(VecDeque::is_empty);
         if !queues_empty || !self.solved {
             return;
@@ -386,21 +344,21 @@ impl<C: MsgCodec<UpMsg>> UpcastNode<C> {
         }
     }
 
-    fn abort(&mut self, ctx: &mut Context<'_, C::Wire>, skip: Option<NodeId>) {
+    fn abort(&mut self, ctx: &mut Context<'_, UpMsg>, skip: Option<NodeId>) {
         if self.aborted {
             return;
         }
         self.aborted = true;
         // Flood over all edges so even non-tree neighbors terminate.
-        ctx.flood_except(skip, C::encode(UpMsg::Abort));
+        ctx.flood_except(skip, UpMsg::Abort);
         ctx.halt();
     }
 }
 
-impl<C: MsgCodec<UpMsg>> Protocol for UpcastNode<C> {
-    type Msg = C::Wire;
+impl Protocol for UpcastNode {
+    type Msg = UpMsg;
 
-    fn init(&mut self, ctx: &mut Context<'_, C::Wire>) {
+    fn init(&mut self, ctx: &mut Context<'_, UpMsg>) {
         self.best_root = self.id;
         self.parent = None;
         self.pending = ctx.degree();
@@ -410,10 +368,10 @@ impl<C: MsgCodec<UpMsg>> Protocol for UpcastNode<C> {
             ctx.halt();
             return;
         }
-        ctx.send_all(C::encode(UpMsg::Wave { root: self.id }));
+        ctx.send_all(UpMsg::Wave { root: self.id });
     }
 
-    fn round(&mut self, ctx: &mut Context<'_, C::Wire>, inbox: Inbox<'_, C::Wire>) {
+    fn round(&mut self, ctx: &mut Context<'_, UpMsg>, inbox: Inbox<'_, UpMsg>) {
         // Election waves are handled as a batch with a *randomized* parent
         // choice among the senders that delivered the best root this round.
         // (Deterministic tie-breaking would funnel whole BFS levels through
@@ -421,7 +379,7 @@ impl<C: MsgCodec<UpMsg>> Protocol for UpcastNode<C> {
         // relies on for the pipelined congestion bound.)
         let wave_min = inbox
             .iter()
-            .filter_map(|(_, m)| match C::decode(m) {
+            .filter_map(|(_, m)| match *m {
                 UpMsg::Wave { root } => Some(root),
                 _ => None,
             })
@@ -429,7 +387,7 @@ impl<C: MsgCodec<UpMsg>> Protocol for UpcastNode<C> {
         if let Some(r) = wave_min {
             let senders: Vec<NodeId> = inbox
                 .iter()
-                .filter(|&(_, m)| matches!(C::decode(m), UpMsg::Wave { root } if root == r))
+                .filter(|&(_, m)| matches!(*m, UpMsg::Wave { root } if root == r))
                 .map(|(f, _)| f)
                 .collect();
             if r < self.best_root {
@@ -440,7 +398,7 @@ impl<C: MsgCodec<UpMsg>> Protocol for UpcastNode<C> {
                 self.children.clear();
                 // The co-senders of this wave already count as responses.
                 self.pending = (ctx.degree() - 1).saturating_sub(senders.len() - 1);
-                ctx.send_all_except(parent, C::encode(UpMsg::Wave { root: r }));
+                ctx.send_all_except(parent, UpMsg::Wave { root: r });
                 self.wave_check(ctx);
             } else if r == self.best_root {
                 self.pending = self.pending.saturating_sub(senders.len());
@@ -451,11 +409,11 @@ impl<C: MsgCodec<UpMsg>> Protocol for UpcastNode<C> {
             if self.aborted {
                 return;
             }
-            match C::decode(msg) {
+            match *msg {
                 UpMsg::Wave { .. } => {} // handled in the batch above
                 UpMsg::WaveAck { root, count } => {
                     if root == self.best_root {
-                        self.acc += count;
+                        self.acc += count as usize;
                         self.children.push(from);
                         self.pending = self.pending.saturating_sub(1);
                         self.wave_check(ctx);
@@ -525,20 +483,6 @@ pub(crate) fn run(
     all_edges: bool,
     km: Option<&mut KMachineProbe>,
 ) -> Result<RunOutcome, DhcError> {
-    if cfg.packed_payloads {
-        run_with::<PackedCodec>(graph, cfg, all_edges, km)
-    } else {
-        run_with::<EnumCodec>(graph, cfg, all_edges, km)
-    }
-}
-
-/// [`run`] pinned to a wire codec.
-fn run_with<C: MsgCodec<UpMsg>>(
-    graph: &Graph,
-    cfg: &DhcConfig,
-    all_edges: bool,
-    km: Option<&mut KMachineProbe>,
-) -> Result<RunOutcome, DhcError> {
     cfg.validate()?;
     let n = graph.node_count();
     if n < 3 {
@@ -547,7 +491,7 @@ fn run_with<C: MsgCodec<UpMsg>>(
     let algo = if all_edges { "collect-all" } else { "upcast" };
     let mut run_span = Span::root(cfg.collector.as_ref(), "run", format!("{algo} n={n}"));
     let mut phase_span = run_span.child("phase", algo);
-    let nodes: Vec<UpcastNode<C>> =
+    let nodes: Vec<UpcastNode> =
         (0..n).map(|v| UpcastNode::new((v) as u32, cfg, all_edges)).collect();
     let mut net = match km.as_deref() {
         Some(p) => Network::new_with_machines(graph, cfg.sim_config(), nodes, p.global_map())?,

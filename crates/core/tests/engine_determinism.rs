@@ -1,14 +1,14 @@
 //! The round engine's within-round parallelism must be an implementation
 //! detail: for a fixed seed, every `DhcConfig::with_engine_threads` level
 //! (1, 2, and all cores) must produce exactly the same cycles, metrics,
-//! traces, and errors for DRA, DHC1, and DHC2. The compute phase writes
-//! only per-node effect scratch and the commit fold applies effects in
-//! ascending node-id order — these tests pin that contract end to end.
+//! traces, and errors for DRA, DHC1, DHC2, and Upcast. The compute phase
+//! writes only per-node effect scratch and the commit fold applies effects
+//! in ascending node-id order — these tests pin that contract end to end.
 
 use dhc_congest::{Config, Network, TraceEvent};
 use dhc_core::dra::DraNode;
-use dhc_core::{run_dhc1, run_dhc2, run_dra, DhcConfig};
-use dhc_graph::{generator, rng::rng_from_seed, Graph};
+use dhc_core::{run_dhc1, run_dhc2, run_dra, run_upcast, DhcConfig};
+use dhc_graph::{generator, rng::rng_from_seed, thresholds, Graph};
 
 fn dense_graph(n: usize, seed: u64) -> Graph {
     generator::gnp(n, 0.6, &mut rng_from_seed(seed)).unwrap()
@@ -56,6 +56,21 @@ fn dhc2_identical_across_engine_threads() {
     let serial = run_dhc2(&g, &base.clone().with_engine_threads(1)).unwrap();
     for threads in THREAD_LEVELS {
         let out = run_dhc2(&g, &base.clone().with_engine_threads(threads)).unwrap();
+        assert_eq!(serial.cycle.order(), out.cycle.order(), "cycle diverged at {threads} threads");
+        assert_eq!(serial.metrics, out.metrics, "metrics diverged at {threads} threads");
+        assert_eq!(serial.phases, out.phases, "phases diverged at {threads} threads");
+    }
+}
+
+#[test]
+fn upcast_identical_across_engine_threads() {
+    let n = 200;
+    let p = thresholds::edge_probability(n, 0.5, 2.0);
+    let g = generator::gnp(n, p, &mut rng_from_seed(150)).unwrap();
+    let base = DhcConfig::new(151);
+    let serial = run_upcast(&g, &base.clone().with_engine_threads(1)).unwrap();
+    for threads in THREAD_LEVELS {
+        let out = run_upcast(&g, &base.clone().with_engine_threads(threads)).unwrap();
         assert_eq!(serial.cycle.order(), out.cycle.order(), "cycle diverged at {threads} threads");
         assert_eq!(serial.metrics, out.metrics, "metrics diverged at {threads} threads");
         assert_eq!(serial.phases, out.phases, "phases diverged at {threads} threads");
