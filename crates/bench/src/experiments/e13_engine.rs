@@ -14,8 +14,8 @@
 //! any simulated quantity, which is why the baseline is tracked
 //! explicitly. The `--heavy` gate adds one end-to-end **DHC1** point
 //! (`n = 10⁴`, `k = 50`) at one thread and at all cores — the real
-//! workload the worker pool and sharded commit fold exist for — with
-//! the two runs asserted bit-identical.
+//! workload the compute phase's worker pool exists for — with the two
+//! runs asserted bit-identical.
 
 use crate::baseline::{baseline_path, carried_records, write_baseline};
 use crate::engine_probe::{

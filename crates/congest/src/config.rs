@@ -3,7 +3,8 @@
 use crate::adversary::Adversary;
 use dhc_obs::CollectorHandle;
 
-/// Engine configuration: round budget, bandwidth, and metric sampling.
+/// Engine configuration: round budget, bandwidth, tracing, threads, and
+/// the optional fault and telemetry layers.
 ///
 /// # Example
 ///
@@ -22,25 +23,18 @@ pub struct Config {
     /// Per-directed-edge, per-round budget in message words (the CONGEST
     /// `B`, in units of `Θ(log n)`-bit words). Default 1.
     pub bandwidth_words: usize,
-    /// Enables `Protocol::memory_words` sampling when non-zero: the
-    /// engine samples every node at **every activation** (the peak is
-    /// what the metrics keep, so denser sampling only tightens it).
-    /// 0 disables sampling entirely. The magnitude is currently
-    /// reserved — a future engine may skip rounds at large values —
-    /// and defaults to 16.
-    pub memory_sample_interval: usize,
     /// Record the per-round message counts (cheap; enables congestion
     /// plots). Default true.
     pub record_round_traffic: bool,
     /// Capacity of the engine event trace (sends, halts, wake-ups);
     /// 0 (the default) disables tracing.
     pub trace_capacity: usize,
-    /// Worker threads for the per-round engine: `1` (the default) runs
-    /// everything sequentially inline, `0` uses all available cores.
-    /// Results are **identical for every value** — callbacks write only
-    /// per-node effect scratch, and the parallel commit fold merges its
-    /// shards in ascending node-id order — so this trades wall-clock
-    /// time only.
+    /// Worker threads for the per-round compute phase: `1` (the
+    /// default) runs everything sequentially inline, `0` uses all
+    /// available cores. Results are **identical for every value** —
+    /// callbacks write only per-node effect scratch, and one sequential
+    /// commit fold applies it in ascending node-id order on the caller's
+    /// thread — so this trades wall-clock time only.
     ///
     /// Threads above 1 are served by a persistent worker pool
     /// (`dhc-pool`): workers are spawned once at network construction
@@ -49,16 +43,6 @@ pub struct Config {
     /// of 1 (including `0` on a single-core host) never builds the
     /// pool at all and runs the fully inline engine.
     pub engine_threads: usize,
-    /// Shard count for the parallel commit fold: `0` (the default)
-    /// auto-shards — the fold splits across the worker pool whenever
-    /// one exists and the round is busy enough to amortize the merge —
-    /// while any other value **forces** that many shards through the
-    /// sharded code path even on a single-threaded engine (the shards
-    /// then run inline). Results are identical for every value; the
-    /// knob exists for benchmarking and for the shard-merge equivalence
-    /// suites, which pin `commit_shards ∈ {1,2,3,7}` against the
-    /// sequential fold bit-for-bit.
-    pub commit_shards: usize,
     /// Optional seeded fault model (message drop/duplicate/delay, node
     /// crash/restart). `None` (the default) — or a null adversary —
     /// runs the clean synchronous CONGEST engine unchanged; see
@@ -69,7 +53,7 @@ pub struct Config {
     /// driven once per committed round from the engine's sequential
     /// bookkeeping, after the commit fold, so attaching one cannot
     /// change outcomes, [`Metrics`](crate::Metrics), traces, or realized
-    /// fault schedules at any thread/shard count. `None` (the default)
+    /// fault schedules at any thread count. `None` (the default)
     /// skips every telemetry code path.
     pub collector: Option<CollectorHandle>,
 }
@@ -79,11 +63,9 @@ impl Default for Config {
         Config {
             max_rounds: 1_000_000,
             bandwidth_words: 1,
-            memory_sample_interval: 16,
             record_round_traffic: true,
             trace_capacity: 0,
             engine_threads: 1,
-            commit_shards: 0,
             adversary: None,
             collector: None,
         }
@@ -105,12 +87,6 @@ impl Config {
     pub fn with_bandwidth_words(mut self, words: usize) -> Self {
         assert!(words > 0, "bandwidth must be at least one word");
         self.bandwidth_words = words;
-        self
-    }
-
-    /// Returns the configuration with the memory sampling interval replaced.
-    pub fn with_memory_sample_interval(mut self, interval: usize) -> Self {
-        self.memory_sample_interval = interval;
         self
     }
 
@@ -136,14 +112,6 @@ impl Config {
     /// see [`engine_threads`](Self::engine_threads).
     pub fn with_engine_threads(mut self, threads: usize) -> Self {
         self.engine_threads = threads;
-        self
-    }
-
-    /// Returns the configuration with the commit-fold shard count
-    /// forced (`0` = auto). Never changes results; see
-    /// [`commit_shards`](Self::commit_shards).
-    pub fn with_commit_shards(mut self, shards: usize) -> Self {
-        self.commit_shards = shards;
         self
     }
 
@@ -193,24 +161,14 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c = Config::default()
-            .with_max_rounds(5)
-            .with_bandwidth_words(3)
-            .with_memory_sample_interval(0)
-            .with_engine_threads(4);
-        assert_eq!((c.max_rounds, c.bandwidth_words, c.memory_sample_interval), (5, 3, 0));
+        let c = Config::default().with_max_rounds(5).with_bandwidth_words(3).with_engine_threads(4);
+        assert_eq!((c.max_rounds, c.bandwidth_words), (5, 3));
         assert_eq!(c.engine_threads, 4);
     }
 
     #[test]
     fn engine_is_single_threaded_by_default() {
         assert_eq!(Config::default().engine_threads, 1);
-    }
-
-    #[test]
-    fn commit_shards_default_auto_and_forced() {
-        assert_eq!(Config::default().commit_shards, 0);
-        assert_eq!(Config::default().with_commit_shards(3).commit_shards, 3);
     }
 
     #[test]

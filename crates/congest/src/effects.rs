@@ -60,9 +60,8 @@ pub(crate) struct Effects<M: Payload> {
     pub(crate) compute: u64,
     /// First fault raised by the callback (e.g. a non-neighbor send).
     pub(crate) fault: Option<SimError>,
-    /// `Protocol::memory_words` sampled after the callback, when memory
-    /// sampling is enabled.
-    pub(crate) memory: Option<usize>,
+    /// `Protocol::memory_words` sampled after the callback.
+    pub(crate) memory: usize,
 }
 
 impl<M: Payload> Default for Effects<M> {
@@ -80,7 +79,7 @@ impl<M: Payload> Default for Effects<M> {
             wake: None,
             compute: 0,
             fault: None,
-            memory: None,
+            memory: 0,
         }
     }
 }
@@ -100,7 +99,7 @@ impl<M: Payload> Effects<M> {
         self.wake = None;
         self.compute = 0;
         self.fault = None;
-        self.memory = None;
+        self.memory = 0;
     }
 
     /// Allocated footprint of the staging vectors, in bytes.
@@ -123,7 +122,7 @@ impl<M: Payload> Effects<M> {
     /// Finishes the compute phase for this node: records the sampled
     /// memory and precomputes the word counts the fold consumes. Runs on
     /// the worker thread, in parallel across nodes.
-    pub(crate) fn seal(&mut self, memory: Option<usize>) {
+    pub(crate) fn seal(&mut self, memory: usize) {
         self.memory = memory;
         self.send_words.clear();
         self.send_words.extend(self.sends.iter().map(|(_, _, m)| m.words().max(1)));
@@ -145,6 +144,97 @@ impl<M: Payload> Effects<M> {
         );
         self.skip_words.sort_unstable();
     }
+
+    /// Total directed sends (broadcasts expanded per addressed
+    /// neighbor) — the `max_node_sends_per_round` contribution.
+    pub(crate) fn total_sends(&self, nbrs_len: usize) -> usize {
+        self.sends.len()
+            + self
+                .bcasts
+                .iter()
+                .map(|(_, skip, _)| nbrs_len - usize::from(skip.is_some()))
+                .sum::<usize>()
+    }
+
+    /// Per-destination bandwidth check for a clean sender with neighbor
+    /// slice `nbrs`, updating `max_edge` as it walks (including the
+    /// partial updates before a violation). Returns the first violating
+    /// `(destination, attempted words)` in ascending destination order.
+    pub(crate) fn check_bandwidth(
+        &self,
+        nbrs: &[NodeId],
+        budget: usize,
+        max_edge: &mut usize,
+    ) -> Result<(), (NodeId, usize)> {
+        if self.bcast_total_words == 0 {
+            // Unicast-only: walk the sorted (destination, words) list.
+            let ew = &self.edge_words;
+            let mut a = 0;
+            while a < ew.len() {
+                let to = ew[a].0;
+                let mut words = 0usize;
+                let mut b = a;
+                while b < ew.len() && ew[b].0 == to {
+                    words += ew[b].1;
+                    b += 1;
+                }
+                if words > budget {
+                    return Err((to, words));
+                }
+                if words > *max_edge {
+                    *max_edge = words;
+                }
+                a = b;
+            }
+        } else if self.edge_words.is_empty() && self.skip_words.is_empty() {
+            // Uniform broadcast load: every neighbor carries exactly the
+            // broadcast base — one check instead of a per-neighbor walk
+            // (the common flood shape; a violation's first destination is
+            // the first neighbor, like the full walk's).
+            if !nbrs.is_empty() {
+                let words = self.bcast_total_words;
+                if words > budget {
+                    return Err((nbrs[0], words));
+                }
+                if words > *max_edge {
+                    *max_edge = words;
+                }
+            }
+        } else {
+            // Broadcasting sender with non-uniform load: every neighbor
+            // carries the broadcast base minus per-record skips, plus any
+            // unicast words — walked in ascending destination order,
+            // exactly the per-edge totals (and first-violation
+            // destination) of the expanded unicast equivalent.
+            let base = self.bcast_total_words;
+            let (uni, skips) = (&self.edge_words, &self.skip_words);
+            let (mut a, mut b) = (0, 0);
+            for &to in nbrs {
+                let mut words = base;
+                while a < uni.len() && uni[a].0 < to {
+                    a += 1;
+                }
+                while a < uni.len() && uni[a].0 == to {
+                    words += uni[a].1;
+                    a += 1;
+                }
+                while b < skips.len() && skips[b].0 < to {
+                    b += 1;
+                }
+                while b < skips.len() && skips[b].0 == to {
+                    words -= skips[b].1;
+                    b += 1;
+                }
+                if words > budget {
+                    return Err((to, words));
+                }
+                if words > *max_edge {
+                    *max_edge = words;
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -157,10 +247,10 @@ mod tests {
         fx.sends.push((0, 3, 7));
         fx.sends.push((1, 1, 8));
         fx.sends.push((2, 3, 9));
-        fx.seal(Some(5));
+        fx.seal(5);
         assert_eq!(fx.send_words, vec![1, 1, 1]);
         assert_eq!(fx.edge_words, vec![(1, 1), (3, 1), (3, 1)]);
-        assert_eq!(fx.memory, Some(5));
+        assert_eq!(fx.memory, 5);
         assert_eq!(fx.bcast_total_words, 0);
     }
 
@@ -170,7 +260,7 @@ mod tests {
         fx.bcasts.push((0, None, 7));
         fx.bcasts.push((1, Some(4), 8));
         fx.bcasts.push((2, Some(2), 9));
-        fx.seal(None);
+        fx.seal(0);
         assert_eq!(fx.bcast_words, vec![1, 1, 1]);
         assert_eq!(fx.bcast_total_words, 3);
         assert_eq!(fx.skip_words, vec![(2, 1), (4, 1)]);
@@ -186,7 +276,7 @@ mod tests {
         fx.halted = true;
         fx.wake = Some(9);
         fx.compute = 4;
-        fx.seal(None);
+        fx.seal(0);
         fx.reset();
         assert!(fx.sends.is_empty() && fx.send_words.is_empty() && fx.edge_words.is_empty());
         assert!(fx.bcasts.is_empty() && fx.bcast_words.is_empty() && fx.skip_words.is_empty());

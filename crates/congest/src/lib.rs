@@ -22,11 +22,9 @@
 //!   as a **parallel compute phase** (active nodes execute independently
 //!   against an immutable view, recording effects into private scratch;
 //!   [`Config::engine_threads`] sets the worker count, served by a
-//!   persistent worker pool) followed by a **deterministic commit
-//!   fold** that applies the effects in ascending node-id order — on
-//!   busy rounds the fold itself runs sharded across the pool, with a
-//!   merge that reproduces the sequential fold bit for bit, so results
-//!   are identical at every thread count;
+//!   persistent worker pool) followed by one **sequential commit fold**
+//!   that applies the effects in ascending node-id order on the caller's
+//!   thread, so results are identical at every thread count;
 //! * [`Metrics`] — rounds, messages, message-words, per-node send/receive/
 //!   compute counters, sampled per-node memory high-water marks, and
 //!   per-round congestion, feeding the paper's "fully distributed"
@@ -109,7 +107,6 @@ pub mod machine;
 mod mailbox;
 mod metrics;
 mod network;
-mod parcommit;
 mod payload;
 mod scratch;
 pub mod trace;

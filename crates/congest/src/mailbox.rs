@@ -95,9 +95,6 @@ pub(crate) struct Mailboxes<M> {
     /// (insertion order = the commit order of the rounds that delayed
     /// them, which keeps re-injection deterministic).
     delayed: Vec<DelayedMsg<M>>,
-    /// Recycled per-destination-shard touch lists for the parallel
-    /// commit fold (see [`dest_parts`](Self::dest_parts)).
-    touched_pool: Vec<Vec<NodeId>>,
 }
 
 impl<M: Payload> Mailboxes<M> {
@@ -117,7 +114,6 @@ impl<M: Payload> Mailboxes<M> {
             touched: Vec::new(),
             ready: Vec::new(),
             delayed: Vec::new(),
-            touched_pool: Vec::new(),
         }
     }
 
@@ -154,9 +150,6 @@ impl<M: Payload> Mailboxes<M> {
         self.touched.clear();
         self.ready.clear();
         self.delayed.clear();
-        for t in &mut self.touched_pool {
-            t.clear();
-        }
     }
 
     /// Allocated footprint of every buffer, in bytes: both inbox banks
@@ -179,9 +172,7 @@ impl<M: Payload> Mailboxes<M> {
             + self.touched.capacity())
             * size_of::<NodeId>()
             + self.ready.capacity() * size_of::<(NodeId, usize)>()
-            + self.delayed.capacity() * size_of::<DelayedMsg<M>>()
-            + self.touched_pool.capacity() * size_of::<Vec<NodeId>>()
-            + self.touched_pool.iter().map(|t| t.capacity() * size_of::<NodeId>()).sum::<usize>();
+            + self.delayed.capacity() * size_of::<DelayedMsg<M>>();
         inboxes + arena + per_node + sched
     }
 
@@ -365,93 +356,6 @@ impl<M: Payload> Mailboxes<M> {
             me: v,
             len: self.front[(v) as usize].len() + bcount,
         }
-    }
-
-    /// Splits the **back** (next-round) buffers into `shards` disjoint
-    /// destination ranges of `chunk` node ids each, for the parallel
-    /// commit fold's destination pass: each [`DestPart`] owns the back
-    /// inboxes and broadcast counters of ids `[d*chunk, (d+1)*chunk)`
-    /// and can be driven from its own worker. Touch tracking is
-    /// per-part (a node's every touch lands in exactly one part, so the
-    /// first-touch-only invariant holds shard-locally); reclaim the
-    /// lists with [`absorb_touched`](Self::absorb_touched) — [`seal`]
-    /// sorts, so the global list's build order is immaterial.
-    ///
-    /// [`seal`]: Self::seal
-    pub(crate) fn dest_parts(&mut self, chunk: usize, shards: usize) -> Vec<DestPart<'_, M>> {
-        let n = self.back.len();
-        debug_assert!(chunk * shards >= n, "destination shards must cover the id space");
-        let mut parts = Vec::with_capacity(shards);
-        let mut back_rest = &mut self.back[..];
-        let mut count_rest = &mut self.bcount_back[..];
-        let mut base = 0usize;
-        for d in 0..shards {
-            let end = ((d + 1) * chunk).min(n);
-            let width = end.saturating_sub(base);
-            let (back, br) = back_rest.split_at_mut(width);
-            back_rest = br;
-            let (bcount, cr) = count_rest.split_at_mut(width);
-            count_rest = cr;
-            let touched = self.touched_pool.pop().unwrap_or_default();
-            parts.push(DestPart { base, back, bcount, touched });
-            base = end.max(base);
-        }
-        parts
-    }
-
-    /// Returns the destination parts' touch lists: appends each to the
-    /// global touched list (deduplication is structural — every node
-    /// was listed by at most one part, at most once) and recycles the
-    /// allocations.
-    pub(crate) fn absorb_touched(&mut self, lists: impl IntoIterator<Item = Vec<NodeId>>) {
-        for mut list in lists {
-            self.touched.append(&mut list);
-            self.touched_pool.push(list);
-        }
-    }
-}
-
-/// One destination shard of the back buffers — the write half of the
-/// parallel commit fold's destination pass (see
-/// [`Mailboxes::dest_parts`]).
-#[derive(Debug)]
-pub(crate) struct DestPart<'a, M> {
-    /// First node id this part covers.
-    base: usize,
-    back: &'a mut [Vec<(NodeId, u32, M)>],
-    bcount: &'a mut [u32],
-    touched: Vec<NodeId>,
-}
-
-impl<M: Payload> DestPart<'_, M> {
-    /// The half-open node-id range `[lo, hi)` this part covers.
-    pub(crate) fn range(&self) -> (NodeId, NodeId) {
-        ((self.base) as u32, (self.base + self.back.len()) as u32)
-    }
-
-    /// Shard-local twin of [`Mailboxes::stage`]; `to` must lie in
-    /// [`range`](Self::range).
-    pub(crate) fn stage(&mut self, from: NodeId, seq: u32, to: NodeId, msg: M) {
-        let i = to - (self.base) as u32;
-        if self.back[(i) as usize].is_empty() && self.bcount[(i) as usize] == 0 {
-            self.touched.push(to);
-        }
-        self.back[(i) as usize].push((from, seq, msg));
-    }
-
-    /// Shard-local twin of [`Mailboxes::deliver`]; `to` must lie in
-    /// [`range`](Self::range).
-    pub(crate) fn deliver(&mut self, to: NodeId) {
-        let i = to - (self.base) as u32;
-        if self.back[(i) as usize].is_empty() && self.bcount[(i) as usize] == 0 {
-            self.touched.push(to);
-        }
-        self.bcount[(i) as usize] += 1;
-    }
-
-    /// Consumes the part, returning the destinations it touched.
-    pub(crate) fn into_touched(self) -> Vec<NodeId> {
-        self.touched
     }
 }
 
@@ -755,49 +659,6 @@ mod tests {
         );
         mb.inject_due(1, 2).unwrap();
         assert_eq!(collect(mb.inbox(1, &[0])), vec![(0, 7), (0, 8)]);
-    }
-
-    #[test]
-    fn dest_parts_match_sequential_staging() {
-        // Sequential staging (commit order: sender 0, 2, 4).
-        let mut seq: Mailboxes<u64> = Mailboxes::new(5);
-        seq.stage(0, 0, 3, 10);
-        seq.stage(0, 1, 1, 11);
-        seq.stage_broadcast(2, 0, None, 12);
-        seq.deliver(1);
-        seq.deliver(3);
-        seq.stage(4, 0, 1, 13);
-        seq.seal();
-        // Sharded: same ops, direct stages and deliver bumps routed to
-        // the owning destination part (chunk 3: ids 0..3 and 3..5).
-        let mut par: Mailboxes<u64> = Mailboxes::new(5);
-        par.stage_broadcast(2, 0, None, 12);
-        {
-            let mut parts = par.dest_parts(3, 2);
-            let (lo, hi) = parts.split_at_mut(1);
-            lo[0].stage(0, 1, 1, 11);
-            lo[0].deliver(1);
-            lo[0].stage(4, 0, 1, 13);
-            hi[0].stage(0, 0, 3, 10);
-            hi[0].deliver(3);
-            assert_eq!(lo[0].range(), (0, 3));
-            assert_eq!(hi[0].range(), (3, 5));
-            let touched: Vec<Vec<NodeId>> = parts.into_iter().map(DestPart::into_touched).collect();
-            par.absorb_touched(touched);
-        }
-        par.seal();
-        assert_eq!(seq.ready(), par.ready());
-        for v in 0..5 {
-            // Receivers 1 and 3 resolve sender 2's broadcast through
-            // their neighbor slice; the others have no arena records.
-            assert_eq!(
-                collect(seq.inbox(v, &[0, 2, 4])),
-                collect(par.inbox(v, &[0, 2, 4])),
-                "inbox {v} diverged"
-            );
-        }
-        // The touch lists were recycled into the pool.
-        assert_eq!(par.touched_pool.len(), 2);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct Metrics {
     /// unit per delivered message).
     pub compute_per_node: Vec<u64>,
     /// Sampled peak of `Protocol::memory_words` per node (0 if the protocol
-    /// opts out or sampling is disabled).
+    /// opts out).
     pub peak_memory_per_node: Vec<usize>,
     /// Messages delivered in each round (empty if recording disabled).
     pub round_traffic: Vec<u64>,
@@ -47,8 +47,8 @@ pub struct Metrics {
     /// (the `Δ'` of the Klauck et al. k-machine conversion theorem).
     pub max_node_sends_per_round: usize,
     /// Sampled peak engine-buffer footprint in 8-byte machine words —
-    /// mailbox banks, broadcast arena, per-worker effect scratch,
-    /// parallel-commit shards, and scheduling lists (see
+    /// mailbox banks, broadcast arena, per-worker effect scratch, and
+    /// scheduling lists (see
     /// [`Network::engine_memory_words`](crate::Network::engine_memory_words)).
     /// Composes as a max: the peak footprint of any single constituent
     /// network's buffer set, which for scratch-chained sequential phases

@@ -2,8 +2,8 @@
 //!
 //! A [`Network`](crate::Network) owns a family of arena-style buffers —
 //! per-node mailboxes, the broadcast arena, the per-active-node effect
-//! scratch, the parallel-commit shard buffers, the scheduling scratch,
-//! and (when `engine_threads > 1`) the persistent worker pool. Within
+//! scratch, the scheduling scratch, and (when `engine_threads > 1`) the
+//! persistent worker pool that serves the compute phase. Within
 //! one network they are allocated once and reused every round, but a
 //! *phase* that runs many networks back to back — the `√n` Phase 1
 //! color classes, DHC2's `⌈log k⌉` merge levels — used to pay the full
@@ -26,7 +26,6 @@
 use crate::adversary::Fate;
 use crate::effects::Effects;
 use crate::mailbox::Mailboxes;
-use crate::parcommit::CommitScratch;
 use crate::{NodeId, Payload};
 use dhc_pool::WorkerPool;
 
@@ -36,16 +35,14 @@ use dhc_pool::WorkerPool;
 /// Starts cold (no buffers, no threads); warms up on the first
 /// [`finish_with_scratch`](crate::Network::finish_with_scratch). A
 /// network constructed from a warm scratch reuses the donor's mailbox
-/// buffers, broadcast arena, effect and commit-shard scratch, and —
-/// when the thread counts match — its worker pool.
+/// buffers, broadcast arena, effect scratch, and — when the thread
+/// counts match — its worker pool.
 pub struct EngineScratch<M: Payload> {
     /// Recycled double-buffered mailboxes (per-node inbox vectors, the
     /// broadcast arenas, ranges, counters, touch lists).
     pub(crate) mail: Option<Mailboxes<M>>,
     /// Recycled per-active-node effect scratch.
     pub(crate) effects: Vec<Effects<M>>,
-    /// Recycled per-shard parallel-commit buffers.
-    pub(crate) commit: CommitScratch<M>,
     /// Recycled per-round scheduling scratch (due wake-ups).
     pub(crate) woken: Vec<NodeId>,
     /// Recycled per-round scheduling scratch (merged active set).
@@ -65,7 +62,6 @@ pub struct EngineScratch<M: Payload> {
 pub(crate) struct Parts<M: Payload> {
     pub(crate) mail: Mailboxes<M>,
     pub(crate) effects: Vec<Effects<M>>,
-    pub(crate) commit: CommitScratch<M>,
     pub(crate) woken: Vec<NodeId>,
     pub(crate) active: Vec<(NodeId, usize)>,
     pub(crate) work: Vec<NodeId>,
@@ -80,7 +76,6 @@ impl<M: Payload> Parts<M> {
         Parts {
             mail: Mailboxes::new(n),
             effects: Vec::new(),
-            commit: CommitScratch::new(),
             woken: Vec::new(),
             active: Vec::new(),
             work: Vec::new(),
@@ -98,7 +93,6 @@ impl<M: Payload> EngineScratch<M> {
         EngineScratch {
             mail: None,
             effects: Vec::new(),
-            commit: CommitScratch::new(),
             woken: Vec::new(),
             active: Vec::new(),
             work: Vec::new(),
@@ -126,8 +120,6 @@ impl<M: Payload> EngineScratch<M> {
             None => return Parts::fresh(n, threads),
         };
         mail.recycle(n);
-        let mut commit = std::mem::replace(&mut self.commit, CommitScratch::new());
-        commit.recycle();
         let pool = match self.pool.take() {
             Some(p) if threads > 1 && p.workers() == threads => Some(p),
             _ => (threads > 1).then(|| WorkerPool::new(threads)),
@@ -140,7 +132,6 @@ impl<M: Payload> EngineScratch<M> {
         Parts {
             mail,
             effects: std::mem::take(&mut self.effects),
-            commit,
             woken: std::mem::take(&mut self.woken),
             active: std::mem::take(&mut self.active),
             work: std::mem::take(&mut self.work),
@@ -152,11 +143,9 @@ impl<M: Payload> EngineScratch<M> {
 
     /// Stores a finished network's buffers for the next taker,
     /// replacing whatever was held before.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn store(&mut self, parts: Parts<M>) {
         self.mail = Some(parts.mail);
         self.effects = parts.effects;
-        self.commit = parts.commit;
         self.woken = parts.woken;
         self.active = parts.active;
         self.work = parts.work;

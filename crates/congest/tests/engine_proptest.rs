@@ -1,7 +1,7 @@
 //! Property tests for the round engine's scheduling semantics: arbitrary
-//! interleavings of `wake_in`, `halt`, and message sends must never lose
-//! a round, never run a halted node, and must produce bit-identical
-//! results at every `engine_threads` setting.
+//! interleavings of `wake_in`, `halt`, unicast sends, and `send_all`
+//! broadcasts must never lose a round, never run a halted node, and must
+//! produce bit-identical results at every `engine_threads` setting.
 
 use dhc_congest::{Config, Context, Inbox, Network, NodeId, Payload, Protocol, TraceEvent};
 use proptest::prelude::*;
@@ -12,9 +12,9 @@ struct Ping;
 impl Payload for Ping {}
 
 /// One scripted action: `(wake delta, send to left ring neighbor, send to
-/// right ring neighbor)`. A node consumes one action per activation and
-/// halts once its script is exhausted.
-type Step = (usize, bool, bool);
+/// right ring neighbor, broadcast to both)`. A node consumes one action
+/// per activation and halts once its script is exhausted.
+type Step = (usize, bool, bool, bool);
 
 #[derive(Debug)]
 struct Scripted {
@@ -58,13 +58,16 @@ impl Protocol for Scripted {
         let r = ctx.round_number();
         self.activations.push((r, inbox.len()));
         match self.script.pop_front() {
-            Some((delta, left, right)) => {
+            Some((delta, left, right, bcast)) => {
                 let n = ctx.n();
                 if left {
                     ctx.send((self.id + (n) as u32 - 1) % (n) as u32, Ping);
                 }
                 if right {
                     ctx.send((self.id + 1) % (n) as u32, Ping);
+                }
+                if bcast {
+                    ctx.send_all(Ping);
                 }
                 self.expected_wakes.push(r + delta);
                 ctx.wake_in(delta);
@@ -88,7 +91,11 @@ fn run_scripts(
     let g = dhc_graph::generator::cycle_graph(n);
     let nodes: Vec<Scripted> =
         scripts.iter().enumerate().map(|(v, s)| Scripted::new((v) as u32, s.clone())).collect();
-    let cfg = Config::default().with_trace_capacity(1_000_000).with_engine_threads(threads);
+    // A broadcast plus a unicast put two words on one edge.
+    let cfg = Config::default()
+        .with_bandwidth_words(2)
+        .with_trace_capacity(1_000_000)
+        .with_engine_threads(threads);
     let mut net = Network::new(&g, cfg, nodes).unwrap();
     net.run().unwrap();
     assert!(net.is_finished());
@@ -105,7 +112,10 @@ proptest! {
     #[test]
     fn wake_halt_and_sends_are_deterministic_and_lossless(
         scripts in prop::collection::vec(
-            prop::collection::vec((1usize..5, any::<bool>(), any::<bool>()), 0..6),
+            prop::collection::vec(
+                (1usize..5, any::<bool>(), any::<bool>(), any::<bool>()),
+                0..6,
+            ),
             3..9,
         ),
     ) {

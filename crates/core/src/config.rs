@@ -50,16 +50,10 @@ pub struct DhcConfig {
     /// knob spreads *whole partition simulations* across threads, this
     /// one parallelizes *inside every simulated round* — and the two
     /// compose multiplicatively when both are raised. Results are
-    /// **identical for every value**: the engine commits each round's
-    /// effects in ascending node-id order regardless of thread count.
+    /// **identical for every value**: the engine's one sequential commit
+    /// fold applies each round's effects in ascending node-id order
+    /// regardless of thread count.
     pub engine_threads: usize,
-    /// Shard count for the round engine's commit fold
-    /// (`dhc_congest::Config::commit_shards`): `0` (the default)
-    /// auto-shards, any other value forces that many shards. Results
-    /// are **identical for every value** — the sharded merge reproduces
-    /// the sequential fold bit for bit; the knob exists for
-    /// benchmarking and the equivalence suites.
-    pub commit_shards: usize,
     /// Phase 1 runs each color class as a **zero-copy**
     /// [`dhc_graph::ClassView`] over one shared
     /// [`dhc_graph::PartitionedGraph`] by default (`false`). Setting
@@ -93,8 +87,8 @@ pub struct DhcConfig {
     /// runners' span hierarchy (`run → phase → class / merge-level`).
     /// Pure observation: outcomes, [`dhc_congest::Metrics`], traces,
     /// and realized fault schedules are **bit-identical** with and
-    /// without a collector at every `engine_threads` / `commit_shards`
-    /// setting (pinned by `crates/core/tests/obs_equivalence.rs`).
+    /// without a collector at every `engine_threads` setting (pinned by
+    /// `crates/core/tests/obs_equivalence.rs`).
     pub collector: Option<CollectorHandle>,
 }
 
@@ -112,7 +106,6 @@ impl DhcConfig {
             root_solve_retries: 8,
             parallelism: 1,
             engine_threads: 1,
-            commit_shards: 0,
             materialize_phase1: false,
             record_round_traffic: true,
             adversary: None,
@@ -157,14 +150,6 @@ impl DhcConfig {
     /// time; see [`engine_threads`](Self::engine_threads).
     pub fn with_engine_threads(mut self, threads: usize) -> Self {
         self.engine_threads = threads;
-        self
-    }
-
-    /// Forces the round engine's commit-fold shard count (`0` = auto).
-    /// Never changes results, only scheduling; see
-    /// [`commit_shards`](Self::commit_shards).
-    pub fn with_commit_shards(mut self, shards: usize) -> Self {
-        self.commit_shards = shards;
         self
     }
 
@@ -228,7 +213,6 @@ impl DhcConfig {
             .with_max_rounds(self.max_rounds)
             .with_bandwidth_words(self.bandwidth_words)
             .with_engine_threads(self.engine_threads)
-            .with_commit_shards(self.commit_shards)
             .with_record_round_traffic(self.record_round_traffic);
         if let Some(adv) = &self.adversary {
             sim = sim.with_adversary(adv.clone());
@@ -250,7 +234,6 @@ impl DhcConfig {
             .with_max_rounds(self.max_rounds)
             .with_bandwidth_words(self.bandwidth_words)
             .with_engine_threads(self.engine_threads)
-            .with_commit_shards(self.commit_shards)
             .with_record_round_traffic(self.record_round_traffic);
         if let Some(adv) = &self.adversary {
             sim = sim.with_adversary(adv.for_class(members, color));

@@ -3,11 +3,11 @@
 //! algorithm's outcomes, [`Metrics`](dhc_congest::Metrics), engine
 //! traces, and realized fault schedules **bit-identical** to a detached
 //! run — for DRA/DHC1/DHC2/Upcast, clean, adversarial, and under the
-//! k-machine accounting layer, at engine threads {1, 4} × commit
-//! shards {1, 3}. The collector's own deterministic aggregates
-//! (counters + histogram percentiles) must in turn be identical across
-//! every thread/shard configuration: telemetry is a pure function of
-//! the simulated execution, never of its scheduling.
+//! k-machine accounting layer, at engine threads {1, 4}. The
+//! collector's own deterministic aggregates (counters + histogram
+//! percentiles) must in turn be identical across every thread count:
+//! telemetry is a pure function of the simulated execution, never of its
+//! scheduling.
 
 use dhc_congest::{Adversary, Config, Context, Inbox, Network, NodeId, Payload, Protocol, Trace};
 use dhc_core::{
@@ -21,7 +21,6 @@ use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
 const ENGINE_THREADS: [usize; 2] = [1, 4];
-const COMMIT_SHARDS: [usize; 2] = [1, 3];
 
 /// A fresh observer shared between the run (via the handle) and the
 /// test (via the other `Arc` clone), so aggregates can be read back.
@@ -36,9 +35,9 @@ fn assert_outcomes_identical(detached: &RunOutcome, attached: &RunOutcome, what:
     assert_eq!(detached.phases, attached.phases, "{what}: phase breakdown diverged");
 }
 
-/// Runs `run` detached and attached at every thread × shard
-/// configuration, pinning (a) attached == detached per configuration
-/// and (b) one identical collector summary across all configurations.
+/// Runs `run` detached and attached at every thread count, pinning
+/// (a) attached == detached per thread count and (b) one identical
+/// collector summary across all of them.
 fn check_pure_observation(
     what: &str,
     base: &DhcConfig,
@@ -46,26 +45,20 @@ fn check_pure_observation(
 ) {
     let mut summaries: Vec<String> = Vec::new();
     for threads in ENGINE_THREADS {
-        for shards in COMMIT_SHARDS {
-            let cfg = base.clone().with_engine_threads(threads).with_commit_shards(shards);
-            let tag = format!("{what} @ {threads} threads / {shards} shards");
-            let detached = run(&cfg).unwrap_or_else(|e| panic!("{tag}: detached run failed {e:?}"));
-            let (handle, shared) = observed();
-            let attached = run(&cfg.clone().with_collector(handle))
-                .unwrap_or_else(|e| panic!("{tag}: attached run failed {e:?}"));
-            assert_outcomes_identical(&detached, &attached, &tag);
-            let obs = shared.lock().unwrap();
-            assert!(obs.counters().rounds_observed > 0, "{tag}: collector saw no rounds");
-            assert!(obs.counters().spans_closed > 0, "{tag}: collector saw no spans");
-            summaries.push(obs.summary_json().render());
-        }
+        let cfg = base.clone().with_engine_threads(threads);
+        let tag = format!("{what} @ {threads} threads");
+        let detached = run(&cfg).unwrap_or_else(|e| panic!("{tag}: detached run failed {e:?}"));
+        let (handle, shared) = observed();
+        let attached = run(&cfg.clone().with_collector(handle))
+            .unwrap_or_else(|e| panic!("{tag}: attached run failed {e:?}"));
+        assert_outcomes_identical(&detached, &attached, &tag);
+        let obs = shared.lock().unwrap();
+        assert!(obs.counters().rounds_observed > 0, "{tag}: collector saw no rounds");
+        assert!(obs.counters().spans_closed > 0, "{tag}: collector saw no spans");
+        summaries.push(obs.summary_json().render());
     }
     summaries.dedup();
-    assert_eq!(
-        summaries.len(),
-        1,
-        "{what}: collector aggregates depend on engine threads / commit shards"
-    );
+    assert_eq!(summaries.len(), 1, "{what}: collector aggregates depend on engine threads");
 }
 
 #[test]
@@ -120,7 +113,7 @@ fn adversarial_run_attached_is_pure_observation() {
     // shapes**: when the faulty run succeeds the outcomes must match,
     // and when it fails the typed error must match — either way the
     // collector's aggregates must be one and the same across every
-    // thread/shard configuration.
+    // thread count.
     let g = generator::gnp(144, 0.5, &mut rng_from_seed(30)).unwrap();
     let adv = Adversary::seeded(7)
         .with_drop_ppm(2_000)
@@ -131,28 +124,26 @@ fn adversarial_run_attached_is_pure_observation() {
     let mut summaries: Vec<String> = Vec::new();
     let mut saw_fault = false;
     for threads in ENGINE_THREADS {
-        for shards in COMMIT_SHARDS {
-            let cfg = base.clone().with_engine_threads(threads).with_commit_shards(shards);
-            let tag = format!("dra+adversary @ {threads} threads / {shards} shards");
-            let detached = run_dra(&g, &cfg);
-            let (handle, shared) = observed();
-            let attached = run_dra(&g, &cfg.clone().with_collector(handle));
-            match (&detached, &attached) {
-                (Ok(d), Ok(a)) => assert_outcomes_identical(d, a, &tag),
-                (Err(d), Err(a)) => {
-                    assert_eq!(format!("{d:?}"), format!("{a:?}"), "{tag}: error diverged")
-                }
-                _ => panic!(
-                    "{tag}: success/failure shape diverged (detached {:?}, attached {:?})",
-                    detached.is_ok(),
-                    attached.is_ok()
-                ),
+        let cfg = base.clone().with_engine_threads(threads);
+        let tag = format!("dra+adversary @ {threads} threads");
+        let detached = run_dra(&g, &cfg);
+        let (handle, shared) = observed();
+        let attached = run_dra(&g, &cfg.clone().with_collector(handle));
+        match (&detached, &attached) {
+            (Ok(d), Ok(a)) => assert_outcomes_identical(d, a, &tag),
+            (Err(d), Err(a)) => {
+                assert_eq!(format!("{d:?}"), format!("{a:?}"), "{tag}: error diverged")
             }
-            let obs = shared.lock().unwrap();
-            let c = obs.counters();
-            saw_fault |= c.dropped + c.duplicated + c.delayed + c.crashes > 0;
-            summaries.push(obs.summary_json().render());
+            _ => panic!(
+                "{tag}: success/failure shape diverged (detached {:?}, attached {:?})",
+                detached.is_ok(),
+                attached.is_ok()
+            ),
         }
+        let obs = shared.lock().unwrap();
+        let c = obs.counters();
+        saw_fault |= c.dropped + c.duplicated + c.delayed + c.crashes > 0;
+        summaries.push(obs.summary_json().render());
     }
     summaries.dedup();
     assert_eq!(summaries.len(), 1, "adversarial collector aggregates depend on scheduling");
@@ -168,23 +159,18 @@ fn kmachine_run_attached_is_pure_observation() {
         .find(|cfg| run_dra_kmachine(&g, cfg, &kcfg).is_ok())
         .expect("k-machine DRA should succeed for at least one of 8 seeds");
     for threads in ENGINE_THREADS {
-        for shards in COMMIT_SHARDS {
-            let cfg = base.clone().with_engine_threads(threads).with_commit_shards(shards);
-            let tag = format!("kmachine @ {threads} threads / {shards} shards");
-            let (d_out, d_rep) = run_dra_kmachine(&g, &cfg, &kcfg).unwrap();
-            let (handle, shared) = observed();
-            let (a_out, a_rep) =
-                run_dra_kmachine(&g, &cfg.clone().with_collector(handle), &kcfg).unwrap();
-            assert_outcomes_identical(&d_out, &a_out, &tag);
-            // The whole machine-level report (link loads, dilation,
-            // estimates) is part of the bit-identity contract.
-            assert_eq!(format!("{d_rep:?}"), format!("{a_rep:?}"), "{tag}: report diverged");
-            let obs = shared.lock().unwrap();
-            assert!(
-                obs.machine_link_hist().count() > 0,
-                "{tag}: collector saw no machine link loads"
-            );
-        }
+        let cfg = base.clone().with_engine_threads(threads);
+        let tag = format!("kmachine @ {threads} threads");
+        let (d_out, d_rep) = run_dra_kmachine(&g, &cfg, &kcfg).unwrap();
+        let (handle, shared) = observed();
+        let (a_out, a_rep) =
+            run_dra_kmachine(&g, &cfg.clone().with_collector(handle), &kcfg).unwrap();
+        assert_outcomes_identical(&d_out, &a_out, &tag);
+        // The whole machine-level report (link loads, dilation,
+        // estimates) is part of the bit-identity contract.
+        assert_eq!(format!("{d_rep:?}"), format!("{a_rep:?}"), "{tag}: report diverged");
+        let obs = shared.lock().unwrap();
+        assert!(obs.machine_link_hist().count() > 0, "{tag}: collector saw no machine link loads");
     }
 }
 
@@ -245,7 +231,6 @@ impl Protocol for Flood {
 fn run_traced<T: Topology>(
     topo: &T,
     threads: usize,
-    shards: usize,
     adversary: Option<Adversary>,
     collector: Option<CollectorHandle>,
 ) -> (Trace, dhc_congest::Metrics) {
@@ -254,8 +239,7 @@ fn run_traced<T: Topology>(
     let mut cfg = Config::default()
         .with_bandwidth_words(4)
         .with_trace_capacity(100_000)
-        .with_engine_threads(threads)
-        .with_commit_shards(shards);
+        .with_engine_threads(threads);
     if let Some(adv) = adversary {
         cfg = cfg.with_adversary(adv);
     }
@@ -276,15 +260,12 @@ fn traces_and_fault_schedules_bit_identical_with_collector() {
         [None, Some(Adversary::seeded(9).with_drop_ppm(20_000).with_crash(3, 2, Some(5)))];
     for adv in &adversaries {
         for threads in ENGINE_THREADS {
-            for shards in COMMIT_SHARDS {
-                let tag =
-                    format!("flood adv={} @ {threads} threads / {shards} shards", adv.is_some());
-                let (dt, dm) = run_traced(&g, threads, shards, adv.clone(), None);
-                let (handle, _shared) = observed();
-                let (at, am) = run_traced(&g, threads, shards, adv.clone(), Some(handle));
-                assert!(dt.iter().eq(at.iter()), "{tag}: trace diverged");
-                assert_eq!(dm, am, "{tag}: metrics diverged");
-            }
+            let tag = format!("flood adv={} @ {threads} threads", adv.is_some());
+            let (dt, dm) = run_traced(&g, threads, adv.clone(), None);
+            let (handle, _shared) = observed();
+            let (at, am) = run_traced(&g, threads, adv.clone(), Some(handle));
+            assert!(dt.iter().eq(at.iter()), "{tag}: trace diverged");
+            assert_eq!(dm, am, "{tag}: metrics diverged");
         }
     }
 }
@@ -293,8 +274,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random dense graphs and seeds: DRA attached == detached at every
-    /// thread/shard combination, and the collector's deterministic
-    /// summary is one and the same across all of them.
+    /// thread count, and the collector's deterministic summary is one
+    /// and the same across all of them.
     #[test]
     fn prop_dra_attached_is_pure_observation(
         n in 24usize..56,
@@ -308,15 +289,13 @@ proptest! {
         prop_assume!(run_dra(&g, &cfg).is_ok());
         let mut summaries: Vec<String> = Vec::new();
         for threads in ENGINE_THREADS {
-            for shards in COMMIT_SHARDS {
-                let cfg = cfg.clone().with_engine_threads(threads).with_commit_shards(shards);
-                let detached = run_dra(&g, &cfg).unwrap();
-                let (handle, shared) = observed();
-                let attached = run_dra(&g, &cfg.clone().with_collector(handle)).unwrap();
-                prop_assert_eq!(detached.cycle.order(), attached.cycle.order());
-                prop_assert_eq!(&detached.metrics, &attached.metrics);
-                summaries.push(shared.lock().unwrap().summary_json().render());
-            }
+            let cfg = cfg.clone().with_engine_threads(threads);
+            let detached = run_dra(&g, &cfg).unwrap();
+            let (handle, shared) = observed();
+            let attached = run_dra(&g, &cfg.clone().with_collector(handle)).unwrap();
+            prop_assert_eq!(detached.cycle.order(), attached.cycle.order());
+            prop_assert_eq!(&detached.metrics, &attached.metrics);
+            summaries.push(shared.lock().unwrap().summary_json().render());
         }
         summaries.dedup();
         prop_assert_eq!(summaries.len(), 1);

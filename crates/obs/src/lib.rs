@@ -7,8 +7,8 @@
 //! simulation. The engine drives a collector only from its sequential
 //! commit-fold bookkeeping (the same contract as the k-machine
 //! accounting layer), so a collector-attached run is **bit-identical**
-//! to a detached one at every `engine_threads` / `commit_shards`
-//! setting; `crates/core/tests/obs_equivalence.rs` pins exactly that.
+//! to a detached one at every `engine_threads` setting;
+//! `crates/core/tests/obs_equivalence.rs` pins exactly that.
 //!
 //! Determinism is split deliberately:
 //!

@@ -13,8 +13,7 @@
 //! items[i])` to every element of a slice, each index claimed by
 //! exactly one worker in chunks. There is no work output channel —
 //! results live in the mutated elements, which is precisely the shape
-//! of the engine's per-node effect scratch and per-shard commit
-//! buffers.
+//! of the engine's per-node effect scratch.
 //!
 //! Panics inside `f` are caught per chunk, the batch is drained to
 //! completion (remaining indices still run), and the first payload is
