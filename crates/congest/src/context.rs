@@ -89,8 +89,9 @@ impl<M: Payload> Context<'_, M> {
     /// CONGEST model allows).
     ///
     /// Lowered onto the engine's **broadcast fabric**: the payload is
-    /// stored once in the round's broadcast arena — `O(1)` work here,
-    /// independent of the degree — and every neighbor reads it by
+    /// stored once in the round's payload arena — `O(1)` work here,
+    /// independent of the degree — the commit fold pushes its index onto
+    /// every neighbor's inbox list, and every neighbor reads it by
     /// reference next round. Simulated quantities (delivery order,
     /// bandwidth, `Metrics`, `Trace`) are bit-identical to calling
     /// [`send`](Context::send) once per neighbor in ascending order.

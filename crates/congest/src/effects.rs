@@ -12,10 +12,11 @@
 //!
 //! Unicast sends and broadcasts share one per-node **op sequence**: every
 //! `Context::send` / `send_all` / `send_all_except` call consumes the next
-//! sequence number. The number travels with the staged message (or
-//! broadcast record) so the receiver-side [`Inbox`](crate::Inbox) merge
-//! can reproduce the exact call-order interleaving a per-neighbor unicast
-//! expansion would have produced.
+//! sequence number. The fold commits each node's ops in that order, so
+//! every receiver's [`Inbox`](crate::Inbox) list gets them in the exact
+//! call-order interleaving a per-neighbor unicast expansion would have
+//! produced. The number also travels with each arena record, so the
+//! adversary's delayed messages can be re-sorted into place.
 //!
 //! `Effects` values live in a pool owned by the
 //! [`Network`](crate::Network) and are reused across rounds: the vectors

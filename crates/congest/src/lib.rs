@@ -7,11 +7,12 @@
 //! provides:
 //!
 //! * the [`Protocol`] trait — per-node state machines with an
-//!   inbox-driven `round` callback (the [`Inbox`] view merges direct
-//!   messages with broadcast payloads read by reference) and a
-//!   [`Context`] for sending — unicast `send`, or the **broadcast
-//!   fabric**'s `send_all` / `send_all_except`, which store one payload
-//!   copy per flooding sender instead of one per incident edge —
+//!   inbox-driven `round` callback (the [`Inbox`] view walks the node's
+//!   list of indices into the round's payload arena, reading every
+//!   payload by reference) and a [`Context`] for sending — unicast
+//!   `send`, or the **broadcast fabric**'s `send_all` /
+//!   `send_all_except`, which store one payload copy per flooding op
+//!   instead of one per incident edge —
 //!   scheduling wake-ups, charging local computation, and halting;
 //! * the [`Network`] engine — deterministic round execution over any
 //!   [`dhc_graph::Topology`] (a plain [`dhc_graph::Graph`], a zero-copy
@@ -152,8 +153,8 @@ pub trait Protocol: Send {
 
     /// Called in each round where this node is active, with an [`Inbox`]
     /// view over the messages delivered this round (sorted by sender id;
-    /// broadcast payloads are read by reference from the round's shared
-    /// broadcast arena, never copied per receiver).
+    /// payloads are read by reference from the round's shared payload
+    /// arena, so a broadcast is never copied per receiver).
     fn round(&mut self, ctx: &mut Context<'_, Self::Msg>, inbox: Inbox<'_, Self::Msg>);
 
     /// Approximate local memory footprint in machine words, sampled by the

@@ -13,8 +13,8 @@
 //!   same machine, the payload never crosses a link;
 //! * **one link transfer per (sender, receiving machine) payload** — a
 //!   broadcast addressed to many nodes hosted by the same machine crosses
-//!   the link **once** (the engine's broadcast arena makes this literal:
-//!   one payload copy serves every receiver);
+//!   the link **once** (the engine's payload arena makes this literal:
+//!   one shared record serves every receiver);
 //! * **`max(1, ⌈max directed-link load / B⌉)` k-machine rounds** — the
 //!   round's messages are scheduled onto each link in deterministic order
 //!   (ascending sender id, then the sender's op order — exactly the

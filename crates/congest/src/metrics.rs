@@ -47,8 +47,8 @@ pub struct Metrics {
     /// (the `Δ'` of the Klauck et al. k-machine conversion theorem).
     pub max_node_sends_per_round: usize,
     /// Sampled peak engine-buffer footprint in 8-byte machine words —
-    /// mailbox banks, broadcast arena, per-worker effect scratch, and
-    /// scheduling lists (see
+    /// the payload arena and per-node inbox lists, per-worker effect
+    /// scratch, and scheduling lists, wake heap included (see
     /// [`Network::engine_memory_words`](crate::Network::engine_memory_words)).
     /// Composes as a max: the peak footprint of any single constituent
     /// network's buffer set, which for scratch-chained sequential phases

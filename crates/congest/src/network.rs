@@ -16,10 +16,14 @@
 //!    sends into the next round's [`Mailboxes`] all happen here, so the
 //!    result is bit-identical at every thread count. Broadcast effects
 //!    (`send_all` / `send_all_except`) commit **one** payload copy into
-//!    the round's broadcast arena and activate each addressed neighbor
-//!    with a counter bump, while bandwidth, metrics, and trace are still
-//!    charged per directed edge — observationally identical to the
+//!    the round's payload arena and push its index onto each addressed
+//!    neighbor's inbox list, while bandwidth, metrics, and trace are
+//!    still charged per directed edge — observationally identical to the
 //!    per-neighbor unicast expansion, at a fraction of the cost.
+//!
+//! The mailboxes are single-buffered: between the two phases the engine
+//! clears the inboxes the compute phase has just read, and the fold
+//! refills the same buffers for the next round.
 
 use crate::adversary::{AdversaryState, Fate};
 use crate::effects::Effects;
@@ -53,7 +57,7 @@ pub struct Network<'g, P: Protocol, T: Topology = Graph> {
     nodes: Vec<P>,
     halted: Vec<bool>,
     halted_count: usize,
-    /// Double-buffered mailboxes; the sealed ready list is the
+    /// Single-buffered mailboxes; the sealed ready list is the
     /// message-driven active set of the upcoming round.
     mail: Mailboxes<P::Msg>,
     /// Reusable per-active-node effect scratch (compute-phase output).
@@ -149,7 +153,7 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     }
 
     /// Like [`new`](Network::new), but seeded from an [`EngineScratch`]:
-    /// the network starts with the recycled mailbox buffers, broadcast
+    /// the network starts with the recycled mailbox buffers, payload
     /// arena, effect scratch, and (when the thread counts match) the
     /// parked worker pool of a previously finished network, instead of
     /// allocating its own. Pair with
@@ -288,10 +292,11 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     }
 
     /// Samples the engine's buffer footprint in 8-byte machine words:
-    /// the double-buffered mailboxes and broadcast arena, the per-worker
-    /// effect scratch, and the scheduling lists. Buffer capacities only
-    /// grow during a run, so a sample after [`run`](Network::run) is the
-    /// run's peak; both finish paths record it as
+    /// the payload arena and per-node inbox lists, the per-worker effect
+    /// scratch, and the scheduling lists, wake heap included. Buffer
+    /// capacities only grow during a run, so a sample after
+    /// [`run`](Network::run) is the run's peak; both finish paths record
+    /// it as
     /// [`Metrics::engine_memory_words`](crate::Metrics::engine_memory_words).
     pub fn engine_memory_words(&self) -> usize {
         use std::mem::size_of;
@@ -300,7 +305,7 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
         let sched = self.scratch_woken.capacity() * size_of::<NodeId>()
             + self.scratch_active.capacity() * size_of::<(NodeId, usize)>()
             + self.scratch_work.capacity() * size_of::<NodeId>()
-            + self.wakes.len() * size_of::<Reverse<(usize, NodeId)>>()
+            + self.wakes.capacity() * size_of::<Reverse<(usize, NodeId)>>()
             + self.scratch_fates.capacity() * size_of::<Fate>()
             + self.scratch_charged.capacity() * size_of::<(NodeId, usize)>();
         let bytes = self.mail.memory_bytes() + effects + sched;
@@ -322,7 +327,7 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     }
 
     /// Like [`finish`](Network::finish), but donates the network's
-    /// warmed-up buffers (mailboxes, broadcast arena, effect scratch,
+    /// warmed-up buffers (mailboxes, payload arena, effect scratch,
     /// worker pool) to `scratch`, replacing whatever it held, so the next
     /// [`new_with_scratch`](Network::new_with_scratch) recycles them.
     /// Works regardless of how this network was constructed, and also
@@ -439,8 +444,10 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             // crash schedule so the suppression filter below sees this
             // round's up/down states.
             if let Err(e) = self.mail.inject_due(self.round, self.config.bandwidth_words) {
-                // Seal so a post-error `step` cannot re-deliver this
-                // round's inboxes, mirroring the fold's error path.
+                // Consume and seal so a post-error `step` cannot
+                // re-deliver this round's inboxes, mirroring the fold's
+                // error path.
+                self.mail.consume();
                 self.mail.seal();
                 return Err(e);
             }
@@ -549,18 +556,18 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
         self.scratch_woken = woken;
         self.scratch_active = active;
         self.scratch_work = work;
-        // Seal even when the fold faulted: the failed round's inboxes are
-        // consumed and the sends committed by pre-fault nodes are
-        // delivered, exactly like the old engine (which took inboxes
-        // before invoking) — a post-error `step` can never re-run the
-        // same round.
+        // Seal even when the fold faulted: the failed round's inboxes
+        // were consumed before the fold, and the sends committed by
+        // pre-fault nodes are delivered — a post-error `step` can never
+        // re-run the same round.
         self.mail.seal();
         result
     }
 
     /// Runs one phase over the listed nodes (strictly ascending by node
-    /// id): the parallel compute phase followed by the sequential commit
-    /// fold.
+    /// id): the parallel compute phase, then the consumption of every
+    /// inbox it read, then the sequential commit fold, which refills the
+    /// same mailbox buffers.
     ///
     /// `active` and `delivered` describe this round's delivery (the full
     /// activated set with inbox lengths, and the delivered message
@@ -608,6 +615,9 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
                 _ => carve_jobs(graph, nodes, fx_pool, mail, work, |mut job| run_job(&mut job)),
             }
         }
+        // Every inbox has been read: clear the lists and the arena so the
+        // fold refills the same buffers.
+        self.mail.consume();
 
         // --- Telemetry bookkeeping: the fold drains the effect buffers,
         // so it reads per-op counts and compute charges off them as it
@@ -778,16 +788,16 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
                         }
                     }
                     // One payload copy into the arena; every addressed
-                    // neighbor is activated with a counter bump. The
-                    // machine layer likewise charges the payload once per
-                    // receiving *machine*, not per receiving node.
-                    self.mail.stage_broadcast(v, seq, skip, msg);
+                    // neighbor gets its index. The machine layer likewise
+                    // charges the payload once per receiving *machine*,
+                    // not per receiving node.
+                    let rec = self.mail.record(v, seq, msg);
                     if let Some(ml) = self.machines.as_mut() {
                         ml.begin_broadcast(v, words);
                     }
                     for &to in nbrs {
                         if Some(to) != skip {
-                            self.mail.deliver(to);
+                            self.mail.deliver(to, rec);
                             if let Some(ml) = self.machines.as_mut() {
                                 ml.broadcast_dest(to);
                             }
@@ -834,9 +844,9 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     /// duplicated ones are staged twice, and delayed ones are parked in
     /// the mailbox delay queue until their due round.
     ///
-    /// Broadcasts are committed as **per-destination direct messages**
-    /// (each copy can meet a different fate), so the broadcast arena is
-    /// never used under an active adversary; the k-machine layer
+    /// Broadcasts are committed as **per-destination unicasts** (each
+    /// copy can meet a different fate), so no arena record is shared
+    /// under an active adversary; the k-machine layer
     /// likewise sees the per-edge unicast expansion.
     fn commit_adversarial(&mut self, i: usize, v: NodeId) -> Result<(), SimError> {
         let round = self.round;
@@ -1103,7 +1113,7 @@ fn carve_jobs<'a, P: Protocol, T: Topology>(
         let (fx, fx_tail) = fx_rest.split_first_mut().expect("effects pool sized to work");
         fx_rest = fx_tail;
         let nbrs = graph.neighbors(v);
-        with(Job { v, node, fx, inbox: mail.inbox(v, nbrs), nbrs });
+        with(Job { v, node, fx, inbox: mail.inbox(v), nbrs });
     }
 }
 
@@ -1496,7 +1506,7 @@ mod tests {
         assert_eq!(net.metrics().max_edge_words, 2);
     }
 
-    /// The broadcast arena holds one payload per flooding op, not per
+    /// The payload arena holds one payload per flooding op, not per
     /// edge: the flood test above plus this pin the count.
     #[test]
     fn inbox_views_share_one_broadcast_payload() {

@@ -1,7 +1,7 @@
 //! Cross-network engine buffer recycling.
 //!
 //! A [`Network`](crate::Network) owns a family of arena-style buffers —
-//! per-node mailboxes, the broadcast arena, the per-active-node effect
+//! the payload arena and per-node inbox lists, the per-active-node effect
 //! scratch, the scheduling scratch, and (when `engine_threads > 1`) the
 //! persistent worker pool that serves the compute phase. Within
 //! one network they are allocated once and reused every round, but a
@@ -34,12 +34,12 @@ use dhc_pool::WorkerPool;
 ///
 /// Starts cold (no buffers, no threads); warms up on the first
 /// [`finish_with_scratch`](crate::Network::finish_with_scratch). A
-/// network constructed from a warm scratch reuses the donor's mailbox
-/// buffers, broadcast arena, effect scratch, and — when the thread
+/// network constructed from a warm scratch reuses the donor's payload
+/// arena and inbox lists, effect scratch, and — when the thread
 /// counts match — its worker pool.
 pub struct EngineScratch<M: Payload> {
-    /// Recycled double-buffered mailboxes (per-node inbox vectors, the
-    /// broadcast arenas, ranges, counters, touch lists).
+    /// Recycled single-buffered mailboxes (the payload arena, per-node
+    /// index lists, touch and ready lists, delay queue).
     pub(crate) mail: Option<Mailboxes<M>>,
     /// Recycled per-active-node effect scratch.
     pub(crate) effects: Vec<Effects<M>>,

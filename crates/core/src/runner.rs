@@ -542,12 +542,10 @@ pub fn run_dhc2(graph: &Graph, cfg: &DhcConfig) -> Result<RunOutcome, DhcError> 
 /// # Errors
 ///
 /// Returns a [`DhcError`] on invalid configuration, partition failure,
-/// missing bridges, or simulation faults.
-///
-/// # Panics
-///
-/// Panics if `colors.len() != graph.node_count()`, `num_colors == 0`, or
-/// any color is `>= num_colors`.
+/// missing bridges, or simulation faults. The coloring itself is caller
+/// input: [`DhcError::InvalidConfig`] if `colors.len() !=
+/// graph.node_count()` or any color is `>= num_colors` (so also when
+/// `num_colors == 0`).
 pub fn run_dhc2_with_colors(
     graph: &Graph,
     cfg: &DhcConfig,
@@ -559,8 +557,18 @@ pub fn run_dhc2_with_colors(
     if n < 3 {
         return Err(DhcError::GraphTooSmall { n });
     }
-    assert_eq!(colors.len(), n, "one color per node");
-    let partition = Partition::from_colors(colors.to_vec(), num_colors);
+    if colors.len() != n {
+        return Err(DhcError::InvalidConfig { what: "colors must hold one color per node" });
+    }
+    // Also rejects `num_colors == 0`: no color is below it.
+    let top = colors.iter().copied().max().unwrap_or(0) as usize;
+    if top >= num_colors {
+        return Err(DhcError::InvalidConfig { what: "every color must be < num_colors" });
+    }
+    // Empty classes are compacted away, so sizing the partition by the
+    // largest color used gives the same run without allocating
+    // `num_colors` class slots.
+    let partition = Partition::from_colors(colors.to_vec(), top + 1);
     crate::dhc2::run_with_colors(graph, cfg, &partition, None)
 }
 

@@ -2,7 +2,7 @@
 //! error (never a hang, panic, or silent wrong answer).
 
 use dhc::congest::SimError;
-use dhc::core::{run_dhc1, run_dhc2, run_dra, run_upcast, DhcConfig};
+use dhc::core::{run_dhc1, run_dhc2, run_dhc2_with_colors, run_dra, run_upcast, DhcConfig};
 use dhc::graph::{generator, rng::rng_from_seed, Graph};
 use dhc::{Adversary, DhcError};
 
@@ -22,6 +22,25 @@ fn invalid_config_rejected() {
     assert!(matches!(run_dhc2(&g, &bad), Err(DhcError::InvalidConfig { .. })));
     let bad = DhcConfig::new(0).with_delta(0.0);
     assert!(matches!(run_dhc1(&g, &bad), Err(DhcError::InvalidConfig { .. })));
+}
+
+#[test]
+fn bad_coloring_rejected_by_dhc2_with_colors() {
+    let g = generator::complete(16);
+    let cfg = DhcConfig::new(0);
+    let two_classes: Vec<u32> = (0..16).map(|v| v % 2).collect();
+    for (colors, num_colors) in [
+        (&two_classes[..15], 2), // one color short
+        (&two_classes[..], 0),   // no classes
+        (&two_classes[..], 1),   // color 1 out of range
+    ] {
+        let res = run_dhc2_with_colors(&g, &cfg, colors, num_colors);
+        assert!(matches!(res, Err(DhcError::InvalidConfig { .. })), "{num_colors}: {res:?}");
+    }
+    // Valid colorings run, even with far more classes than colors used.
+    for num_colors in [2, usize::MAX] {
+        assert!(run_dhc2_with_colors(&g, &cfg, &two_classes, num_colors).is_ok());
+    }
 }
 
 #[test]
