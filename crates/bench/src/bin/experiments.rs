@@ -7,8 +7,8 @@
 //!
 //! `--list` prints every experiment id with its one-line description and
 //! exits. `--heavy` opts into the points that run for over a minute each
-//! (E13's and E14's end-to-end DHC1 at n = 10⁴, E15's delay/crash
-//! sweeps); they are skipped with a notice otherwise so
+//! (E13's end-to-end DHC1 at n = 10⁴, E15's delay/crash sweeps, E16's
+//! largest scale points); they are skipped with a notice otherwise so
 //! `experiments all` stays tractable. `--progress` attaches the
 //! `dhc-obs` stderr heartbeat to the long E13/E16 runs (live round and
 //! message counts every two seconds); it defaults **on** under

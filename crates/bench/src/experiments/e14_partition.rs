@@ -1,47 +1,23 @@
 //! **E14 — partition-pipeline baseline** (not a paper claim): Phase-1
 //! setup cost of the zero-copy [`dhc_graph::PartitionedGraph`] versus
-//! materializing every class with `Graph::induced_subgraph`, plus an
-//! end-to-end DHC1 run under both Phase-1 representations
-//! ([`DhcConfig::with_materialized_phase1`]), recorded to
+//! materializing every class with `Graph::induced_subgraph`, recorded to
 //! `BENCH_partition.json` so the perf trajectory is tracked across PRs.
 //!
 //! Setup is measured at `n ∈ {10⁴, 10⁵}` with `k = √n` classes — the
 //! paper's DHC1 partitioning — where the copying baseline pays an
 //! `O(n·√n)` allocation bill (one `O(n)` remap vector plus a fresh CSR
 //! per class) against the view path's single `O(n + m)` grouping pass.
-//! The end-to-end comparison runs the largest DHC1 operating point this
-//! container sustains (`n = 10⁴`, `k = 50` classes at full effort —
-//! ~2·10⁹ simulated messages; ~40 s per view-mode run on the broadcast
-//! fabric, ~5× the pre-fabric engine) and requires the experiments
-//! binary's `--heavy` flag; the two modes must produce **bit-identical**
-//! cycles and metrics, which the experiment asserts.
+//! Phase 1 itself only ever simulates class views; the end-to-end DHC1
+//! point is E13's.
 
-use crate::baseline::{baseline_path, carried_records, write_baseline};
+use crate::baseline::{baseline_path, write_baseline};
 use crate::partition_probe::{setup_copy, setup_graph, setup_partition, setup_view};
 use crate::table::{f3, Table};
-use dhc_core::{run_dhc1, DhcConfig};
-use dhc_graph::rng::rng_from_seed;
-use dhc_graph::Graph;
 use dhc_obs::json::Json;
 use dhc_obs::schema::{BenchDoc, Record};
 use std::time::Instant;
 
 use super::Effort;
-
-/// End-to-end DHC1 point: `n` nodes, `k` partitions.
-#[derive(Debug, Clone, Copy)]
-pub struct E2ePoint {
-    /// Graph size.
-    pub n: usize,
-    /// Phase-1 partition count.
-    pub k: usize,
-}
-
-/// End-to-end points with more nodes than this take over a minute on a
-/// CI-class host (the n = 10⁴ point runs both Phase-1 representations,
-/// ~40 s + ~70 s post-broadcast-fabric, ~200 s *each* before it) and
-/// are gated behind the experiments binary's explicit `--heavy` flag.
-pub const HEAVY_E2E_NODES: usize = 4_000;
 
 /// Sweep parameters for E14.
 #[derive(Debug, Clone)]
@@ -50,64 +26,25 @@ pub struct Params {
     pub setup_sizes: Vec<usize>,
     /// Timed repetitions per setup point (the minimum is reported).
     pub setup_reps: usize,
-    /// End-to-end DHC1 comparison point, if any.
-    pub e2e: Option<E2ePoint>,
     /// Whether to write the `BENCH_partition.json` baseline (disabled
     /// for smoke runs so tests do not touch the filesystem).
     pub emit_json: bool,
-    /// A heavy point dropped by [`gated`](Params::gated); `run` prints a
-    /// one-line skip notice for it.
-    pub skipped_heavy: Option<E2ePoint>,
 }
 
 impl Params {
     /// Parameters for the given effort level.
     pub fn for_effort(effort: Effort) -> Self {
         match effort {
-            Effort::Full => Params {
-                setup_sizes: vec![10_000, 100_000],
-                setup_reps: 3,
-                e2e: Some(E2ePoint { n: 10_000, k: 50 }),
-                emit_json: true,
-                skipped_heavy: None,
-            },
-            // Quick uses a smaller e2e point than Full, so it must not
-            // overwrite the committed baseline: `BENCH_partition.json`
-            // rows stay comparable across PRs only if they always come
-            // from the Full workload.
-            Effort::Quick => Params {
-                setup_sizes: vec![10_000, 100_000],
-                setup_reps: 2,
-                e2e: Some(E2ePoint { n: 2_500, k: 25 }),
-                emit_json: false,
-                skipped_heavy: None,
-            },
-            Effort::Smoke => Params {
-                setup_sizes: vec![2_000],
-                setup_reps: 1,
-                e2e: Some(E2ePoint { n: 240, k: 4 }),
-                emit_json: false,
-                skipped_heavy: None,
-            },
-        }
-    }
-
-    /// Applies the `--heavy` gate: without the flag, end-to-end points
-    /// above [`HEAVY_E2E_NODES`] are dropped so `experiments all` stays
-    /// tractable. The baseline write survives the gate: the committed
-    /// `dhc1-e2e` records are carried forward verbatim (see
-    /// [`crate::baseline::carried_records`]), so a non-heavy refresh
-    /// updates the setup rows without losing the end-to-end ones.
-    pub fn gated(mut self, heavy: bool) -> Self {
-        if !heavy {
-            if let Some(pt) = self.e2e {
-                if pt.n > HEAVY_E2E_NODES {
-                    self.e2e = None;
-                    self.skipped_heavy = Some(pt);
-                }
+            Effort::Full => {
+                Params { setup_sizes: vec![10_000, 100_000], setup_reps: 3, emit_json: true }
             }
+            // Quick times fewer repetitions than Full, so it must not
+            // overwrite the committed baseline.
+            Effort::Quick => {
+                Params { setup_sizes: vec![10_000, 100_000], setup_reps: 2, emit_json: false }
+            }
+            Effort::Smoke => Params { setup_sizes: vec![2_000], setup_reps: 1, emit_json: false },
         }
-        self
     }
 }
 
@@ -137,80 +74,11 @@ fn measure_setup(n: usize, reps: usize, seed: u64) -> SetupSample {
     SetupSample { n, k, m: g.edge_count(), copy_ms: copy_best * 1e3, view_ms: view_best * 1e3 }
 }
 
-/// One end-to-end DHC1 run under one Phase-1 representation.
-struct E2eSample {
-    mode: &'static str,
-    wall_s: f64,
-    rounds: usize,
-    messages: u64,
-}
-
-/// The DHC1 operating point for `E2ePoint`: class size `s = n/k` with
-/// intra-class expected degree `6 ln s` (the density Phase 1 needs; the
-/// paper's `p = c ln n / √n` regime scaled to the chosen `k`).
-fn e2e_graph(pt: E2ePoint, seed: u64) -> Graph {
-    let s = (pt.n / pt.k).max(2) as f64;
-    let p = (6.0 * s.ln() / (s - 1.0)).min(1.0);
-    dhc_graph::generator::gnp(pt.n, p, &mut rng_from_seed(seed ^ 0xE2E)).expect("valid gnp")
-}
-
-/// Runs DHC1 view-vs-copy at the first succeeding seed; returns the
-/// samples plus whether the two outcomes were bit-identical.
-fn measure_e2e(pt: E2ePoint, seed: u64) -> Result<(Vec<E2eSample>, bool), String> {
-    let g = e2e_graph(pt, seed);
-    for attempt in 0..8u64 {
-        let cfg = DhcConfig::new(seed ^ (0xD1C1 + attempt)).with_partitions(pt.k);
-        let t0 = Instant::now();
-        let Ok(view) = run_dhc1(&g, &cfg) else { continue };
-        let view_wall = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let copy = run_dhc1(&g, &cfg.clone().with_materialized_phase1(true))
-            .expect("copying oracle must succeed whenever the view run does");
-        let copy_wall = t0.elapsed().as_secs_f64();
-        let identical = view.cycle.order() == copy.cycle.order() && view.metrics == copy.metrics;
-        // The bit-identity contract is load-bearing (it is what makes the
-        // wall-clock comparison apples-to-apples), so a divergence at
-        // this scale must fail loudly, not just print `false`.
-        assert!(identical, "view and copy DHC1 runs diverged at n = {}, k = {}", pt.n, pt.k);
-        return Ok((
-            vec![
-                E2eSample {
-                    mode: "view",
-                    wall_s: view_wall,
-                    rounds: view.metrics.rounds,
-                    messages: view.metrics.messages,
-                },
-                E2eSample {
-                    mode: "copy",
-                    wall_s: copy_wall,
-                    rounds: copy.metrics.rounds,
-                    messages: copy.metrics.messages,
-                },
-            ],
-            identical,
-        ));
-    }
-    Err(format!("DHC1 did not succeed in 8 seeds at n = {}, k = {}", pt.n, pt.k))
-}
-
 /// The baseline document in the shared `dhc-bench/v1` envelope: one
-/// `setup` record per size, one flat `dhc1-e2e` record per Phase-1
-/// mode, carried-forward committed end-to-end records re-appended
-/// verbatim when this run skipped the heavy point.
-fn render_doc(
-    setup: &[SetupSample],
-    e2e: Option<(E2ePoint, &[E2eSample], bool)>,
-    carried: Vec<Json>,
-    cores: usize,
-    seed: u64,
-) -> BenchDoc {
-    let mut doc = BenchDoc::new(
-        "e14",
-        "partition",
-        "phase-1 setup (view vs copy, k = sqrt(n)) + end-to-end DHC1",
-        cores,
-        seed,
-    );
+/// `setup` record per size.
+fn render_doc(setup: &[SetupSample], cores: usize, seed: u64) -> BenchDoc {
+    let mut doc =
+        BenchDoc::new("e14", "partition", "phase-1 setup (view vs copy, k = sqrt(n))", cores, seed);
     for s in setup {
         doc.push(
             Record::new("setup")
@@ -221,23 +89,6 @@ fn render_doc(
                 .f3("view_ms", s.view_ms)
                 .field("speedup", Json::Num(format!("{:.2}", s.copy_ms / s.view_ms))),
         );
-    }
-    if let Some((pt, samples, identical)) = e2e {
-        for s in samples {
-            doc.push(
-                Record::new("dhc1-e2e")
-                    .usize("n", pt.n)
-                    .usize("k", pt.k)
-                    .bool("bit_identical", identical)
-                    .str("mode", s.mode)
-                    .f3("wall_s", s.wall_s)
-                    .usize("rounds", s.rounds)
-                    .u64("messages", s.messages),
-            );
-        }
-    }
-    for rec in carried {
-        doc.push_json(rec);
     }
     doc
 }
@@ -271,55 +122,9 @@ pub fn run(params: &Params, seed: u64) -> String {
         "\n    copy = one O(n) remap + fresh CSR per class (O(n*k) total);\n    view = one O(n+m) grouping pass shared by all classes.\n\n",
     );
 
-    if let Some(pt) = params.skipped_heavy {
-        out.push_str(&format!(
-            "  heavy point skipped: end-to-end DHC1 at n = {}, k = {} (over a minute per mode);\n  pass --heavy to run it and refresh BENCH_partition.json\n",
-            pt.n, pt.k
-        ));
-    }
-
-    let mut e2e_rows: Vec<E2eSample> = Vec::new();
-    let mut e2e_identical = false;
-    if let Some(pt) = params.e2e {
-        out.push_str(&format!(
-            "  End-to-end DHC1, n = {}, k = {} (both modes, same seed):\n",
-            pt.n, pt.k
-        ));
-        match measure_e2e(pt, seed) {
-            Ok((samples, identical)) => {
-                let mut t = Table::new(vec!["mode", "wall s", "rounds", "messages", "identical"]);
-                for s in &samples {
-                    t.row(vec![
-                        s.mode.to_string(),
-                        f3(s.wall_s),
-                        s.rounds.to_string(),
-                        s.messages.to_string(),
-                        identical.to_string(),
-                    ]);
-                }
-                out.push_str(&t.render());
-                out.push_str(
-                    "\n    identical = cycles and full metrics are bit-equal across modes\n    (also pinned by crates/core/tests/view_equivalence.rs).\n",
-                );
-                e2e_rows = samples;
-                e2e_identical = identical;
-            }
-            Err(e) => out.push_str(&format!("    {e}\n")),
-        }
-    }
-
     if params.emit_json {
         let path = baseline_path("BENCH_PARTITION_OUT", "BENCH_partition.json");
-        let e2e = params
-            .e2e
-            .filter(|_| !e2e_rows.is_empty())
-            .map(|pt| (pt, &e2e_rows[..], e2e_identical));
-        // A gated run measured no end-to-end point: keep the committed
-        // records instead of dropping them.
-        let carried =
-            if e2e.is_none() { carried_records(&path, &["dhc1-e2e"]) } else { Vec::new() };
-        let doc = render_doc(&setup, e2e, carried, cores, seed);
-        out.push_str(&write_baseline(&path, &doc));
+        out.push_str(&write_baseline(&path, &render_doc(&setup, cores, seed)));
     }
     out
 }
@@ -336,26 +141,13 @@ mod tests {
     }
 
     #[test]
-    fn doc_validates_and_carries_e2e_records_forward() {
+    fn doc_validates_with_setup_rows_only() {
         let setup = vec![SetupSample { n: 100, k: 10, m: 50, copy_ms: 2.0, view_ms: 1.0 }];
-        let e2e = vec![E2eSample { mode: "view", wall_s: 1.5, rounds: 9, messages: 11 }];
-        let text =
-            render_doc(&setup, Some((E2ePoint { n: 100, k: 10 }, &e2e, true)), Vec::new(), 1, 7)
-                .render();
+        let text = render_doc(&setup, 1, 7).render();
         dhc_obs::schema::validate(&text).expect("schema-valid document");
         assert!(text.contains("\"bench\": \"partition\""), "{text}");
+        assert!(text.contains("\"kind\":\"setup\""), "{text}");
         assert!(text.contains("\"speedup\":2.00"), "{text}");
-        assert!(text.contains("\"bit_identical\":true"), "{text}");
-        assert!(text.contains("\"mode\":\"view\""), "{text}");
-
-        // A gated run re-appends the committed e2e records verbatim.
-        let carried = vec![Json::obj()
-            .set("kind", Json::str("dhc1-e2e"))
-            .set("n", Json::usize(10_000))
-            .set("mode", Json::str("copy"))];
-        let text = render_doc(&setup, None, carried, 1, 7).render();
-        dhc_obs::schema::validate(&text).expect("schema-valid document");
-        assert!(text.contains("\"n\":10000"), "{text}");
-        assert!(text.contains("\"mode\":\"copy\""), "{text}");
+        assert!(!text.contains("dhc1-e2e"), "{text}");
     }
 }

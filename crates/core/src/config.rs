@@ -54,22 +54,13 @@ pub struct DhcConfig {
     /// fold applies each round's effects in ascending node-id order
     /// regardless of thread count.
     pub engine_threads: usize,
-    /// Phase 1 runs each color class as a **zero-copy**
-    /// [`dhc_graph::ClassView`] over one shared
-    /// [`dhc_graph::PartitionedGraph`] by default (`false`). Setting
-    /// this to `true` materializes every class with
-    /// [`dhc_graph::Graph::induced_subgraph`] instead — the equivalence
-    /// oracle and the benchmarking baseline (experiment `e14`).
-    /// Outcomes, metrics, and traces are **bit-identical** either way:
-    /// both representations expose the same node count and the same
-    /// sorted local-id neighbor lists (pinned by
-    /// `crates/core/tests/view_equivalence.rs`).
-    pub materialize_phase1: bool,
-    /// Record the engine's per-round message counts (the one O(rounds)
-    /// metrics vector) in every simulation the algorithms run. Default
+    /// Report the engine's per-round message counts (the one O(rounds)
+    /// metrics vector) for every simulation the algorithms run. Default
     /// `true`; set `false` for long memory-lean runs — the streaming
-    /// [`dhc_congest::Metrics::max_round_traffic`] aggregate is
-    /// maintained incrementally either way.
+    /// [`dhc_congest::Metrics::max_round_traffic`] aggregate is the
+    /// same either way. Phase 1's class networks record their logs in
+    /// both modes, for its round-1 correction, and the phase drops the
+    /// merged log when this is off.
     pub record_round_traffic: bool,
     /// Optional seeded fault model applied to **every** simulation an
     /// algorithm runs (Phase-1 per-class runs, DHC1 stitching, DHC2
@@ -106,7 +97,6 @@ impl DhcConfig {
             root_solve_retries: 8,
             parallelism: 1,
             engine_threads: 1,
-            materialize_phase1: false,
             record_round_traffic: true,
             adversary: None,
             collector: None,
@@ -150,16 +140,6 @@ impl DhcConfig {
     /// time; see [`engine_threads`](Self::engine_threads).
     pub fn with_engine_threads(mut self, threads: usize) -> Self {
         self.engine_threads = threads;
-        self
-    }
-
-    /// Selects the Phase-1 subgraph representation: `false` (the
-    /// default) simulates each color class on a zero-copy class view,
-    /// `true` materializes induced subgraphs — the equivalence oracle.
-    /// Never changes results; see
-    /// [`materialize_phase1`](Self::materialize_phase1).
-    pub fn with_materialized_phase1(mut self, materialize: bool) -> Self {
-        self.materialize_phase1 = materialize;
         self
     }
 
@@ -228,19 +208,14 @@ impl DhcConfig {
     /// configured adversary is translated with
     /// [`Adversary::for_class`] — crash schedules map global node ids to
     /// the class's local ids (crashes outside `members` do not apply),
-    /// and each class gets its own fault stream.
+    /// and each class gets its own fault stream. The per-round log is
+    /// always on: Phase 1's round-1 cross-color correction adds to each
+    /// class's round-1 deliveries, and the phase drops the merged log
+    /// afterwards when [`record_round_traffic`](Self::record_round_traffic)
+    /// is off.
     pub fn sim_config_for_class(&self, color: u32, members: &[NodeId]) -> SimConfig {
-        let mut sim = SimConfig::default()
-            .with_max_rounds(self.max_rounds)
-            .with_bandwidth_words(self.bandwidth_words)
-            .with_engine_threads(self.engine_threads)
-            .with_record_round_traffic(self.record_round_traffic);
-        if let Some(adv) = &self.adversary {
-            sim = sim.with_adversary(adv.for_class(members, color));
-        }
-        if let Some(col) = &self.collector {
-            sim = sim.with_collector(col.clone());
-        }
+        let mut sim = self.sim_config().with_record_round_traffic(true);
+        sim.adversary = self.adversary.as_ref().map(|adv| adv.for_class(members, color));
         sim
     }
 

@@ -36,15 +36,16 @@
 
 use crate::kmachine::KMachineProbe;
 use crate::output::NodeCycleOutput;
-use crate::runner::{draw_colors, run_phase1, Phase1Outcome, PhaseBreakdown, RunOutcome};
+use crate::runner::{
+    compact_colors, draw_colors, run_phase1, Phase1Outcome, PhaseBreakdown, RunOutcome,
+};
 use crate::{cycle_from_incident_pairs, DhcConfig, DhcError};
 use dhc_congest::{Context, Inbox, Network, NodeId, Payload, Protocol, SimError, Span};
 use dhc_graph::rng::derive_seed;
-use dhc_graph::{Graph, Partition};
+use dhc_graph::Graph;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 /// Identifier of one hypernode-rotation broadcast: `(initiator, sequence)`.
 pub type RotKey = (NodeId, u32);
@@ -514,18 +515,9 @@ pub(crate) fn run(
         return Err(DhcError::GraphTooSmall { n });
     }
     let (partition, _) = draw_colors(n, cfg);
-    // Compact colors (drop empty classes) so hypernode indices are dense.
-    let mut relabel: HashMap<u32, u32> = HashMap::new();
-    let mut next = 0u32;
-    for class in partition.classes() {
-        if !class.is_empty() {
-            relabel.insert(partition.color(class[0]), next);
-            next += 1;
-        }
-    }
-    let colors: Vec<u32> = (0..n).map(|v| relabel[&partition.color((v) as u32)]).collect();
-    let k = next as usize;
-    let compacted = Partition::from_colors(colors, k);
+    // Dense class ids, so hypernode indices are too.
+    let compacted = compact_colors(&partition);
+    let k = compacted.class_count();
 
     let mut run_span = Span::root(cfg.collector.as_ref(), "run", format!("dhc1 n={n} k={k}"));
     let phase1 = run_phase1(graph, &compacted, cfg, km.as_deref_mut(), &run_span)?;

@@ -34,13 +34,13 @@
 
 use crate::kmachine::KMachineProbe;
 use crate::output::pairs_from_links;
-use crate::runner::{draw_colors, run_phase1, PhaseBreakdown, RunOutcome};
+use crate::runner::{compact_colors, draw_colors, run_phase1, PhaseBreakdown, RunOutcome};
 use crate::{cycle_from_incident_pairs, DhcConfig, DhcError};
 use dhc_congest::{
     Context, EngineScratch, Inbox, Metrics, Network, NodeId, Payload, Protocol, SimError, Span,
 };
 use dhc_graph::{Graph, Partition};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Which of the partner's cycle edges the bridge replaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -588,18 +588,9 @@ pub(crate) fn run_with_colors(
     mut km: Option<&mut KMachineProbe>,
 ) -> Result<RunOutcome, DhcError> {
     let n = graph.node_count();
-    // Compact colors: relabel non-empty classes to 0..k'-1 so pairing works.
-    let mut relabel: HashMap<u32, u32> = HashMap::new();
-    let mut next = 0u32;
-    for class in partition.classes() {
-        if !class.is_empty() {
-            relabel.insert(partition.color(class[0]), next);
-            next += 1;
-        }
-    }
-    let colors: Vec<u32> = (0..n).map(|v| relabel[&partition.color((v) as u32)]).collect();
-    let k = next as usize;
-    let compacted = Partition::from_colors(colors, k);
+    // Dense class ids, so pairing works.
+    let compacted = compact_colors(partition);
+    let k = compacted.class_count();
 
     let mut run_span = Span::root(cfg.collector.as_ref(), "run", format!("dhc2 n={n} k={k}"));
     let phase1 = run_phase1(graph, &compacted, cfg, km.as_deref_mut(), &run_span)?;

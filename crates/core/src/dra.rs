@@ -147,7 +147,8 @@ pub struct DraNode {
     /// in the per-class-view simulations that dominate Phase 1). When
     /// set, partition floods lower onto the engine's O(1) broadcast
     /// fabric; otherwise they stay per-neighbor unicasts over the
-    /// same-color subset.
+    /// same-color subset, as in the whole-graph Phase-1 run that
+    /// `crates/core/tests/phase1_oracle.rs` pins the runner to.
     flood_all: bool,
 
     // Leader election.

@@ -9,7 +9,7 @@ use crate::{cycle_from_incident_pairs, DhcConfig, DhcError};
 use dhc_congest::machine::{MachineMap, MachineRoundLog};
 use dhc_congest::{EngineScratch, Metrics, Network, Span};
 use dhc_graph::rng::{derive_seed, rng_from_seed};
-use dhc_graph::{Graph, HamiltonianCycle, NodeId, Partition, PartitionedGraph, Topology};
+use dhc_graph::{ClassView, Graph, HamiltonianCycle, NodeId, Partition, PartitionedGraph};
 
 /// Per-phase cost breakdown of a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,29 +76,27 @@ struct PartitionRun<'a> {
 }
 
 /// Simulates one color class's DRA instance on its induced subgraph,
-/// given as any [`Topology`] over local ids — a zero-copy
-/// [`dhc_graph::ClassView`] on the hot path, or a materialized
-/// [`Graph`] when [`DhcConfig::materialize_phase1`] selects the
-/// copying oracle. `map` is the class member list (`local → global`,
-/// ascending), which both representations share.
+/// given as a zero-copy [`ClassView`] whose member list (`local →
+/// global`, ascending) is borrowed by the returned run.
 ///
-/// Local ids run over `0..map.len()` in ascending global-id order, but
-/// each node's RNG stream stays keyed by its **global** id, so the run
-/// is a pure function of `(graph, members, color, seed)` — independent
-/// of how the other partitions are scheduled, and independent of the
-/// subgraph representation (both expose identical sorted local-id
-/// neighbor lists). Messages that crossed partition boundaries in a
-/// whole-graph simulation carried only the round-1 color exchange,
-/// which the subgraph construction resolves up front.
-fn run_one_partition<'a, T: Topology>(
-    topo: &T,
+/// Local ids run over `0..members.len()` in ascending global-id order,
+/// but each node's RNG stream stays keyed by its **global** id, so the
+/// run is a pure function of `(graph, members, color, seed)` —
+/// independent of how the other partitions are scheduled, and the same
+/// run the paper's whole-graph Phase 1 makes for this class (pinned by
+/// `crates/core/tests/phase1_oracle.rs`). Messages that crossed
+/// partition boundaries in the whole-graph run carried only the round-1
+/// color exchange, which [`account_cross_color_exchange`] charges
+/// afterwards.
+fn run_one_partition<'a>(
+    view: &ClassView<'a>,
     color: u32,
-    map: &'a [NodeId],
     cfg: &DhcConfig,
     seed_base: u64,
     machines: Option<MachineMap>,
     mut scratch: Option<&mut EngineScratch<DraMsg>>,
 ) -> Result<PartitionRun<'a>, DhcError> {
+    let map = view.members();
     let protocols: Vec<DraNode> = map
         .iter()
         .enumerate()
@@ -110,10 +108,10 @@ fn run_one_partition<'a, T: Topology>(
     // to this class's local ids and its own fault stream.
     let sim = cfg.sim_config_for_class(color, map);
     let mut net = match machines {
-        Some(m) => Network::new_with_machines(topo, sim, protocols, m)?,
+        Some(m) => Network::new_with_machines(view, sim, protocols, m)?,
         None => match scratch.as_deref_mut() {
-            Some(s) => Network::new_with_scratch(topo, sim, protocols, s)?,
-            None => Network::new(topo, sim, protocols)?,
+            Some(s) => Network::new_with_scratch(view, sim, protocols, s)?,
+            None => Network::new(view, sim, protocols)?,
         },
     };
     // Even on error, route teardown through the scratch so a failed
@@ -145,38 +143,16 @@ fn run_one_partition<'a, T: Topology>(
 /// the cross-color share does not exist inside the per-partition
 /// subgraph simulations — without this correction the partitioned
 /// runner would systematically under-report message/word totals and
-/// per-node load relative to a whole-graph execution.
-fn account_cross_color_exchange(
-    metrics: &mut Metrics,
-    graph: &Graph,
-    colors: &[u32],
-    pg: Option<&PartitionedGraph<'_>>,
-) {
-    let n = graph.node_count();
-    let mut total = 0u64;
-    let cross: Vec<u64> = match pg {
-        // O(n): the grouped adjacency already knows every node's
-        // cross-color degree (degree minus same-color neighbors).
-        Some(pg) => (0..n)
-            .map(|v| {
-                let c = pg.cross_degree((v) as u32) as u64;
-                total += c;
-                c
-            })
-            .collect(),
-        // Copying oracle path: O(m) edge scan.
-        None => {
-            let mut cross = vec![0u64; n];
-            for (u, v) in graph.edges() {
-                if colors[(u) as usize] != colors[(v) as usize] {
-                    cross[(u) as usize] += 1;
-                    cross[(v) as usize] += 1;
-                    total += 2;
-                }
-            }
-            cross
-        }
-    };
+/// per-node load relative to a whole-graph execution. `O(n)`: the
+/// grouped adjacency already knows every node's cross-color degree.
+///
+/// `metrics.round_traffic` must hold the merged class logs; it is empty
+/// only when no class ran a round.
+fn account_cross_color_exchange(metrics: &mut Metrics, pg: &PartitionedGraph<'_>) {
+    let graph = pg.graph();
+    let cross: Vec<u64> =
+        (0..graph.node_count()).map(|v| pg.cross_degree((v) as u32) as u64).collect();
+    let total: u64 = cross.iter().sum();
     if total == 0 {
         return;
     }
@@ -184,40 +160,39 @@ fn account_cross_color_exchange(
     metrics.words += total;
     for (v, &c) in cross.iter().enumerate() {
         // Symmetric: each cross edge carries one announcement each way,
-        // and the old whole-graph engine charged one compute unit per
+        // and the whole-graph engine charges one compute unit per
         // delivered message.
         metrics.sent_per_node[v] += c;
         metrics.received_per_node[v] += c;
         metrics.compute_per_node[v] += c;
     }
-    if metrics.round_traffic.is_empty() {
-        metrics.round_traffic.push(total);
-    } else {
-        metrics.round_traffic[0] += total;
+    match metrics.round_traffic.first_mut() {
+        Some(first) => *first += total,
+        None => metrics.round_traffic.push(total),
     }
     metrics.max_round_traffic = metrics.max_round_traffic.max(metrics.round_traffic[0]);
     // In round 1 every node's outbox is its full degree, and each edge
     // carries at least the 1-word color announcement.
-    let max_degree = graph.max_degree();
-    metrics.max_node_sends_per_round = metrics.max_node_sends_per_round.max(max_degree);
+    metrics.max_node_sends_per_round = metrics.max_node_sends_per_round.max(graph.max_degree());
     metrics.max_edge_words = metrics.max_edge_words.max(1);
 }
 
 /// Runs the per-partition DRA (Phase 1 of DHC1/DHC2) for the given
 /// partition and validates that every partition built a full subcycle.
 ///
-/// Each color class is an **isolated** simulation over its induced
-/// subgraph — by default a zero-copy [`dhc_graph::ClassView`] into one
-/// shared [`PartitionedGraph`] built in a single `O(n + m)` pass (no
-/// per-class CSR, no per-class `O(n)` remap), or a materialized
-/// [`Graph::induced_subgraph`] when [`DhcConfig::materialize_phase1`]
-/// selects the copying oracle. The classes execute concurrently on up
-/// to [`DhcConfig::effective_parallelism`] worker threads (the paper's
-/// Phase 1 runs its `√n` / `n^{1-δ}` DRA instances simultaneously —
-/// this is the same structure, exploited for wall-clock speed).
-/// Outcomes are folded in ascending color order and every per-node
-/// stream is keyed by the global node id, so the result is identical
-/// for every parallelism level and for both subgraph representations.
+/// The paper runs all classes at once in one synchronous network. Here
+/// each color class is an **isolated** simulation over a zero-copy
+/// [`ClassView`] into one shared [`PartitionedGraph`] built in a single
+/// `O(n + m)` pass (no per-class CSR, no per-class `O(n)` remap), and
+/// the cross-class round-1 color exchange is charged afterwards. The
+/// result equals the whole-graph run's except for the messages a class
+/// sends in the round its last node halts, which the whole-graph run
+/// delivers to halted nodes (pinned exactly by
+/// `crates/core/tests/phase1_oracle.rs`). The classes execute
+/// concurrently on up to [`DhcConfig::effective_parallelism`] worker
+/// threads. Outcomes are folded in ascending color order and every
+/// per-node stream is keyed by the global node id, so the result is
+/// identical for every parallelism level.
 ///
 /// When the classes run sequentially, one [`EngineScratch`] chains
 /// through all of them, so the `√n` per-class networks share a single
@@ -235,9 +210,7 @@ pub(crate) fn run_phase1(
     let jobs: Vec<usize> =
         (0..partition.class_count()).filter(|&c| !partition.class(c).is_empty()).collect();
     let mut phase_span = parent.child("phase", format!("phase1 classes={}", jobs.len()));
-
-    // The zero-copy grouping; `None` selects the copying oracle.
-    let pg = (!cfg.materialize_phase1).then(|| PartitionedGraph::new(graph, partition));
+    let pg = PartitionedGraph::new(graph, partition);
 
     // Immutable view of the machine assignment for the job closures; the
     // probe itself is only touched again after the jobs complete.
@@ -246,22 +219,12 @@ pub(crate) fn run_phase1(
     let run_job = |&class: &usize,
                    scratch: Option<&mut EngineScratch<DraMsg>>|
      -> Result<PartitionRun<'_>, DhcError> {
-        let members = partition.class(class);
+        let view = pg.class_view(class).expect("job classes are non-empty");
         let color = class as u32;
-        let machines = spec.map(|p| p.class_map(members));
-        let mut span = phase_span.child("class", format!("class {color} n={}", members.len()));
-        let result = match &pg {
-            Some(pg) => {
-                let view = pg.class_view(class).expect("job classes are non-empty");
-                run_one_partition(&view, color, members, cfg, seed_base, machines, scratch)
-            }
-            None => {
-                let (sub, _) = graph
-                    .induced_subgraph(members)
-                    .expect("partition classes hold valid, distinct node ids");
-                run_one_partition(&sub, color, members, cfg, seed_base, machines, scratch)
-            }
-        };
+        let machines = spec.map(|p| p.class_map(view.members()));
+        let mut span =
+            phase_span.child("class", format!("class {color} n={}", view.members().len()));
+        let result = run_one_partition(&view, color, cfg, seed_base, machines, scratch);
         if let Ok(run) = &result {
             span.add(run.metrics.rounds as u64, run.metrics.messages, run.metrics.words);
         }
@@ -301,7 +264,11 @@ pub(crate) fn run_phase1(
             raw_of[(global) as usize] = Some(run.raw[local]);
         }
     }
-    account_cross_color_exchange(&mut metrics, graph, partition.colors(), pg.as_ref());
+    account_cross_color_exchange(&mut metrics, &pg);
+    if !cfg.record_round_traffic {
+        // The class logs were kept only for the correction above.
+        metrics.round_traffic = Vec::new();
+    }
     phase_span.add(metrics.rounds as u64, metrics.messages, metrics.words);
     // The synthesized round-1 cross-partition color announcements cross
     // machine links too. Each announcement is one **broadcast** op
@@ -406,7 +373,9 @@ pub struct Subcycle {
 ///
 /// # Errors
 ///
-/// Returns a [`DhcError`] if any partition fails or the simulation faults.
+/// Returns a [`DhcError`] if any partition fails or the simulation
+/// faults. The partition is caller input: [`DhcError::InvalidConfig`] if
+/// it does not cover exactly the graph's nodes.
 ///
 /// # Example
 ///
@@ -433,6 +402,9 @@ pub fn run_partition_cycles(
     let n = graph.node_count();
     if n < 3 {
         return Err(DhcError::GraphTooSmall { n });
+    }
+    if partition.node_count() != n {
+        return Err(DhcError::InvalidConfig { what: "partition must hold one color per node" });
     }
     let mut run_span = Span::root(cfg.collector.as_ref(), "run", format!("partition-cycles n={n}"));
     let outcome = run_phase1(graph, partition, cfg, None, &run_span)?;
@@ -521,6 +493,23 @@ pub(crate) fn draw_colors(n: usize, cfg: &DhcConfig) -> (Partition, usize) {
     let k = cfg.partition_count(n);
     let mut rng = rng_from_seed(derive_seed(cfg.seed, 0x00C0));
     (Partition::random(n, k, &mut rng), k)
+}
+
+/// Relabels the non-empty classes of `partition` to `0..k` in color
+/// order and drops the empty ones, so class indices are dense (DHC1's
+/// hypernode ids, DHC2's merge pairing). `k` is the result's class
+/// count.
+pub(crate) fn compact_colors(partition: &Partition) -> Partition {
+    let mut relabel = vec![0u32; partition.class_count()];
+    let mut next = 0u32;
+    for (c, class) in partition.classes().enumerate() {
+        if !class.is_empty() {
+            relabel[c] = next;
+            next += 1;
+        }
+    }
+    let colors = partition.colors().iter().map(|&c| relabel[c as usize]).collect();
+    Partition::from_colors(colors, next as usize)
 }
 
 /// Runs **DHC2** (the paper's Algorithm 3): Phase-1 partition DRA plus
@@ -671,32 +660,37 @@ mod tests {
         // Square 0-1-2-3 colored by parity: all 4 edges are cross-color,
         // so round 1 pays 8 directed 1-word announcements.
         let g = dhc_graph::Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        let colors = [0, 1, 0, 1];
+        let partition = Partition::from_colors(vec![0, 1, 0, 1], 2);
         let mut m = Metrics::empty(4);
-        account_cross_color_exchange(&mut m, &g, &colors, None);
+        account_cross_color_exchange(&mut m, &PartitionedGraph::new(&g, &partition));
         assert_eq!(m.messages, 8);
         assert_eq!(m.words, 8);
         assert_eq!(m.sent_per_node, vec![2, 2, 2, 2]);
         assert_eq!(m.received_per_node, vec![2, 2, 2, 2]);
         assert_eq!(m.round_traffic, vec![8]);
+        assert_eq!(m.max_round_traffic, 8);
         assert_eq!(m.max_node_sends_per_round, 2);
 
-        // The O(n) grouped-adjacency fast path agrees with the edge scan.
-        let partition = Partition::from_colors(colors.to_vec(), 2);
-        let pg = PartitionedGraph::new(&g, &partition);
-        let mut fast = Metrics::empty(4);
-        account_cross_color_exchange(&mut fast, &g, &colors, Some(&pg));
-        assert_eq!(fast, m);
+        // The announcements join the classes' own round-1 deliveries.
+        let mut m = Metrics::empty(4);
+        m.round_traffic = vec![5, 9];
+        m.max_round_traffic = 9;
+        account_cross_color_exchange(&mut m, &PartitionedGraph::new(&g, &partition));
+        assert_eq!(m.round_traffic, vec![13, 9]);
+        assert_eq!(m.max_round_traffic, 13);
 
         // Uniform coloring: nothing crosses, metrics untouched.
-        let mut m = Metrics::empty(4);
-        account_cross_color_exchange(&mut m, &g, &[0; 4], None);
-        assert_eq!(m, Metrics::empty(4));
         let uniform = Partition::from_colors(vec![0; 4], 1);
-        let pg = PartitionedGraph::new(&g, &uniform);
         let mut m = Metrics::empty(4);
-        account_cross_color_exchange(&mut m, &g, &[0; 4], Some(&pg));
+        account_cross_color_exchange(&mut m, &PartitionedGraph::new(&g, &uniform));
         assert_eq!(m, Metrics::empty(4));
+    }
+
+    #[test]
+    fn compact_colors_drops_empty_classes_in_order() {
+        let p = compact_colors(&Partition::from_colors(vec![3, 1, 3, 4, 1], 6));
+        assert_eq!(p.colors(), &[1, 0, 1, 2, 0]);
+        assert_eq!(p.class_count(), 3);
     }
 
     #[test]

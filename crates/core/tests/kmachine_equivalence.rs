@@ -185,18 +185,3 @@ fn upcast_kmachine_is_equivalent_and_shows_the_root_hotspot() {
         mean
     );
 }
-
-#[test]
-fn materialized_phase1_oracle_agrees_under_kmachine_accounting() {
-    // The machine log must not depend on the Phase-1 subgraph
-    // representation either.
-    let n = 144;
-    let g = generator::gnp(n, 0.5, &mut rng_from_seed(90)).unwrap();
-    let cfg = DhcConfig::new(91).with_partitions(3);
-    let kcfg = KMachineConfig::new(4).with_rvp_seed(1);
-    let view = run_dhc2_kmachine(&g, &cfg, &kcfg).unwrap();
-    let copy = run_dhc2_kmachine(&g, &cfg.with_materialized_phase1(true), &kcfg).unwrap();
-    assert_eq!(view.0.cycle.order(), copy.0.cycle.order());
-    assert_eq!(view.0.metrics, copy.0.metrics);
-    assert_eq!(view.1, copy.1, "machine accounting diverged view vs copy");
-}

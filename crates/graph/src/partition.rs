@@ -11,7 +11,7 @@
 //! and [`PartitionedGraph`](crate::PartitionedGraph) can index straight
 //! into it.
 
-use crate::{Graph, GraphError, NodeId};
+use crate::NodeId;
 use rand::Rng;
 
 /// A partition of `0..n` into `k` color classes.
@@ -145,29 +145,11 @@ impl Partition {
         let (lo, hi) = (mean / 2.0, 1.5 * mean);
         self.classes().all(|c| (c.len() as f64) >= lo && (c.len() as f64) <= hi)
     }
-
-    /// The **materialized** induced subgraph of class `c` plus the
-    /// local→global mapping. Prefer
-    /// [`PartitionedGraph::class_view`](crate::PartitionedGraph::class_view)
-    /// on hot paths — it exposes the same subgraph zero-copy; this copying
-    /// form remains as the equivalence oracle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::EmptySelection`] if the class is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= k`.
-    pub fn induced(&self, graph: &Graph, c: usize) -> Result<(Graph, Vec<NodeId>), GraphError> {
-        graph.induced_subgraph(self.class(c))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator;
     use crate::rng::rng_from_seed;
 
     #[test]
@@ -222,24 +204,6 @@ mod tests {
         let k = 64;
         let p = Partition::random(n, k, &mut rng_from_seed(3));
         assert!(p.is_balanced(), "sizes: {:?}", p.class_sizes());
-    }
-
-    #[test]
-    fn induced_matches_manual() {
-        let g = generator::cycle_graph(6);
-        let p = Partition::from_colors(vec![0, 0, 1, 1, 0, 1], 2);
-        let (sub, map) = p.induced(&g, 0).unwrap();
-        assert_eq!(map, vec![0, 1, 4]);
-        // Global edges inside {0,1,4}: (0,1) and (4,5)? 5 not in class; (0,5) no.
-        assert_eq!(sub.edge_count(), 1);
-        assert!(sub.has_edge(0, 1));
-    }
-
-    #[test]
-    fn empty_class_induced_errors() {
-        let g = generator::cycle_graph(4);
-        let p = Partition::from_colors(vec![0, 0, 0, 0], 2);
-        assert!(p.induced(&g, 1).is_err());
     }
 
     #[test]

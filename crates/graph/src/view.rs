@@ -20,8 +20,9 @@
 //! simulate a class directly — bit-identical to simulating the
 //! materialized induced subgraph, since both expose the same node count
 //! and the same sorted local-id neighbor lists (pinned by
-//! `crates/graph/tests/proptest_view.rs` and
-//! `crates/core/tests/view_equivalence.rs`).
+//! `crates/graph/tests/proptest_view.rs`, and for engine traces by
+//! `crates/core/tests/phase1_oracle.rs`). Phase 1 simulates classes only
+//! this way; `induced_subgraph` is the graph-level oracle.
 
 use crate::{Graph, GraphError, NodeId, Partition, Topology};
 
@@ -201,14 +202,14 @@ pub struct ClassView<'a> {
     edges: usize,
 }
 
-impl ClassView<'_> {
+impl<'a> ClassView<'a> {
     /// This view's class index (color).
     pub fn class(&self) -> usize {
         self.class
     }
 
     /// The local→global id map: `members()[local] == global`, ascending.
-    pub fn members(&self) -> &[NodeId] {
+    pub fn members(&self) -> &'a [NodeId] {
         self.members
     }
 

@@ -2,8 +2,10 @@
 //! error (never a hang, panic, or silent wrong answer).
 
 use dhc::congest::SimError;
-use dhc::core::{run_dhc1, run_dhc2, run_dhc2_with_colors, run_dra, run_upcast, DhcConfig};
-use dhc::graph::{generator, rng::rng_from_seed, Graph};
+use dhc::core::{
+    run_dhc1, run_dhc2, run_dhc2_with_colors, run_dra, run_partition_cycles, run_upcast, DhcConfig,
+};
+use dhc::graph::{generator, rng::rng_from_seed, Graph, Partition};
 use dhc::{Adversary, DhcError};
 
 #[test]
@@ -40,6 +42,16 @@ fn bad_coloring_rejected_by_dhc2_with_colors() {
     // Valid colorings run, even with far more classes than colors used.
     for num_colors in [2, usize::MAX] {
         assert!(run_dhc2_with_colors(&g, &cfg, &two_classes, num_colors).is_ok());
+    }
+}
+
+#[test]
+fn wrong_size_partition_rejected_by_partition_cycles() {
+    let cfg = DhcConfig::new(1);
+    let ten_nodes = Partition::from_colors(vec![0; 10], 1);
+    for g in [generator::complete(40), generator::complete(5)] {
+        let res = run_partition_cycles(&g, &ten_nodes, &cfg);
+        assert!(matches!(res, Err(DhcError::InvalidConfig { .. })), "{res:?}");
     }
 }
 
