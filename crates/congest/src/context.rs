@@ -1,7 +1,7 @@
 //! Per-callback node context: the API a protocol uses to interact with
 //! the network.
 
-use crate::effects::Effects;
+use crate::effects::{Dest, Effects};
 use crate::{NodeId, Payload, SimError};
 
 /// Handle given to [`Protocol`](crate::Protocol) callbacks.
@@ -21,6 +21,10 @@ use crate::{NodeId, Payload, SimError};
 /// shared engine state. This is what lets the engine run all of a round's
 /// callbacks in parallel and commit the effects deterministically
 /// afterwards (see [`Config::engine_threads`](crate::Config::engine_threads)).
+/// Each successful send call appends one op to the node's op list, in
+/// call order, and adds its deliveries and words to the node's round
+/// totals; the payload's [`words`](Payload::words) is read here, on the
+/// calling thread.
 #[derive(Debug)]
 pub struct Context<'a, M: Payload> {
     pub(crate) node: NodeId,
@@ -81,8 +85,7 @@ impl<M: Payload> Context<'_, M> {
             }
             return;
         }
-        let seq = self.fx.next_seq();
-        self.fx.sends.push((seq, to, msg));
+        self.fx.push(Dest::To(to), self.nbrs.len(), msg);
     }
 
     /// Sends `msg` to every neighbor (one copy per incident edge, as the
@@ -99,8 +102,7 @@ impl<M: Payload> Context<'_, M> {
         if self.nbrs.is_empty() {
             return;
         }
-        let seq = self.fx.next_seq();
-        self.fx.bcasts.push((seq, None, msg));
+        self.fx.push(Dest::All, self.nbrs.len(), msg);
     }
 
     /// Sends `msg` to every neighbor **except** `skip` — the skip-one
@@ -113,9 +115,12 @@ impl<M: Payload> Context<'_, M> {
         if self.nbrs.is_empty() {
             return;
         }
-        let skip = if skip != self.node && self.is_neighbor(skip) { Some(skip) } else { None };
-        let seq = self.fx.next_seq();
-        self.fx.bcasts.push((seq, skip, msg));
+        let dest = if skip != self.node && self.is_neighbor(skip) {
+            Dest::AllBut(skip)
+        } else {
+            Dest::All
+        };
+        self.fx.push(dest, self.nbrs.len(), msg);
     }
 
     /// [`send_all`](Context::send_all) /

@@ -10,48 +10,85 @@
 //! (metrics, trace, message delivery order) is bit-identical at every
 //! thread count.
 //!
-//! Unicast sends and broadcasts share one per-node **op sequence**: every
-//! `Context::send` / `send_all` / `send_all_except` call consumes the next
-//! sequence number. The fold commits each node's ops in that order, so
-//! every receiver's [`Inbox`](crate::Inbox) list gets them in the exact
+//! Unicast sends and broadcasts share one per-node **op list**: every
+//! successful `Context::send` / `send_all` / `send_all_except` call
+//! pushes one [`Op`], and an op's index in the list is its **sequence
+//! number**. The fold commits the list in index order, so every
+//! receiver's [`Inbox`](crate::Inbox) list gets the ops in the exact
 //! call-order interleaving a per-neighbor unicast expansion would have
 //! produced. The number also travels with each arena record, so the
-//! adversary's delayed messages can be re-sorted into place.
+//! adversary's fates are keyed on it and its delayed messages can be
+//! re-sorted into place.
+//!
+//! Each push also takes the payload's word count (on the worker thread,
+//! so the fold never calls into payload code) and updates the node's
+//! round totals: directed deliveries, delivered words, the broadcast
+//! base load, and the counts of unicast and skip ops. From these the
+//! fold charges the sender's metrics once per node and answers the
+//! common bandwidth shapes with one comparison (see
+//! [`Effects::check_bandwidth`]).
 //!
 //! `Effects` values live in a pool owned by the
-//! [`Network`](crate::Network) and are reused across rounds: the vectors
-//! keep their capacity, so a warmed-up engine allocates nothing per round.
+//! [`Network`](crate::Network) and are reused across rounds: the op list
+//! keeps its capacity, so a warmed-up engine allocates nothing per round.
 
 use crate::{NodeId, Payload, SimError};
+
+/// Where one [`Op`] goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dest {
+    /// One neighbor ([`Context::send`](crate::Context::send)).
+    To(NodeId),
+    /// Every neighbor ([`Context::send_all`](crate::Context::send_all)).
+    All,
+    /// Every neighbor but this one
+    /// ([`Context::send_all_except`](crate::Context::send_all_except)).
+    AllBut(NodeId),
+}
+
+impl Dest {
+    /// The addressed nodes, given the sender's sorted neighbor slice:
+    /// ascending for a broadcast.
+    pub(crate) fn targets<'a>(&'a self, nbrs: &'a [NodeId]) -> impl Iterator<Item = NodeId> + 'a {
+        let (list, skip) = match self {
+            Dest::To(to) => (std::slice::from_ref(to), None),
+            Dest::All => (nbrs, None),
+            Dest::AllBut(s) => (nbrs, Some(*s)),
+        };
+        list.iter().copied().filter(move |&u| Some(u) != skip)
+    }
+}
+
+/// One send op: a unicast, or a broadcast whose **one** payload copy
+/// serves every addressed neighbor.
+#[derive(Debug)]
+pub(crate) struct Op<M> {
+    pub(crate) dest: Dest,
+    /// `msg.words().max(1)`, taken at push time.
+    pub(crate) words: usize,
+    pub(crate) msg: M,
+}
 
 /// Everything one node's callback did in one round, staged for the
 /// commit fold.
 #[derive(Debug)]
 pub(crate) struct Effects<M: Payload> {
-    /// Queued unicast sends as `(op seq, destination, message)`, in call
-    /// order.
-    pub(crate) sends: Vec<(u32, NodeId, M)>,
-    /// Queued broadcasts as `(op seq, excluded neighbor, message)`, in
-    /// call order. One entry per `send_all`/`send_all_except` call —
-    /// **one** payload copy regardless of the sender's degree.
-    pub(crate) bcasts: Vec<(u32, Option<NodeId>, M)>,
-    /// Next op sequence number (shared by sends and broadcasts).
-    pub(crate) seq: u32,
-    /// `sends[i].2.words().max(1)`, precomputed on the worker thread so
-    /// the fold never calls into payload code.
-    pub(crate) send_words: Vec<usize>,
-    /// `bcasts[i].2.words().max(1)`, likewise.
-    pub(crate) bcast_words: Vec<usize>,
-    /// Sum of `bcast_words`: the broadcast word load every non-excluded
-    /// neighbor receives this round.
-    pub(crate) bcast_total_words: usize,
-    /// `(destination, words)` of the **unicast** sends, sorted by
-    /// destination — one input of the fold's per-directed-edge bandwidth
-    /// check.
-    pub(crate) edge_words: Vec<(NodeId, usize)>,
-    /// `(excluded neighbor, words)` per broadcast that excludes one,
-    /// sorted — the fold subtracts these from the broadcast base load.
-    pub(crate) skip_words: Vec<(NodeId, usize)>,
+    /// Send ops in call order; an op's index is its sequence number.
+    /// Appended only by [`push`](Self::push), which keeps the totals
+    /// below in step; the fold drains it.
+    pub(crate) ops: Vec<Op<M>>,
+    /// Directed deliveries of `ops` (a broadcast counts once per
+    /// addressed neighbor) — the sender's message count this round.
+    deliveries: usize,
+    /// Words of those deliveries.
+    delivered_words: u64,
+    /// Summed words of every broadcast op: the load of a neighbor that
+    /// no unicast targets and no skip op excludes.
+    base_words: usize,
+    /// Number of [`Dest::To`] ops.
+    unicasts: usize,
+    /// Number of [`Dest::AllBut`] ops.
+    skips: usize,
     /// The node called [`Context::halt`](crate::Context::halt).
     pub(crate) halted: bool,
     /// Requested wake-up round (already minimized across `wake_in` calls).
@@ -68,14 +105,12 @@ pub(crate) struct Effects<M: Payload> {
 impl<M: Payload> Default for Effects<M> {
     fn default() -> Self {
         Effects {
-            sends: Vec::new(),
-            bcasts: Vec::new(),
-            seq: 0,
-            send_words: Vec::new(),
-            bcast_words: Vec::new(),
-            bcast_total_words: 0,
-            edge_words: Vec::new(),
-            skip_words: Vec::new(),
+            ops: Vec::new(),
+            deliveries: 0,
+            delivered_words: 0,
+            base_words: 0,
+            unicasts: 0,
+            skips: 0,
             halted: false,
             wake: None,
             compute: 0,
@@ -86,16 +121,14 @@ impl<M: Payload> Default for Effects<M> {
 }
 
 impl<M: Payload> Effects<M> {
-    /// Clears the scratch for reuse, keeping vector capacity.
+    /// Clears the scratch for reuse, keeping the op list's capacity.
     pub(crate) fn reset(&mut self) {
-        self.sends.clear();
-        self.bcasts.clear();
-        self.seq = 0;
-        self.send_words.clear();
-        self.bcast_words.clear();
-        self.bcast_total_words = 0;
-        self.edge_words.clear();
-        self.skip_words.clear();
+        self.ops.clear();
+        self.deliveries = 0;
+        self.delivered_words = 0;
+        self.base_words = 0;
+        self.unicasts = 0;
+        self.skips = 0;
         self.halted = false;
         self.wake = None;
         self.compute = 0;
@@ -103,185 +136,311 @@ impl<M: Payload> Effects<M> {
         self.memory = 0;
     }
 
-    /// Allocated footprint of the staging vectors, in bytes.
+    /// Directed deliveries of the pushed ops.
+    pub(crate) fn deliveries(&self) -> usize {
+        self.deliveries
+    }
+
+    /// Words of the pushed ops' deliveries.
+    pub(crate) fn delivered_words(&self) -> u64 {
+        self.delivered_words
+    }
+
+    /// Number of pushed unicast ops.
+    pub(crate) fn unicasts(&self) -> usize {
+        self.unicasts
+    }
+
+    /// Allocated footprint of the op list, in bytes.
     pub(crate) fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.sends.capacity() * size_of::<(u32, NodeId, M)>()
-            + self.bcasts.capacity() * size_of::<(u32, Option<NodeId>, M)>()
-            + (self.send_words.capacity() + self.bcast_words.capacity()) * size_of::<usize>()
-            + (self.edge_words.capacity() + self.skip_words.capacity())
-                * size_of::<(NodeId, usize)>()
+        self.ops.capacity() * std::mem::size_of::<Op<M>>()
     }
 
-    /// Consumes the next op sequence number.
-    pub(crate) fn next_seq(&mut self) -> u32 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
-    /// Finishes the compute phase for this node: records the sampled
-    /// memory and precomputes the word counts the fold consumes. Runs on
-    /// the worker thread, in parallel across nodes.
-    pub(crate) fn seal(&mut self, memory: usize) {
-        self.memory = memory;
-        self.send_words.clear();
-        self.send_words.extend(self.sends.iter().map(|(_, _, m)| m.words().max(1)));
-        self.edge_words.clear();
-        self.edge_words
-            .extend(self.sends.iter().zip(&self.send_words).map(|(&(_, to, _), &w)| (to, w)));
-        // Only the per-destination sums matter, so an unstable sort is
-        // fine — and it is deterministic for a fixed input either way.
-        self.edge_words.sort_unstable();
-        self.bcast_words.clear();
-        self.bcast_words.extend(self.bcasts.iter().map(|(_, _, m)| m.words().max(1)));
-        self.bcast_total_words = self.bcast_words.iter().sum();
-        self.skip_words.clear();
-        self.skip_words.extend(
-            self.bcasts
-                .iter()
-                .zip(&self.bcast_words)
-                .filter_map(|(&(_, skip, _), &w)| skip.map(|s| (s, w))),
-        );
-        self.skip_words.sort_unstable();
-    }
-
-    /// Total directed sends (broadcasts expanded per addressed
-    /// neighbor) — the `max_node_sends_per_round` contribution.
-    pub(crate) fn total_sends(&self, nbrs_len: usize) -> usize {
-        self.sends.len()
-            + self
-                .bcasts
-                .iter()
-                .map(|(_, skip, _)| nbrs_len - usize::from(skip.is_some()))
-                .sum::<usize>()
+    /// Appends one op from a sender of degree `degree` (≥ 1, and a
+    /// `To`/`AllBut` node already checked to be a neighbor) and adds it
+    /// to the round totals.
+    pub(crate) fn push(&mut self, dest: Dest, degree: usize, msg: M) {
+        let words = msg.words().max(1);
+        let count = match dest {
+            Dest::To(_) => {
+                self.unicasts += 1;
+                1
+            }
+            Dest::All => {
+                self.base_words += words;
+                degree
+            }
+            Dest::AllBut(_) => {
+                self.base_words += words;
+                self.skips += 1;
+                degree - 1
+            }
+        };
+        self.deliveries += count;
+        self.delivered_words += words as u64 * count as u64;
+        self.ops.push(Op { dest, words, msg });
     }
 
     /// Per-destination bandwidth check for a clean sender with neighbor
-    /// slice `nbrs`, updating `max_edge` as it walks (including the
+    /// slice `nbrs`, updating `max_edge` as it goes (including the
     /// partial updates before a violation). Returns the first violating
     /// `(destination, attempted words)` in ascending destination order.
+    ///
+    /// Two shapes take one comparison: a lone unicast, and broadcasts
+    /// alone when fewer skip ops than neighbors leave some neighbor
+    /// carrying the whole base load, which no edge exceeds. Every other
+    /// shape, and a broadcast shape over budget, sorts its unicast and
+    /// skip loads into `scratch` and walks them.
     pub(crate) fn check_bandwidth(
         &self,
         nbrs: &[NodeId],
         budget: usize,
         max_edge: &mut usize,
+        scratch: &mut Vec<(NodeId, usize)>,
     ) -> Result<(), (NodeId, usize)> {
-        if self.bcast_total_words == 0 {
-            // Unicast-only: walk the sorted (destination, words) list.
-            let ew = &self.edge_words;
-            let mut a = 0;
-            while a < ew.len() {
-                let to = ew[a].0;
-                let mut words = 0usize;
-                let mut b = a;
-                while b < ew.len() && ew[b].0 == to {
-                    words += ew[b].1;
-                    b += 1;
-                }
-                if words > budget {
-                    return Err((to, words));
-                }
-                if words > *max_edge {
-                    *max_edge = words;
-                }
-                a = b;
+        if self.unicasts == 0 && self.skips < nbrs.len() && self.base_words <= budget {
+            *max_edge = (*max_edge).max(self.base_words);
+            return Ok(());
+        }
+        if let [Op { dest: Dest::To(to), words, .. }] = self.ops[..] {
+            if words > budget {
+                return Err((to, words));
             }
-        } else if self.edge_words.is_empty() && self.skip_words.is_empty() {
-            // Uniform broadcast load: every neighbor carries exactly the
-            // broadcast base — one check instead of a per-neighbor walk
-            // (the common flood shape; a violation's first destination is
-            // the first neighbor, like the full walk's).
-            if !nbrs.is_empty() {
-                let words = self.bcast_total_words;
-                if words > budget {
-                    return Err((nbrs[0], words));
-                }
-                if words > *max_edge {
-                    *max_edge = words;
-                }
+            *max_edge = (*max_edge).max(words);
+            return Ok(());
+        }
+        scratch.clear();
+        scratch.extend(self.ops.iter().filter_map(|op| match op.dest {
+            Dest::To(to) => Some((to, op.words)),
+            _ => None,
+        }));
+        let n_uni = scratch.len();
+        scratch.extend(self.ops.iter().filter_map(|op| match op.dest {
+            Dest::AllBut(s) => Some((s, op.words)),
+            _ => None,
+        }));
+        // Only the per-destination sums matter, so unstable sorts are
+        // fine, and deterministic for a fixed input either way.
+        let (uni, skips) = scratch.split_at_mut(n_uni);
+        uni.sort_unstable();
+        skips.sort_unstable();
+        if self.base_words == 0 {
+            return check_edge_loads(uni, budget, max_edge);
+        }
+        // Every neighbor carries the broadcast base minus its skips,
+        // plus its unicasts — walked in ascending destination order,
+        // exactly the per-edge totals (and first-violation destination)
+        // of the expanded unicast equivalent. Every unicast and skip
+        // names a neighbor (`Context` checks), so both cursors keep pace.
+        let (mut a, mut b) = (0, 0);
+        for &to in nbrs {
+            let mut words = self.base_words;
+            while a < uni.len() && uni[a].0 == to {
+                words += uni[a].1;
+                a += 1;
             }
-        } else {
-            // Broadcasting sender with non-uniform load: every neighbor
-            // carries the broadcast base minus per-record skips, plus any
-            // unicast words — walked in ascending destination order,
-            // exactly the per-edge totals (and first-violation
-            // destination) of the expanded unicast equivalent.
-            let base = self.bcast_total_words;
-            let (uni, skips) = (&self.edge_words, &self.skip_words);
-            let (mut a, mut b) = (0, 0);
-            for &to in nbrs {
-                let mut words = base;
-                while a < uni.len() && uni[a].0 < to {
-                    a += 1;
-                }
-                while a < uni.len() && uni[a].0 == to {
-                    words += uni[a].1;
-                    a += 1;
-                }
-                while b < skips.len() && skips[b].0 < to {
-                    b += 1;
-                }
-                while b < skips.len() && skips[b].0 == to {
-                    words -= skips[b].1;
-                    b += 1;
-                }
-                if words > budget {
-                    return Err((to, words));
-                }
-                if words > *max_edge {
-                    *max_edge = words;
-                }
+            while b < skips.len() && skips[b].0 == to {
+                words -= skips[b].1;
+                b += 1;
             }
+            if words > budget {
+                return Err((to, words));
+            }
+            *max_edge = (*max_edge).max(words);
         }
         Ok(())
     }
 }
 
+/// Sums sorted `(destination, words)` entries per destination and
+/// checks the sums against `budget` in ascending destination order,
+/// raising `max_edge` up to the first violation, which it returns.
+pub(crate) fn check_edge_loads(
+    loads: &[(NodeId, usize)],
+    budget: usize,
+    max_edge: &mut usize,
+) -> Result<(), (NodeId, usize)> {
+    let mut a = 0;
+    while a < loads.len() {
+        let to = loads[a].0;
+        let mut words = 0usize;
+        while a < loads.len() && loads[a].0 == to {
+            words += loads[a].1;
+            a += 1;
+        }
+        if words > budget {
+            return Err((to, words));
+        }
+        *max_edge = (*max_edge).max(words);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Context;
 
-    #[test]
-    fn seal_precomputes_sorted_edge_words() {
-        let mut fx: Effects<u64> = Effects::default();
-        fx.sends.push((0, 3, 7));
-        fx.sends.push((1, 1, 8));
-        fx.sends.push((2, 3, 9));
-        fx.seal(5);
-        assert_eq!(fx.send_words, vec![1, 1, 1]);
-        assert_eq!(fx.edge_words, vec![(1, 1), (3, 1), (3, 1)]);
-        assert_eq!(fx.memory, 5);
-        assert_eq!(fx.bcast_total_words, 0);
+    /// A payload of a chosen word count.
+    #[derive(Clone, Debug)]
+    struct W(usize);
+    impl Payload for W {
+        fn words(&self) -> usize {
+            self.0
+        }
+    }
+
+    /// Runs `f` as node `node` with neighbors `nbrs`, recording into `fx`.
+    fn with_ctx(
+        fx: &mut Effects<W>,
+        node: NodeId,
+        nbrs: &[NodeId],
+        f: impl FnOnce(&mut Context<'_, W>),
+    ) {
+        let mut ctx = Context { node, round: 3, n: 16, nbrs, fx };
+        f(&mut ctx);
+    }
+
+    fn dests(fx: &Effects<W>) -> Vec<Dest> {
+        fx.ops.iter().map(|op| op.dest).collect()
     }
 
     #[test]
-    fn seal_precomputes_broadcast_words_and_skips() {
-        let mut fx: Effects<u64> = Effects::default();
-        fx.bcasts.push((0, None, 7));
-        fx.bcasts.push((1, Some(4), 8));
-        fx.bcasts.push((2, Some(2), 9));
-        fx.seal(0);
-        assert_eq!(fx.bcast_words, vec![1, 1, 1]);
-        assert_eq!(fx.bcast_total_words, 3);
-        assert_eq!(fx.skip_words, vec![(2, 1), (4, 1)]);
+    fn op_index_is_the_sequence_number() {
+        let mut fx = Effects::default();
+        with_ctx(&mut fx, 2, &[1, 3, 4], |ctx| {
+            ctx.send(3, W(1));
+            ctx.send_all(W(1));
+            ctx.send(9, W(1)); // not a neighbor: a fault, no op
+            ctx.send_all_except(4, W(1));
+            ctx.send_all_except(9, W(1)); // not a neighbor: plain send_all
+            ctx.flood_except(Some(1), W(1));
+            ctx.send(1, W(1));
+        });
+        assert_eq!(
+            dests(&fx),
+            [Dest::To(3), Dest::All, Dest::AllBut(4), Dest::All, Dest::AllBut(1), Dest::To(1)]
+        );
+        assert_eq!(fx.fault, Some(SimError::NotANeighbor { from: 2, to: 9, round: 3 }));
+        let addressed = dests(&fx).iter().map(|d| d.targets(&[1, 3, 4]).count()).sum::<usize>();
+        assert_eq!((addressed, fx.deliveries), (12, 12));
+    }
+
+    #[test]
+    fn each_push_method_updates_the_round_totals() {
+        let nbrs: &[NodeId] = &[1, 3, 4];
+        let totals = |fx: &Effects<W>| {
+            (fx.deliveries, fx.delivered_words, fx.base_words, fx.unicasts, fx.skips)
+        };
+        let mut fx = Effects::default();
+        with_ctx(&mut fx, 2, nbrs, |ctx| ctx.send(3, W(2)));
+        assert_eq!(totals(&fx), (1, 2, 0, 1, 0));
+        with_ctx(&mut fx, 2, nbrs, |ctx| ctx.send_all(W(3)));
+        assert_eq!(totals(&fx), (4, 2 + 9, 3, 1, 0));
+        with_ctx(&mut fx, 2, nbrs, |ctx| ctx.send_all_except(4, W(5)));
+        assert_eq!(totals(&fx), (6, 11 + 10, 8, 1, 1));
+        // An empty payload is charged one word.
+        with_ctx(&mut fx, 2, nbrs, |ctx| ctx.flood_except(None, W(0)));
+        assert_eq!(totals(&fx), (9, 21 + 3, 9, 1, 1));
+        assert_eq!(fx.ops.iter().map(|op| op.words).collect::<Vec<_>>(), [2, 3, 5, 1]);
+        // Rejected sends add nothing.
+        with_ctx(&mut fx, 2, nbrs, |ctx| ctx.send(2, W(7)));
+        with_ctx(&mut fx, 2, &[], |ctx| ctx.send_all(W(7)));
+        assert_eq!((totals(&fx), fx.ops.len()), ((9, 24, 9, 1, 1), 4));
+    }
+
+    #[test]
+    fn degree_one_send_all_except_addresses_nobody_but_takes_a_sequence_number() {
+        let mut fx = Effects::default();
+        with_ctx(&mut fx, 0, &[5], |ctx| {
+            ctx.send_all_except(5, W(2));
+            ctx.send(5, W(1));
+        });
+        assert_eq!(dests(&fx), [Dest::AllBut(5), Dest::To(5)]);
+        assert_eq!(Dest::AllBut(5).targets(&[5]).count(), 0);
+        assert_eq!((fx.deliveries, fx.delivered_words, fx.base_words, fx.skips), (1, 1, 2, 1));
+        // The edge carries only the unicast.
+        let mut max_edge = 0;
+        assert_eq!(fx.check_bandwidth(&[5], 1, &mut max_edge, &mut Vec::new()), Ok(()));
+        assert_eq!(max_edge, 1);
+    }
+
+    /// The reference: every op expanded per addressed neighbor, loads
+    /// summed per destination and walked in ascending order.
+    fn expanded_check(
+        fx: &Effects<W>,
+        nbrs: &[NodeId],
+        budget: usize,
+        max_edge: &mut usize,
+    ) -> Result<(), (NodeId, usize)> {
+        let mut load = std::collections::BTreeMap::new();
+        for op in &fx.ops {
+            for to in op.dest.targets(nbrs) {
+                *load.entry(to).or_insert(0) += op.words;
+            }
+        }
+        for (to, words) in load {
+            if words > budget {
+                return Err((to, words));
+            }
+            *max_edge = (*max_edge).max(words);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn bandwidth_check_matches_the_unicast_expansion() {
+        let nbrs: &[NodeId] = &[1, 2, 4, 7];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound) as usize
+        };
+        let mut scratch = Vec::new();
+        for case in 0..4000 {
+            let deg = 1 + case % nbrs.len();
+            let nbrs = &nbrs[..deg];
+            let mut fx = Effects::default();
+            with_ctx(&mut fx, 0, nbrs, |ctx| {
+                for _ in 0..next(5) {
+                    let (to, words) = (nbrs[next(deg as u64)], 1 + next(3));
+                    match next(3) {
+                        0 => ctx.send(to, W(words)),
+                        1 => ctx.send_all(W(words)),
+                        _ => ctx.send_all_except(to, W(words)),
+                    }
+                }
+            });
+            let budget = 1 + next(6);
+            let start = next(4);
+            let (mut got_max, mut want_max) = (start, start);
+            let got = fx.check_bandwidth(nbrs, budget, &mut got_max, &mut scratch);
+            let want = expanded_check(&fx, nbrs, budget, &mut want_max);
+            assert_eq!((got, got_max), (want, want_max), "case {case}: {:?}", dests(&fx));
+        }
     }
 
     #[test]
     fn reset_clears_everything() {
-        let mut fx: Effects<u64> = Effects::default();
-        let seq = fx.next_seq();
-        fx.sends.push((seq, 0, 1));
-        let seq = fx.next_seq();
-        fx.bcasts.push((seq, None, 2));
-        fx.halted = true;
-        fx.wake = Some(9);
-        fx.compute = 4;
-        fx.seal(0);
+        let mut fx = Effects::default();
+        with_ctx(&mut fx, 0, &[1, 2], |ctx| {
+            ctx.send(1, W(1));
+            ctx.send_all_except(2, W(2));
+            ctx.send(5, W(1));
+            ctx.halt();
+            ctx.wake_in(9);
+            ctx.charge_compute(4);
+        });
+        fx.memory = 7;
         fx.reset();
-        assert!(fx.sends.is_empty() && fx.send_words.is_empty() && fx.edge_words.is_empty());
-        assert!(fx.bcasts.is_empty() && fx.bcast_words.is_empty() && fx.skip_words.is_empty());
-        assert_eq!((fx.seq, fx.bcast_total_words), (0, 0));
+        assert!(fx.ops.is_empty() && fx.ops.capacity() >= 2);
+        assert_eq!(
+            (fx.deliveries, fx.delivered_words, fx.base_words, fx.unicasts, fx.skips),
+            (0, 0, 0, 0, 0)
+        );
         assert!(!fx.halted && fx.wake.is_none() && fx.compute == 0 && fx.fault.is_none());
+        assert_eq!(fx.memory, 0);
     }
 }

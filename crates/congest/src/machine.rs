@@ -43,6 +43,15 @@
 
 use crate::NodeId;
 
+/// Largest supported machine count `k`. A directed link's index
+/// `from * k + to` is stored as a `u32`, so `k²` must not exceed `2³²`.
+///
+/// Memory grows as `k²`: every machine-instrumented network keeps one
+/// `u64` counter per directed link, and every [`MachineMetrics`] two
+/// more tables of that size. At `k = 1024` one table is 8 MiB; at this
+/// bound it would be 32 GiB.
+pub const MAX_MACHINES: usize = 1 << 16;
+
 /// Assignment of a network's nodes to `k` machines (`node id → machine`).
 ///
 /// The node-id space is the network's own — for a whole-graph simulation
@@ -66,13 +75,16 @@ pub struct MachineMap {
 }
 
 impl MachineMap {
-    /// Builds the map from an explicit assignment vector.
+    /// Builds the map from an explicit assignment vector. A network
+    /// instrumented with it allocates `k²` link counters (see
+    /// [`MAX_MACHINES`]).
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or any entry is `>= k`.
+    /// Panics if `k == 0`, `k >` [`MAX_MACHINES`], or any entry is `>= k`.
     pub fn new(machine_of: Vec<usize>, k: usize) -> Self {
         assert!(k > 0, "need at least one machine");
+        assert!(k <= MAX_MACHINES, "at most {MAX_MACHINES} machines (u32 link indices)");
         assert!(
             machine_of.iter().all(|&m| m < k),
             "machine assignment out of range (must be < {k})"
@@ -591,6 +603,12 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn map_rejects_bad_assignment() {
         MachineMap::new(vec![0, 3], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 link indices")]
+    fn map_rejects_more_machines_than_link_indices_address() {
+        MachineMap::new(Vec::new(), MAX_MACHINES + 1);
     }
 
     #[test]

@@ -14,19 +14,24 @@
 //!    applies the effects in ascending node-id order: bandwidth checks,
 //!    metrics, trace events, wake-up scheduling, halting, and routing of
 //!    sends into the next round's [`Mailboxes`] all happen here, so the
-//!    result is bit-identical at every thread count. Broadcast effects
-//!    (`send_all` / `send_all_except`) commit **one** payload copy into
-//!    the round's payload arena and push its index onto each addressed
-//!    neighbor's inbox list, while bandwidth, metrics, and trace are
-//!    still charged per directed edge — observationally identical to the
-//!    per-neighbor unicast expansion, at a fraction of the cost.
+//!    result is bit-identical at every thread count. Each node is one
+//!    walk over its op list: the sender's metrics are charged once from
+//!    the totals its send calls kept, the bandwidth check takes one
+//!    comparison for a lone unicast or a broadcast relay (and sorts only
+//!    when a node mixes ops), and the ops are routed in call order.
+//!    Broadcast ops (`send_all` / `send_all_except`) commit **one**
+//!    payload copy into the round's payload arena and push its index
+//!    onto each addressed neighbor's inbox list, while bandwidth,
+//!    metrics, and trace are still charged per directed edge —
+//!    observationally identical to the per-neighbor unicast expansion,
+//!    at a fraction of the cost.
 //!
 //! The mailboxes are single-buffered: between the two phases the engine
 //! clears the inboxes the compute phase has just read, and the fold
 //! refills the same buffers for the next round.
 
 use crate::adversary::{AdversaryState, Fate};
-use crate::effects::Effects;
+use crate::effects::{check_edge_loads, Dest, Effects, Op};
 use crate::machine::{MachineLayer, MachineMap};
 use crate::mailbox::{Inbox, Mailboxes};
 use crate::scratch::{EngineScratch, Parts};
@@ -92,8 +97,10 @@ pub struct Network<'g, P: Protocol, T: Topology = Graph> {
     /// Reusable per-node scratch for the adversarial commit: the drawn
     /// fate of each delivery, in merged op order.
     scratch_fates: Vec<Fate>,
-    /// Reusable per-node scratch for the adversarial bandwidth check:
-    /// `(destination, charged words)` per delivery.
+    /// Reusable per-node scratch for the bandwidth checks: the
+    /// adversarial fold's `(destination, charged words)` per delivery,
+    /// and the clean fold's unicast and skip loads of a node that mixes
+    /// ops.
     scratch_charged: Vec<(NodeId, usize)>,
     /// Optional telemetry collector (see [`dhc_obs`]), cloned out of the
     /// config once so emission needs no config borrow. Driven only from
@@ -601,7 +608,7 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
                         CallKind::Round => job.node.round(&mut ctx, job.inbox.clone()),
                     }
                 }
-                job.fx.seal(job.node.memory_words());
+                job.fx.memory = job.node.memory_words();
             };
             let fx_pool = &mut effects[..work.len()];
             match pool {
@@ -685,9 +692,14 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     /// order, applying everything directly to shared state. A fault or
     /// bandwidth violation stops the fold at the first bad node, leaving
     /// every earlier node fully committed.
+    ///
+    /// Each node is one walk: its metrics are charged once from the
+    /// push-time totals, its bandwidth checked (one comparison for the
+    /// common shapes), and its op list routed in index order.
     fn commit_sequential(&mut self, work: &[NodeId]) -> Result<(), SimError> {
         let graph = self.graph;
         let adversarial = self.adversary.is_some();
+        let budget = self.config.bandwidth_words;
         // Telemetry tallies ride the fold's own walk (the effect fields
         // are in cache right here).
         let obs_attached = self.obs.is_some();
@@ -695,8 +707,8 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             if obs_attached {
                 let fx = &self.effects[i];
                 let o = &mut self.obs_scratch;
-                o.unicast_ops += fx.sends.len() as u64;
-                o.broadcast_ops += fx.bcasts.len() as u64;
+                o.unicast_ops += fx.unicasts() as u64;
+                o.broadcast_ops += (fx.ops.len() - fx.unicasts()) as u64;
                 if fx.halted {
                     o.halts += 1;
                 } else if fx.wake.is_some() {
@@ -715,100 +727,78 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
                 return Err(err);
             }
             let nbrs = graph.neighbors(v);
-            self.metrics.compute_per_node[(v) as usize] += fx.compute;
-            if fx.memory > self.metrics.peak_memory_per_node[(v) as usize] {
-                self.metrics.peak_memory_per_node[(v) as usize] = fx.memory;
+            let metrics = &mut self.metrics;
+            metrics.compute_per_node[(v) as usize] += fx.compute;
+            if fx.memory > metrics.peak_memory_per_node[(v) as usize] {
+                metrics.peak_memory_per_node[(v) as usize] = fx.memory;
             }
             // Per-directed-edge accounting: every broadcast still counts
             // one message per addressed neighbor — only the payload
             // materialization is shared.
-            let total_sends = fx.total_sends(nbrs.len());
-            if total_sends > self.metrics.max_node_sends_per_round {
-                self.metrics.max_node_sends_per_round = total_sends;
+            if fx.deliveries() > metrics.max_node_sends_per_round {
+                metrics.max_node_sends_per_round = fx.deliveries();
             }
-            // Bandwidth check: words per destination from this sender.
             if let Err((to, words)) = fx.check_bandwidth(
                 nbrs,
-                self.config.bandwidth_words,
-                &mut self.metrics.max_edge_words,
+                budget,
+                &mut metrics.max_edge_words,
+                &mut self.scratch_charged,
             ) {
                 return Err(SimError::BandwidthExceeded {
                     from: v,
                     to,
                     round: self.round,
                     attempted_words: words,
-                    budget_words: self.config.bandwidth_words,
+                    budget_words: budget,
                 });
             }
-            // Route sends and broadcasts into the next round's mailboxes,
-            // merged back into call order by op sequence so trace events
-            // and per-receiver delivery order match the unicast expansion.
-            let mut uni = fx.sends.drain(..).zip(fx.send_words.drain(..)).peekable();
-            let mut bc = fx.bcasts.drain(..).zip(fx.bcast_words.drain(..)).peekable();
-            loop {
-                let take_uni = match (uni.peek(), bc.peek()) {
-                    (Some(&((useq, _, _), _)), Some(&((bseq, _, _), _))) => useq < bseq,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                if take_uni {
-                    let ((seq, to, msg), words) = uni.next().expect("peeked");
-                    self.metrics.words += words as u64;
-                    self.metrics.messages += 1;
-                    self.metrics.sent_per_node[(v) as usize] += 1;
-                    if self.trace.is_enabled() {
+            metrics.messages += fx.deliveries() as u64;
+            metrics.words += fx.delivered_words();
+            metrics.sent_per_node[(v) as usize] += fx.deliveries() as u64;
+            // Route the ops in index (= call) order, so trace events and
+            // per-receiver delivery order match the unicast expansion.
+            let trace_on = self.trace.is_enabled();
+            for (seq, Op { dest, words, msg }) in fx.ops.drain(..).enumerate() {
+                let seq = seq as u32;
+                if let Dest::To(to) = dest {
+                    if trace_on {
                         self.trace.push(TraceEvent::Sent { round: self.round, from: v, to, words });
                     }
                     if let Some(ml) = self.machines.as_mut() {
                         ml.unicast(v, to, words);
                     }
                     self.mail.stage(v, seq, to, msg);
-                } else {
-                    let ((seq, skip, msg), words) = bc.next().expect("peeked");
-                    let count = nbrs.len() - usize::from(skip.is_some());
-                    if count == 0 {
-                        // A skip-one broadcast from a degree-1 node
-                        // addresses nobody: nothing to stage or charge.
-                        continue;
+                    continue;
+                }
+                if dest.targets(nbrs).next().is_none() {
+                    // A skip-one broadcast from a degree-1 node addresses
+                    // nobody: nothing to stage.
+                    continue;
+                }
+                if trace_on {
+                    for to in dest.targets(nbrs) {
+                        self.trace.push(TraceEvent::Sent { round: self.round, from: v, to, words });
                     }
-                    self.metrics.words += words as u64 * count as u64;
-                    self.metrics.messages += count as u64;
-                    self.metrics.sent_per_node[(v) as usize] += count as u64;
-                    if self.trace.is_enabled() {
-                        for &to in nbrs {
-                            if Some(to) != skip {
-                                self.trace.push(TraceEvent::Sent {
-                                    round: self.round,
-                                    from: v,
-                                    to,
-                                    words,
-                                });
-                            }
-                        }
-                    }
-                    // One payload copy into the arena; every addressed
-                    // neighbor gets its index. The machine layer likewise
-                    // charges the payload once per receiving *machine*,
-                    // not per receiving node.
-                    let rec = self.mail.record(v, seq, msg);
+                }
+                // One payload copy into the arena; every addressed
+                // neighbor gets its index. The machine layer likewise
+                // charges the payload once per receiving *machine*, not
+                // per receiving node.
+                let rec = self.mail.record(v, seq, msg);
+                if let Some(ml) = self.machines.as_mut() {
+                    ml.begin_broadcast(v, words);
+                }
+                for to in dest.targets(nbrs) {
+                    self.mail.deliver(to, rec);
                     if let Some(ml) = self.machines.as_mut() {
-                        ml.begin_broadcast(v, words);
-                    }
-                    for &to in nbrs {
-                        if Some(to) != skip {
-                            self.mail.deliver(to, rec);
-                            if let Some(ml) = self.machines.as_mut() {
-                                ml.broadcast_dest(to);
-                            }
-                        }
+                        ml.broadcast_dest(to);
                     }
                 }
             }
             if let Some(target) = fx.wake {
                 if !fx.halted {
                     self.wakes.push(Reverse((target, v)));
-                    if self.trace.is_enabled() {
+                    if trace_on {
                         self.trace.push(TraceEvent::WakeScheduled {
                             round: self.round,
                             node: v,
@@ -820,7 +810,7 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             if fx.halted && !self.halted[(v) as usize] {
                 self.halted[(v) as usize] = true;
                 self.halted_count += 1;
-                if self.trace.is_enabled() {
+                if trace_on {
                     self.trace.push(TraceEvent::Halted { round: self.round, node: v });
                 }
             }
@@ -832,15 +822,15 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     /// fault-influenced twin of the clean fold in
     /// [`commit_sequential`](Self::commit_sequential).
     ///
-    /// Two passes, both sequential. Pass 1 draws the [`Fate`] of every
-    /// delivery — broadcasts expanded over their addressed neighbors in
-    /// ascending order, unicasts and broadcasts merged by op sequence —
-    /// and checks the per-edge budgets with duplicates charged twice
-    /// (a duplicated copy is extra traffic on the edge, so it can push a
-    /// protocol that saturates its budget over the limit; the violation
-    /// surfaces as the ordinary [`SimError::BandwidthExceeded`], never a
-    /// silent queue). Pass 2 routes: delivered copies are staged as
-    /// usual, dropped ones are charged to the sender but never staged,
+    /// Two passes over the node's op list, both sequential. Pass 1 draws
+    /// the [`Fate`] of every delivery — ops in index order, each
+    /// broadcast expanded over its addressed neighbors in ascending
+    /// order — and checks the per-edge budgets with duplicates charged
+    /// twice (a duplicated copy is extra traffic on the edge, so it can
+    /// push a protocol that saturates its budget over the limit; the
+    /// violation surfaces as the ordinary [`SimError::BandwidthExceeded`],
+    /// never a silent queue). Pass 2 routes: delivered copies are staged
+    /// as usual, dropped ones are charged to the sender but never staged,
     /// duplicated ones are staged twice, and delayed ones are parked in
     /// the mailbox delay queue until their due round.
     ///
@@ -878,7 +868,7 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             metrics.peak_memory_per_node[(v) as usize] = fx.memory;
         }
 
-        // --- Pass 1: draw fates (merged op order, broadcasts expanded
+        // --- Pass 1: draw fates (op index order, broadcasts expanded
         // over ascending addressed neighbors) and charge the edges. The
         // send count is recorded before and the edge maximum during the
         // charge aggregation, so a violation leaves exactly the partial
@@ -886,67 +876,29 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
         fates.clear();
         charged.clear();
         let mut attempts = 0usize;
-        let (mut ui, mut bi) = (0, 0);
-        loop {
-            let take_uni = match (fx.sends.get(ui), fx.bcasts.get(bi)) {
-                (Some(&(useq, _, _)), Some(&(bseq, _, _))) => useq < bseq,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_uni {
-                let (seq, to, _) = fx.sends[ui];
-                let words = fx.send_words[ui];
-                ui += 1;
-                let fate = adv.fate(round, v, seq, to);
-                let w = if fate == Fate::Duplicate { words * 2 } else { words };
+        for (seq, op) in fx.ops.iter().enumerate() {
+            for to in op.dest.targets(nbrs) {
+                let fate = adv.fate(round, v, seq as u32, to);
+                let w = if fate == Fate::Duplicate { op.words * 2 } else { op.words };
                 fates.push(fate);
                 charged.push((to, w));
                 attempts += usize::from(fate == Fate::Duplicate) + 1;
-            } else {
-                let (seq, skip, _) = fx.bcasts[bi];
-                let words = fx.bcast_words[bi];
-                bi += 1;
-                for &to in nbrs {
-                    if Some(to) == skip {
-                        continue;
-                    }
-                    let fate = adv.fate(round, v, seq, to);
-                    let w = if fate == Fate::Duplicate { words * 2 } else { words };
-                    fates.push(fate);
-                    charged.push((to, w));
-                    attempts += usize::from(fate == Fate::Duplicate) + 1;
-                }
             }
         }
         if attempts > metrics.max_node_sends_per_round {
             metrics.max_node_sends_per_round = attempts;
         }
-        // Stable sort, then aggregate per destination ascending: same
+        // Sort, then aggregate per destination ascending: same
         // first-violation destination as the clean fold's walk.
-        charged.sort_by_key(|&(to, _)| to);
-        let mut a = 0;
-        while a < charged.len() {
-            let to = charged[a].0;
-            let mut words = 0usize;
-            let mut b = a;
-            while b < charged.len() && charged[b].0 == to {
-                words += charged[b].1;
-                b += 1;
-            }
-            if words > budget {
-                return Err(SimError::BandwidthExceeded {
-                    from: v,
-                    to,
-                    round,
-                    attempted_words: words,
-                    budget_words: budget,
-                });
-            }
-            if words > metrics.max_edge_words {
-                metrics.max_edge_words = words;
-            }
-            a = b;
+        charged.sort_unstable();
+        if let Err((to, words)) = check_edge_loads(charged, budget, &mut metrics.max_edge_words) {
+            return Err(SimError::BandwidthExceeded {
+                from: v,
+                to,
+                round,
+                attempted_words: words,
+                budget_words: budget,
+            });
         }
 
         // --- Pass 2: route each delivery by its fate: sender-side
@@ -955,12 +907,9 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
         // duplicated, delayed]` for the round's telemetry event (pure
         // counting — it influences nothing). ---
         let trace_on = trace.is_enabled();
-        let mut fi = 0;
-        let mut uni = fx.sends.drain(..).zip(fx.send_words.drain(..)).peekable();
-        let mut bc = fx.bcasts.drain(..).zip(fx.bcast_words.drain(..)).peekable();
+        let mut fates = fates.iter();
         let mut commit_one = |to: NodeId, seq: u32, words: usize, msg: P::Msg| {
-            let fate = fates[fi];
-            fi += 1;
+            let fate = *fates.next().expect("one fate per delivery");
             match fate {
                 Fate::Deliver => {}
                 Fate::Drop => obs_fates[0] += 1,
@@ -1003,29 +952,18 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
                 Fate::Delay(d) => mail.stage_delayed(round + 1 + d, v, seq, to, msg),
             }
         };
-        loop {
-            let take_uni = match (uni.peek(), bc.peek()) {
-                (Some(&((useq, _, _), _)), Some(&((bseq, _, _), _))) => useq < bseq,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_uni {
-                let ((seq, to, msg), words) = uni.next().expect("peeked");
-                commit_one(to, seq, words, msg);
-            } else {
-                let ((seq, skip, msg), words) = bc.next().expect("peeked");
-                for &to in nbrs {
-                    if Some(to) == skip {
-                        continue;
+        for (seq, Op { dest, words, msg }) in fx.ops.drain(..).enumerate() {
+            let seq = seq as u32;
+            match dest {
+                Dest::To(to) => commit_one(to, seq, words, msg),
+                _ => {
+                    for to in dest.targets(nbrs) {
+                        commit_one(to, seq, words, msg.clone());
                     }
-                    commit_one(to, seq, words, msg.clone());
                 }
             }
         }
-        drop(uni);
-        drop(bc);
-        debug_assert_eq!(fi, fates.len(), "fate scratch out of sync");
+        debug_assert!(fates.next().is_none(), "fate scratch out of sync");
 
         if let Some(target) = fx.wake {
             if !fx.halted {
@@ -1465,8 +1403,8 @@ mod tests {
         let cfg = Config::default().with_bandwidth_words(4);
         let mut net = Network::new(&g, cfg, nodes).unwrap();
         net.run().unwrap();
-        // Node 2's round-1 ops arrive at the hub in call order, the
-        // broadcast merged between the two unicasts by op sequence.
+        // Node 2's round-1 ops arrive at the hub in call order: the
+        // broadcast between the two unicasts, as in its op list.
         assert_eq!(net.nodes()[0].got, vec![(2, 10), (2, 11), (2, 12)]);
         assert_eq!(net.metrics().received_per_node[0], 3);
         assert_eq!(net.metrics().sent_per_node, vec![2, 0, 3, 0]);

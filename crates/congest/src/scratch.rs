@@ -51,7 +51,7 @@ pub struct EngineScratch<M: Payload> {
     pub(crate) work: Vec<NodeId>,
     /// Recycled adversarial-commit fate scratch.
     pub(crate) fates: Vec<Fate>,
-    /// Recycled adversarial bandwidth-check scratch.
+    /// Recycled bandwidth-check scratch (both commit folds).
     pub(crate) charged: Vec<(NodeId, usize)>,
     /// Recycled persistent worker pool, with its parked threads.
     pub(crate) pool: Option<WorkerPool>,

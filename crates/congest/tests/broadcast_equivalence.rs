@@ -2,14 +2,17 @@
 //! `send_all` / `send_all_except` broadcast effects and its explicit
 //! per-neighbor-unicast twin must be **observationally identical** — same
 //! per-node inbox streams (contents *and* order), same `Metrics`, same
-//! `Trace` — at every `engine_threads` setting.
+//! `Trace`, and under a tight budget the same `BandwidthExceeded` error
+//! — at every `engine_threads` setting.
 //!
 //! This is the contract that makes the shared-payload flood routing an
 //! implementation detail: one arena record per flooding op, but per-edge
 //! accounting, sender-sorted delivery, and call-order interleaving
 //! exactly as if `deg(v)` copies had been sent.
 
-use dhc_congest::{Config, Context, Inbox, Network, NodeId, Payload, Protocol, TraceEvent};
+use dhc_congest::{
+    Config, Context, Inbox, Network, NodeId, Payload, Protocol, SimError, TraceEvent,
+};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -110,13 +113,17 @@ impl Protocol for Scripted {
 
 type NodeLog = Vec<(usize, Vec<(NodeId, u64)>)>;
 
+/// What one run shows: its result, `Metrics`, `Trace` and inbox logs.
+type Observed = (Result<(), SimError>, dhc_congest::Metrics, Vec<TraceEvent>, Vec<NodeLog>);
+
 fn run_scripts(
     scripts: &[Vec<Vec<Op>>],
     edge_prob: f64,
     graph_seed: u64,
     expand: bool,
     threads: usize,
-) -> (dhc_congest::Metrics, Vec<TraceEvent>, Vec<NodeLog>) {
+    budget: usize,
+) -> Observed {
     let n = scripts.len();
     let g = dhc_graph::generator::gnp(n, edge_prob, &mut dhc_graph::rng::rng_from_seed(graph_seed))
         .expect("valid gnp");
@@ -124,16 +131,36 @@ fn run_scripts(
         .iter()
         .map(|s| Scripted { script: s.clone().into(), expand, counter: 0, log: Vec::new() })
         .collect();
-    // Up to 4 ops per activation, each at most 1 word per edge.
     let cfg = Config::default()
-        .with_bandwidth_words(4)
+        .with_bandwidth_words(budget)
         .with_trace_capacity(1_000_000)
         .with_engine_threads(threads);
     let mut net = Network::new(&g, cfg, nodes).unwrap();
-    net.run().unwrap();
+    let result = net.run();
     let trace = net.trace().events();
     let (report, nodes) = net.finish();
-    (report.metrics, trace, nodes.into_iter().map(|nd| nd.log).collect())
+    (result, report.metrics, trace, nodes.into_iter().map(|nd| nd.log).collect())
+}
+
+/// Runs the broadcast script and its unicast twin at engine threads 1
+/// and 4, asserts all four observe the same, and returns the result.
+fn assert_twins_agree(
+    scripts: &[Vec<Vec<Op>>],
+    edge_prob: f64,
+    graph_seed: u64,
+    budget: usize,
+) -> Result<(), SimError> {
+    let broadcast = run_scripts(scripts, edge_prob, graph_seed, false, 1, budget);
+    for (expand, threads) in [(true, 1), (false, 4), (true, 4)] {
+        let other = run_scripts(scripts, edge_prob, graph_seed, expand, threads, budget);
+        let what =
+            format!("{} at {threads} threads", if expand { "unicast twin" } else { "broadcast" });
+        assert_eq!(broadcast.0, other.0, "result diverged: {what}");
+        assert_eq!(broadcast.1, other.1, "Metrics diverged: {what}");
+        assert_eq!(broadcast.2, other.2, "Trace diverged: {what}");
+        assert_eq!(broadcast.3, other.3, "inbox logs diverged: {what}");
+    }
+    broadcast.0
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -159,19 +186,46 @@ proptest! {
         edge_pct in 20u64..90,
         graph_seed in 0u64..1_000,
     ) {
-        let edge_prob = edge_pct as f64 / 100.0;
-        let broadcast = run_scripts(&scripts, edge_prob, graph_seed, false, 1);
-        let unicast = run_scripts(&scripts, edge_prob, graph_seed, true, 1);
-        prop_assert_eq!(&broadcast.0, &unicast.0, "Metrics diverged from the unicast twin");
-        prop_assert_eq!(&broadcast.1, &unicast.1, "Trace diverged from the unicast twin");
-        prop_assert_eq!(&broadcast.2, &unicast.2, "inbox logs diverged from the unicast twin");
-
-        let b4 = run_scripts(&scripts, edge_prob, graph_seed, false, 4);
-        prop_assert_eq!(&broadcast.0, &b4.0, "broadcast metrics diverged at 4 threads");
-        prop_assert_eq!(&broadcast.1, &b4.1, "broadcast trace diverged at 4 threads");
-        prop_assert_eq!(&broadcast.2, &b4.2, "broadcast logs diverged at 4 threads");
-        let u4 = run_scripts(&scripts, edge_prob, graph_seed, true, 4);
-        prop_assert_eq!(&unicast.0, &u4.0, "unicast metrics diverged at 4 threads");
-        prop_assert_eq!(&unicast.2, &u4.2, "unicast logs diverged at 4 threads");
+        // Up to 3 ops per activation, each at most 1 word per edge: a
+        // budget of 4 never binds.
+        let result = assert_twins_agree(&scripts, edge_pct as f64 / 100.0, graph_seed, 4);
+        prop_assert_eq!(result, Ok(()));
     }
+
+    /// Under budgets of 1–3 words with up to 5 ops per activation, most
+    /// runs break the budget: the broadcast run and its unicast twin
+    /// must fail at the same sender, destination and attempted load,
+    /// with the same partial `Metrics`, `Trace` and inbox logs.
+    #[test]
+    fn bandwidth_violations_match_the_unicast_twin(
+        scripts in prop::collection::vec(
+            prop::collection::vec(prop::collection::vec(op_strategy(), 0..6), 0..4),
+            4..10,
+        ),
+        edge_pct in 20u64..90,
+        graph_seed in 0u64..1_000,
+        budget in 1usize..4,
+    ) {
+        assert_twins_agree(&scripts, edge_pct as f64 / 100.0, graph_seed, budget).ok();
+    }
+}
+
+/// A fixed script whose mixed ops overload an edge on almost every
+/// graph, so the twin comparison above provably covers violations,
+/// under a 2-word budget. Round 1 loads every edge with exactly 2 words
+/// (a skip broadcast, a unicast to the skipped neighbor, a flood); in
+/// round 2 every node of degree at least 2 puts 3 words on the edge to
+/// its second neighbor, after 1 or 2 on the edge to its first.
+#[test]
+fn fixed_mixed_script_violates_and_matches_the_unicast_twin() {
+    let script =
+        vec![vec![Op::Except(0), Op::Uni(0), Op::All], vec![Op::All, Op::Uni(1), Op::Except(2)]];
+    let scripts = vec![script; 8];
+    let violations = (0..40u64)
+        .filter(|&seed| {
+            let result = assert_twins_agree(&scripts, 0.5, seed, 2);
+            matches!(result, Err(SimError::BandwidthExceeded { round: 2, attempted_words: 3, .. }))
+        })
+        .count();
+    assert!(violations >= 30, "only {violations} of 40 graphs broke the budget");
 }

@@ -574,25 +574,10 @@ fn stitch(
     let placed = nodes.iter().filter_map(|nd| nd.hypidx).max().map(|m| m + 1).unwrap_or(0);
     match run_result {
         Ok(_) => {}
-        Err(SimError::Stalled { round, unhalted }) => {
-            if std::env::var("DHC1_DEBUG").is_ok() {
-                eprintln!("STALLED round={round} unhalted={unhalted} placed={placed}");
-                for nd in nodes.iter().filter(|nd| nd.is_terminal) {
-                    eprintln!(
-                        "  term id={} color={} role={:?} hypidx={:?} link={:?} live={} awaiting={} unused={} rot_pending={}",
-                        nd.id, nd.color, nd.role, nd.hypidx, nd.link, nd.live, nd.awaiting,
-                        nd.unused.len(), nd.rot_pending
-                    );
-                }
-            }
-            return Err(DhcError::StitchFailed { placed, total: k });
-        }
+        Err(SimError::Stalled { .. }) => return Err(DhcError::StitchFailed { placed, total: k }),
         Err(e) => return Err(e.into()),
     }
     if nodes.iter().any(|nd| nd.failed) {
-        if std::env::var("DHC1_DEBUG").is_ok() {
-            eprintln!("ABORTED placed={placed}");
-        }
         return Err(DhcError::StitchFailed { placed, total: k });
     }
     metrics.merge(&phase2_metrics);

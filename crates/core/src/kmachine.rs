@@ -36,7 +36,7 @@
 
 use crate::runner::RunOutcome;
 use crate::{DhcConfig, DhcError};
-use dhc_congest::machine::{MachineMap, MachineMetrics, MachineRoundLog};
+use dhc_congest::machine::{MachineMap, MachineMetrics, MachineRoundLog, MAX_MACHINES};
 use dhc_congest::Metrics;
 use dhc_graph::rng::rng_from_seed;
 use dhc_graph::{Graph, NodeId};
@@ -178,7 +178,8 @@ impl ConversionEstimate {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KMachineConfig {
-    /// Number of machines `k`.
+    /// Number of machines `k`, from 1 to [`MAX_MACHINES`]. The run keeps
+    /// `k²` per-link counters, so its memory grows as `k²`.
     pub k: usize,
     /// Per-directed-machine-link budget in words per k-machine round —
     /// the model's `O(polylog n)` bandwidth, made concrete.
@@ -211,10 +212,14 @@ impl KMachineConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`DhcError::InvalidConfig`] for out-of-range values.
+    /// Returns [`DhcError::InvalidConfig`] for out-of-range values: `k`
+    /// outside `1..=`[`MAX_MACHINES`] or a zero link bandwidth.
     pub fn validate(&self) -> Result<(), DhcError> {
         if self.k == 0 {
             return Err(DhcError::InvalidConfig { what: "k must be >= 1" });
+        }
+        if self.k > MAX_MACHINES {
+            return Err(DhcError::InvalidConfig { what: "k must be <= 65536" });
         }
         if self.link_bandwidth_words == 0 {
             return Err(DhcError::InvalidConfig { what: "link_bandwidth_words must be >= 1" });
@@ -460,6 +465,12 @@ mod tests {
     fn kmachine_config_validates() {
         assert!(KMachineConfig::new(4).validate().is_ok());
         assert!(KMachineConfig::new(0).validate().is_err());
+        // Link indices are u32: k² must fit.
+        assert!(KMachineConfig::new(MAX_MACHINES).validate().is_ok());
+        assert!(matches!(
+            KMachineConfig::new(MAX_MACHINES + 1).validate(),
+            Err(DhcError::InvalidConfig { .. })
+        ));
         assert!(KMachineConfig::new(4).with_link_bandwidth_words(0).validate().is_err());
     }
 

@@ -3,7 +3,9 @@
 
 use dhc::congest::SimError;
 use dhc::core::{
-    run_dhc1, run_dhc2, run_dhc2_with_colors, run_dra, run_partition_cycles, run_upcast, DhcConfig,
+    run_dhc1, run_dhc1_kmachine, run_dhc2, run_dhc2_kmachine, run_dhc2_with_colors, run_dra,
+    run_dra_kmachine, run_partition_cycles, run_upcast, run_upcast_kmachine, DhcConfig,
+    KMachineConfig, KMachineReport, RunOutcome,
 };
 use dhc::graph::{generator, rng::rng_from_seed, Graph, Partition};
 use dhc::{Adversary, DhcError};
@@ -152,4 +154,40 @@ fn errors_format_usefully() {
     let err = run_dra(&g, &DhcConfig::new(0)).unwrap_err();
     let s = err.to_string();
     assert!(s.contains('2'), "message should mention the size: {s}");
+}
+
+#[test]
+fn kmachine_entry_points_return_typed_errors_on_bad_inputs() {
+    type Plain = fn(&Graph, &DhcConfig) -> Result<RunOutcome, DhcError>;
+    type KMachine =
+        fn(&Graph, &DhcConfig, &KMachineConfig) -> Result<(RunOutcome, KMachineReport), DhcError>;
+    let entries: [(&str, Plain, KMachine); 4] = [
+        ("dra", run_dra, run_dra_kmachine),
+        ("dhc1", run_dhc1, run_dhc1_kmachine),
+        ("dhc2", run_dhc2, run_dhc2_kmachine),
+        ("upcast", run_upcast, run_upcast_kmachine),
+    ];
+    let triangles =
+        Graph::from_edges(6, vec![(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]).unwrap();
+    let graphs = [generator::complete(2), generator::star(8), triangles];
+    let cfg = DhcConfig::new(11).with_partitions(2);
+    // k = 50 exceeds every n here: most machines host nobody.
+    for k in [3, 50] {
+        for g in &graphs {
+            for (name, plain, kmachine) in entries {
+                let err = kmachine(g, &cfg, &KMachineConfig::new(k)).unwrap_err();
+                let ok = match g.node_count() {
+                    2 => matches!(err, DhcError::GraphTooSmall { n: 2 }),
+                    _ if name == "upcast" => matches!(err, DhcError::RootSolveFailed { .. }),
+                    _ => matches!(err, DhcError::PartitionFailed { color: 0, .. }),
+                };
+                assert!(ok, "{name}, n = {}, k = {k}: {err:?}", g.node_count());
+                assert_eq!(
+                    Err(err),
+                    plain(g, &cfg).map(|_| ()),
+                    "{name} differs from its plain run"
+                );
+            }
+        }
+    }
 }
