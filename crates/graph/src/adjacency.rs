@@ -37,7 +37,10 @@ impl Graph {
     /// Builds a graph with `n` nodes from an iterator of undirected edges.
     ///
     /// Duplicate edges (in either orientation) are merged. Self-loops and
-    /// out-of-range endpoints are rejected.
+    /// out-of-range endpoints are rejected. The build is `O(n + m)` for any
+    /// order; edges given as `(v, w)` with `w < v`, row by row and `w`
+    /// ascending, skip its transpose and dedup passes (see
+    /// [`GraphBuilder`]).
     ///
     /// # Errors
     ///
@@ -158,15 +161,17 @@ impl Graph {
             to_local[g as usize] = Some(local as NodeId);
             degree_sum += self.degree(g);
         }
-        // Each internal edge is pushed once (u < v) and contributes 2 to
+        // Each internal edge is pushed once (v < u) and contributes 2 to
         // the selection's degree sum, so degree_sum / 2 bounds the edge
-        // count: the builder never reallocates while collecting.
+        // count: the builder never reallocates while collecting. An
+        // ascending selection pushes row by row with v ascending, which the
+        // build places without its transpose and dedup passes.
         let mut b = GraphBuilder::with_capacity(nodes.len(), degree_sum / 2);
         for (local_u, &g_u) in nodes.iter().enumerate() {
             let local_u = local_u as NodeId;
             for &g_v in self.neighbors(g_u) {
                 if let Some(local_v) = to_local[g_v as usize] {
-                    if local_u < local_v {
+                    if local_v < local_u {
                         b.add_edge(local_u, local_v)?;
                     }
                 }
@@ -222,7 +227,16 @@ impl Iterator for EdgeIter<'_> {
 /// Incremental builder for [`Graph`].
 ///
 /// Collects edges (duplicates allowed; they are merged at
-/// [`build`](GraphBuilder::build) time) and produces the immutable CSR form.
+/// [`build`](GraphBuilder::build) time) and produces the immutable CSR form
+/// in `O(n + m)` time, with no comparison sort. The build counts degrees and
+/// places every pushed pair into both endpoints' slices. If the pushes
+/// arrived in strictly increasing `(larger, smaller)` order, as the
+/// row-major generators ([`gnp`](crate::generator::gnp),
+/// [`complete`](crate::generator::complete) and the clusters of
+/// [`clustered`](crate::generator::clustered)) push them, every slice is
+/// then already sorted and duplicate-free. Otherwise one transpose pass,
+/// whose slices come out ascending with repeats dropped, and one pass that
+/// closes the gaps finish the build.
 ///
 /// # Example
 ///
@@ -242,18 +256,21 @@ impl Iterator for EdgeIter<'_> {
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     n: usize,
-    edges: Vec<(NodeId, NodeId)>,
+    /// Pushed pairs as `(larger, smaller)`, in push order.
+    pairs: Vec<(NodeId, NodeId)>,
+    /// Set once a push is not strictly greater than the one before it.
+    unordered: bool,
 }
 
 impl GraphBuilder {
     /// Creates a builder for a graph with `n` nodes.
     pub fn new(n: usize) -> Self {
-        GraphBuilder { n, edges: Vec::new() }
+        GraphBuilder::with_capacity(n, 0)
     }
 
     /// Creates a builder with capacity for `cap` edges.
     pub fn with_capacity(n: usize, cap: usize) -> Self {
-        GraphBuilder { n, edges: Vec::with_capacity(cap) }
+        GraphBuilder { n, pairs: Vec::with_capacity(cap), unordered: false }
     }
 
     /// Number of nodes the built graph will have.
@@ -276,47 +293,72 @@ impl GraphBuilder {
         if u == v {
             return Err(GraphError::SelfLoop { node: u as usize });
         }
-        self.edges.push(if u < v { (u, v) } else { (v, u) });
+        let pair = if u > v { (u, v) } else { (v, u) };
+        if self.pairs.last().is_some_and(|&last| last >= pair) {
+            self.unordered = true;
+        }
+        self.pairs.push(pair);
         Ok(self)
     }
 
     /// Number of (possibly duplicate) edges recorded so far.
     pub fn pending_edges(&self) -> usize {
-        self.edges.len()
+        self.pairs.len()
     }
 
     /// Finalizes into a [`Graph`], merging duplicate edges.
-    pub fn build(mut self) -> Graph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        let m = self.edges.len();
-        let mut deg = vec![0usize; self.n];
-        for &(u, v) in &self.edges {
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
+    pub fn build(self) -> Graph {
+        let GraphBuilder { n, pairs, unordered } = self;
+        let mut offsets = vec![0usize; n + 1];
+        for &(a, b) in &pairs {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &deg {
-            acc += d;
-            offsets.push(acc);
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        let mut cursor = offsets.clone();
-        let mut neighbors = vec![0 as NodeId; 2 * m];
-        for &(u, v) in &self.edges {
-            neighbors[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            neighbors[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
+        let mut cursor = offsets[..n].to_vec();
+        let mut placed = vec![0 as NodeId; 2 * pairs.len()];
+        for &(a, b) in &pairs {
+            placed[cursor[a as usize]] = b;
+            cursor[a as usize] += 1;
+            placed[cursor[b as usize]] = a;
+            cursor[b as usize] += 1;
         }
-        // Each per-node slice was filled from edges sorted by (min, max); the
-        // slice for u receives targets in nondecreasing order only for the
-        // (u, v) with u < v part, so sort each slice to restore the invariant.
-        for v in 0..self.n {
-            neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
+        if !unordered {
+            // Node v's slice holds its smaller neighbours from row v, in
+            // push order, then its larger ones from the later rows: sorted.
+            return Graph { offsets, neighbors: placed, m: pairs.len() };
         }
-        Graph { offsets, neighbors, m }
+        drop(pairs);
+        // Walking the slices in node order appends every node to its
+        // neighbours' slices in ascending order, so a repeat lands right
+        // after its first copy and is dropped there.
+        cursor.copy_from_slice(&offsets[..n]);
+        let mut neighbors = vec![0 as NodeId; placed.len()];
+        for u in 0..n {
+            let u_id = u as NodeId;
+            for &x in &placed[offsets[u]..offsets[u + 1]] {
+                let (x, at) = (x as usize, cursor[x as usize]);
+                if at == offsets[x] || neighbors[at - 1] != u_id {
+                    neighbors[at] = u_id;
+                    cursor[x] = at + 1;
+                }
+            }
+        }
+        drop(placed);
+        // Close the gaps the repeats left.
+        let mut len = 0;
+        for v in 0..n {
+            let (start, end) = (offsets[v], cursor[v]);
+            neighbors.copy_within(start..end, len);
+            offsets[v] = len;
+            len += end - start;
+        }
+        offsets[n] = len;
+        neighbors.truncate(len);
+        neighbors.shrink_to_fit();
+        Graph { offsets, neighbors, m: len / 2 }
     }
 }
 
@@ -356,6 +398,49 @@ mod tests {
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.degree(0), 1);
         assert_eq!(g.degree(1), 2);
+    }
+
+    #[test]
+    fn row_major_pushes_take_the_placement_only_build() {
+        // (larger, smaller) strictly increasing, in either orientation.
+        let mut b = GraphBuilder::new(4);
+        for (u, v) in [(1, 0), (0, 2), (2, 1), (1, 3), (3, 2)] {
+            b.add_edge(u, v).unwrap();
+        }
+        assert!(!b.unordered);
+        let g = b.build();
+        assert_eq!(g.neighbors(0), &[1, 2]);
+        assert_eq!(g.neighbors(1), &[0, 2, 3]);
+        assert_eq!(g.neighbors(2), &[0, 1, 3]);
+        assert_eq!(g.neighbors(3), &[1, 2]);
+        assert_eq!(g.edge_count(), 5);
+    }
+
+    #[test]
+    fn repeated_or_descending_pushes_take_the_general_build() {
+        let rows = [(1, 0), (2, 1), (3, 1)];
+        // A repeat of (3, 1) in the other orientation, then a step back.
+        for tail in [(1, 3), (3, 0)] {
+            let pushes = rows.into_iter().chain([tail]);
+            let mut b = GraphBuilder::new(4);
+            for (u, v) in pushes.clone() {
+                b.add_edge(u, v).unwrap();
+            }
+            assert!(b.unordered);
+            let mut sorted: Vec<_> = pushes.map(|(u, v)| (u.max(v), u.min(v))).collect();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(b.build(), Graph::from_edges(4, sorted).unwrap());
+        }
+    }
+
+    #[test]
+    fn failed_pushes_leave_the_builder_unchanged() {
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(2, 1).unwrap();
+        assert_eq!(b.add_edge(0, 3).unwrap_err(), GraphError::NodeOutOfRange { node: 3, n: 3 });
+        assert_eq!(b.add_edge(0, 0).unwrap_err(), GraphError::SelfLoop { node: 0 });
+        assert_eq!((b.pending_edges(), b.unordered), (1, false));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! model real-world networks; this sampler supports the heavy-tailed
 //! degree sequences those exhibit.
 
+use super::skip::ln_1m;
 use crate::{Graph, GraphBuilder, GraphError};
 use rand::Rng;
 
@@ -61,8 +62,8 @@ pub fn chung_lu<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> Result<Graph, 
             if p_bound < 1.0 {
                 // Geometric skip under the bound.
                 let r: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let skip = (r.ln() / (1.0 - p_bound).ln()).floor() as usize;
-                j += skip;
+                let skip = (r.ln() / ln_1m(p_bound)).floor() as usize;
+                j = j.saturating_add(skip);
             }
             if j >= n {
                 break;
@@ -115,6 +116,16 @@ mod tests {
         assert_eq!(chung_lu(&[], &mut rng_from_seed(0)).unwrap().node_count(), 0);
         assert_eq!(chung_lu(&[5.0], &mut rng_from_seed(0)).unwrap().edge_count(), 0);
         assert_eq!(chung_lu(&[0.0, 0.0], &mut rng_from_seed(0)).unwrap().edge_count(), 0);
+    }
+
+    #[test]
+    fn tiny_weights_give_no_edges() {
+        // Pair probability 1e-17: 1.0 - p rounds to 1.0, and the skip
+        // saturates instead of wrapping the column index.
+        for w in [1e-14, 1e-160] {
+            let g = chung_lu(&[w; 1000], &mut rng_from_seed(3)).unwrap();
+            assert_eq!((g.node_count(), g.edge_count()), (1000, 0), "w = {w}");
+        }
     }
 
     #[test]

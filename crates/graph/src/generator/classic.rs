@@ -1,7 +1,7 @@
 //! Deterministic graph families used as fixtures in tests, examples,
 //! and sanity experiments.
 
-use crate::{Graph, NodeId};
+use crate::{Graph, GraphBuilder, NodeId};
 
 /// The cycle `C_n` (`n >= 3`): node `i` is adjacent to `i ± 1 (mod n)`.
 ///
@@ -25,9 +25,17 @@ pub fn path(n: usize) -> Graph {
 }
 
 /// The complete graph `K_n`.
+///
+/// The pairs go to the builder row by row, as `(v, w)` with `w < v`
+/// ascending, so the build places them without sorting.
 pub fn complete(n: usize) -> Graph {
-    let edges = (0..n).flat_map(|u| ((u + 1)..n).map(move |v| (u as NodeId, v as NodeId)));
-    Graph::from_edges(n, edges).expect("complete edges are always valid")
+    let mut b = GraphBuilder::with_capacity(n, n * n.saturating_sub(1) / 2);
+    for v in 1..n as NodeId {
+        for w in 0..v {
+            b.add_edge(v, w).expect("complete edges are always valid");
+        }
+    }
+    b.build()
 }
 
 /// The star `S_n`: node 0 adjacent to all of `1..n`.
@@ -102,6 +110,27 @@ mod tests {
         let g = complete(6);
         assert_eq!(g.edge_count(), 15);
         assert!((0..6u32).all(|v| g.degree(v) == 5));
+        assert_eq!(complete(0).node_count(), 0);
+        assert_eq!(complete(1).edge_count(), 0);
+    }
+
+    #[test]
+    fn complete_equals_a_scrambled_build() {
+        // Every pair once in each orientation, in an order no row-major
+        // walk produces, plus repeats: the general build path.
+        for n in [2usize, 3, 7, 40] {
+            let mut pairs = Vec::new();
+            for u in 0..n as NodeId {
+                for v in 0..n as NodeId {
+                    if u != v {
+                        pairs.push(((u * 7 + v * 13) % 31, u, v));
+                    }
+                }
+            }
+            pairs.sort_unstable();
+            let scrambled = pairs.iter().map(|&(_, u, v)| (u, v));
+            assert_eq!(complete(n), Graph::from_edges(n, scrambled).unwrap(), "n = {n}");
+        }
     }
 
     #[test]

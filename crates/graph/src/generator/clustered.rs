@@ -9,6 +9,7 @@
 //! bridges. Total size is `Θ(n·ln s + n·log k)` edges — sparse enough for
 //! `n = 10⁶` on one machine while every class is comfortably dense.
 
+use super::skip::RowSkip;
 use crate::{Graph, GraphBuilder, GraphError, NodeId};
 use rand::Rng;
 
@@ -16,7 +17,9 @@ use rand::Rng;
 /// with the Phase-1 coloring (node `v` gets color `v / s`).
 ///
 /// * `k` clusters × `s` nodes; cluster `c` spans nodes `[c·s, (c+1)·s)` and
-///   is an independent `G(s, intra_p)`.
+///   is an independent `G(s, intra_p)`, drawn cluster after cluster with
+///   [`gnp`](super::gnp)'s skip sampler: one table per call, and exactly
+///   the skips of the `⌊ln r / ln(1 − p)⌋` rule.
 /// * DHC2 merges current colors `(2t, 2t+1)` at every level and halves, so
 ///   the groups that must share a bridge are exactly the color ranges
 ///   `[2t·2^ℓ, (2t+1)·2^ℓ)` vs `[(2t+1)·2^ℓ, (2t+2)·2^ℓ)`. For each such
@@ -71,33 +74,24 @@ pub fn clustered<R: Rng + ?Sized>(
     let expected_intra = (intra_p * (s * (s - 1) / 2) as f64) as usize * k;
     let mut b = GraphBuilder::with_capacity(n, expected_intra + expected_intra / 8 + 16);
 
-    // Intra-cluster G(s, intra_p), Batagelj–Brandes skipping per cluster.
-    if intra_p > 0.0 {
-        let log_q = (1.0 - intra_p).ln();
+    // Intra-cluster G(s, intra_p): one skip table, cluster rows in order,
+    // so the intra pairs reach the builder in row-major order.
+    if intra_p == 1.0 {
         for c in 0..k {
             let base = (c * s) as NodeId;
-            if intra_p == 1.0 {
-                for v in 1..s as NodeId {
-                    for w in 0..v {
-                        b.add_edge(base + v, base + w)?;
-                    }
-                }
-                continue;
-            }
-            let mut v: usize = 1;
-            let mut w: i64 = -1;
-            while v < s {
-                let r: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let skip = (r.ln() / log_q).floor() as i64;
-                w += 1 + skip;
-                while w >= v as i64 && v < s {
-                    w -= v as i64;
-                    v += 1;
-                }
-                if v < s {
-                    b.add_edge(base + v as NodeId, base + w as NodeId)?;
+            for v in 1..s as NodeId {
+                for w in 0..v {
+                    b.add_edge(base + v, base + w)?;
                 }
             }
+        }
+    } else if intra_p > 0.0 {
+        let rows = RowSkip::new(intra_p);
+        for c in 0..k {
+            let base = c * s;
+            rows.rows(s, rng, |v, w| {
+                b.add_edge((base + v) as NodeId, (base + w) as NodeId).map(drop)
+            })?;
         }
     }
 
@@ -185,6 +179,14 @@ mod tests {
             clustered(2, 5, 1.5, 1.0, &mut rng_from_seed(0)),
             Err(GraphError::InvalidProbability { .. })
         ));
+    }
+
+    #[test]
+    fn tiny_intra_p_gives_no_edges() {
+        for p in [1e-17, 1e-300] {
+            let (g, _) = clustered(4, 50, p, 0.0, &mut rng_from_seed(3)).unwrap();
+            assert_eq!((g.node_count(), g.edge_count()), (200, 0), "p = {p}");
+        }
     }
 
     #[test]

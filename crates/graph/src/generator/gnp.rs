@@ -1,6 +1,7 @@
 //! The Erdős–Rényi `G(n, p)` sampler.
 
-use crate::{Graph, GraphBuilder, GraphError};
+use super::skip::RowSkip;
+use crate::{Graph, GraphBuilder, GraphError, NodeId};
 use rand::Rng;
 
 /// Samples a `G(n, p)` random graph: every one of the `C(n, 2)` possible
@@ -8,7 +9,12 @@ use rand::Rng;
 ///
 /// Uses the Batagelj–Brandes geometric-skipping technique, so the running
 /// time is `O(n + m)` in expectation rather than `O(n²)`; this matters for
-/// the sparse regimes (`p = Θ(ln n / n)`) the paper targets.
+/// the sparse regimes (`p = Θ(ln n / n)`) the paper targets. The skip
+/// sampler is shared with [`clustered`](super::clustered): each draw
+/// consumes one `gen_range(f64::EPSILON..1.0)` and skips exactly
+/// `⌊ln r / ln(1 − p)⌋` pairs, read from a table built once per call and
+/// computed with `ln` only near the table's thresholds. The pairs arrive in
+/// row-major order, so [`GraphBuilder::build`] places them without sorting.
 ///
 /// # Errors
 ///
@@ -42,23 +48,7 @@ pub fn gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result<Graph, Grap
     }
     let expected = (p * (n as f64) * ((n - 1) as f64) / 2.0) as usize;
     let mut b = GraphBuilder::with_capacity(n, expected + expected / 8 + 16);
-    // Enumerate candidate pairs (v, w), w < v, in row-major order and jump
-    // ahead by geometric gaps: the next present edge is Geom(p) pairs away.
-    let log_q = (1.0 - p).ln();
-    let mut v: usize = 1;
-    let mut w: i64 = -1;
-    while v < n {
-        let r: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let skip = (r.ln() / log_q).floor() as i64;
-        w += 1 + skip;
-        while w >= v as i64 && v < n {
-            w -= v as i64;
-            v += 1;
-        }
-        if v < n {
-            b.add_edge(v as u32, w as u32)?;
-        }
-    }
+    RowSkip::new(p).rows(n, rng, |v, w| b.add_edge(v as NodeId, w as NodeId).map(drop))?;
     Ok(b.build())
 }
 
@@ -132,6 +122,16 @@ mod tests {
         let p = 4.0 * (n as f64).ln() / n as f64;
         let g = gnp(n, p, &mut rng_from_seed(2)).unwrap();
         assert!(g.is_connected());
+    }
+
+    #[test]
+    fn tiny_p_gives_no_edges() {
+        // Below about 5.5e-17, 1.0 - p rounds to 1.0, so ln(1 - p) must
+        // come from ln_1p, and the first skip runs past every pair.
+        for p in [1e-17, 1e-300, f64::MIN_POSITIVE] {
+            let g = gnp(1000, p, &mut rng_from_seed(3)).unwrap();
+            assert_eq!((g.node_count(), g.edge_count()), (1000, 0), "p = {p}");
+        }
     }
 
     #[test]

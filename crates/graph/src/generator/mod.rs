@@ -10,6 +10,7 @@ mod clustered;
 mod gnm;
 mod gnp;
 mod regular;
+mod skip;
 
 pub use chung_lu::chung_lu;
 pub use classic::{complete, cycle as cycle_graph, grid, path as path_graph, petersen, star};

@@ -1,7 +1,41 @@
 //! Property-based tests for the graph substrate.
 
+mod common;
+
+use common::{assert_csr_eq, sort_build};
 use dhc_graph::{bfs, generator, rng::rng_from_seed, Graph, HamiltonianCycle, Partition};
 use proptest::prelude::*;
+
+/// Strategy: `(n, pairs, at)` with `n < 40` and a stream of pairs over
+/// `0..n` in either orientation, whose first `pairs.len() / 4` pairs repeat
+/// flipped at the end; `at` picks a position in the stream.
+fn pair_stream() -> impl Strategy<Value = (usize, Vec<(u32, u32)>, usize)> {
+    (2usize..40, prop::collection::vec((0u32..40, 0u32..40), 0..160), 0usize..1000).prop_map(
+        |(n, raw, at)| {
+            let mut pairs: Vec<(u32, u32)> = raw
+                .into_iter()
+                .map(|(u, v)| (u % n as u32, v % n as u32))
+                .filter(|(u, v)| u != v)
+                .collect();
+            let flipped: Vec<(u32, u32)> =
+                pairs[..pairs.len() / 4].iter().map(|&(u, v)| (v, u)).collect();
+            pairs.extend(flipped);
+            (n, pairs, at)
+        },
+    )
+}
+
+/// The distinct edges of `pairs` in strictly increasing `(larger, smaller)`
+/// order, every other one pushed flipped.
+fn canonical(pairs: &[(u32, u32)]) -> Vec<(u32, u32)> {
+    let mut rows: Vec<(u32, u32)> = pairs.iter().map(|&(u, v)| (u.max(v), u.min(v))).collect();
+    rows.sort_unstable();
+    rows.dedup();
+    rows.into_iter()
+        .enumerate()
+        .map(|(i, (v, w))| if i % 2 == 0 { (v, w) } else { (w, v) })
+        .collect()
+}
 
 /// Strategy: arbitrary simple-graph edge list over n nodes.
 fn edges_strategy(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
@@ -10,6 +44,20 @@ fn edges_strategy(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u
 }
 
 proptest! {
+    #[test]
+    fn builder_matches_sort_build_in_any_order(stream in pair_stream()) {
+        let (n, pairs, at) = stream;
+        let expected = sort_build(n, pairs.iter().copied());
+        assert_csr_eq(&Graph::from_edges(n, pairs.iter().copied()).unwrap(), &expected, "as drawn");
+        let mut rows = canonical(&pairs);
+        assert_csr_eq(&Graph::from_edges(n, rows.iter().copied()).unwrap(), &expected, "row-major");
+        if rows.len() >= 2 {
+            let i = at % (rows.len() - 1);
+            rows.swap(i, i + 1);
+            assert_csr_eq(&Graph::from_edges(n, rows).unwrap(), &expected, "one swap");
+        }
+    }
+
     #[test]
     fn csr_degree_sums_to_twice_edges(edges in edges_strategy(20, 60)) {
         let g = Graph::from_edges(20, edges).unwrap();
