@@ -1,9 +1,8 @@
 //! Criterion micro-benchmarks: round-engine throughput (rounds/sec) on
 //! the flood-echo microprotocol and the broadcast-storm workload (every
 //! node `send_all`s every round — the shared-payload flood fabric's hot
-//! path), at one engine thread and at all cores. Experiment E13 records
-//! the same workloads to `BENCH_engine.json` so the perf trajectory is
-//! tracked across PRs.
+//! path). Experiment E13 records the same workloads to
+//! `BENCH_engine.json` so the perf trajectory is tracked across PRs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dhc_bench::engine_probe::{
@@ -18,29 +17,19 @@ fn bench_engine_rounds(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(5));
     for &n in &[1_000usize, 10_000] {
         let g = probe_graph(n, 8);
-        for &(label, threads) in &[("t1", 1usize), ("all_cores", 0)] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("flood_echo_{label}"), n),
-                &g,
-                |b, g| b.iter(|| flood_echo(g, threads)),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("broadcast_storm_{label}"), n),
-                &g,
-                |b, g| b.iter(|| flood_storm(g, STORM_DEPTH, threads)),
-            );
-            // Pre-fabric baselines: the same floods as per-neighbor sends.
-            group.bench_with_input(
-                BenchmarkId::new(format!("flood_echo_unicast_{label}"), n),
-                &g,
-                |b, g| b.iter(|| flood_echo_unicast(g, threads)),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("broadcast_storm_unicast_{label}"), n),
-                &g,
-                |b, g| b.iter(|| flood_storm_unicast(g, STORM_DEPTH, threads)),
-            );
-        }
+        group.bench_with_input(BenchmarkId::new("flood_echo", n), &g, |b, g| {
+            b.iter(|| flood_echo(g))
+        });
+        group.bench_with_input(BenchmarkId::new("broadcast_storm", n), &g, |b, g| {
+            b.iter(|| flood_storm(g, STORM_DEPTH))
+        });
+        // Pre-fabric baselines: the same floods as per-neighbor sends.
+        group.bench_with_input(BenchmarkId::new("flood_echo_unicast", n), &g, |b, g| {
+            b.iter(|| flood_echo_unicast(g))
+        });
+        group.bench_with_input(BenchmarkId::new("broadcast_storm_unicast", n), &g, |b, g| {
+            b.iter(|| flood_storm_unicast(g, STORM_DEPTH))
+        });
     }
     group.finish();
 }

@@ -18,13 +18,13 @@ fn bench_collector_overhead(c: &mut Criterion) {
     for &n in &[1_000usize, 10_000] {
         let g = probe_graph(n, 8);
         group.bench_with_input(BenchmarkId::new("flood_echo_detached", n), &g, |b, g| {
-            b.iter(|| flood_echo(g, 1))
+            b.iter(|| flood_echo(g))
         });
         group.bench_with_input(BenchmarkId::new("flood_echo_attached", n), &g, |b, g| {
             // One observer reused across iterations: the steady-state
             // per-round cost, not allocation of the observer itself.
             let handle = CollectorHandle::new(RunObserver::new());
-            b.iter(|| flood_echo_observed(g, 1, Some(handle.clone())))
+            b.iter(|| flood_echo_observed(g, Some(handle.clone())))
         });
     }
     group.finish();

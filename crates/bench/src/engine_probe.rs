@@ -1,5 +1,5 @@
 //! Round-engine throughput probes used by `benches/engine.rs` and
-//! experiment E13 to track rounds/sec across engine-thread counts:
+//! experiment E13 to track rounds/sec:
 //!
 //! * **flood-echo** — a microprotocol whose cost is almost pure engine
 //!   overhead (mailbox routing, active-set bookkeeping, per-edge
@@ -111,15 +111,14 @@ impl Protocol for FloodEcho {
     }
 }
 
-/// One complete flood-echo run on `graph` at the given engine-thread
-/// count; returns `(rounds, messages)`.
+/// One complete flood-echo run on `graph`; returns `(rounds, messages)`.
 ///
 /// # Panics
 ///
 /// Panics if the simulation faults — only possible on a disconnected
 /// graph (the flood then stalls).
-pub fn flood_echo(graph: &Graph, engine_threads: usize) -> (usize, u64) {
-    flood_echo_observed(graph, engine_threads, None)
+pub fn flood_echo(graph: &Graph) -> (usize, u64) {
+    flood_echo_observed(graph, None)
 }
 
 /// [`flood_echo`] with an optional telemetry collector attached — the
@@ -131,12 +130,8 @@ pub fn flood_echo(graph: &Graph, engine_threads: usize) -> (usize, u64) {
 /// # Panics
 ///
 /// Like [`flood_echo`].
-pub fn flood_echo_observed(
-    graph: &Graph,
-    engine_threads: usize,
-    collector: Option<CollectorHandle>,
-) -> (usize, u64) {
-    flood_echo_mode(graph, engine_threads, false, collector)
+pub fn flood_echo_observed(graph: &Graph, collector: Option<CollectorHandle>) -> (usize, u64) {
+    flood_echo_mode(graph, false, collector)
 }
 
 /// [`flood_echo`] with the floods expanded into per-neighbor unicasts —
@@ -145,13 +140,12 @@ pub fn flood_echo_observed(
 /// # Panics
 ///
 /// Like [`flood_echo`].
-pub fn flood_echo_unicast(graph: &Graph, engine_threads: usize) -> (usize, u64) {
-    flood_echo_mode(graph, engine_threads, true, None)
+pub fn flood_echo_unicast(graph: &Graph) -> (usize, u64) {
+    flood_echo_mode(graph, true, None)
 }
 
 fn flood_echo_mode(
     graph: &Graph,
-    engine_threads: usize,
     expand: bool,
     collector: Option<CollectorHandle>,
 ) -> (usize, u64) {
@@ -159,7 +153,7 @@ fn flood_echo_mode(
         (0..graph.node_count()).map(|_| FloodEcho { expand, ..FloodEcho::default() }).collect();
     // A node may forward the wave to a neighbor and decline that same
     // neighbor's wave in one round: two 1-word messages per edge.
-    let mut cfg = Config::default().with_bandwidth_words(2).with_engine_threads(engine_threads);
+    let mut cfg = Config::default().with_bandwidth_words(2);
     if let Some(col) = collector {
         cfg = cfg.with_collector(col);
     }
@@ -240,8 +234,8 @@ impl Protocol for Storm {
 ///
 /// Panics if the simulation faults — only possible when the graph has an
 /// isolated node (which never activates and stalls the run).
-pub fn flood_storm(graph: &Graph, depth: usize, engine_threads: usize) -> (usize, u64) {
-    flood_storm_mode(graph, depth, engine_threads, false)
+pub fn flood_storm(graph: &Graph, depth: usize) -> (usize, u64) {
+    flood_storm_mode(graph, depth, false)
 }
 
 /// [`flood_storm`] with the floods expanded into per-neighbor unicasts —
@@ -250,21 +244,14 @@ pub fn flood_storm(graph: &Graph, depth: usize, engine_threads: usize) -> (usize
 /// # Panics
 ///
 /// Like [`flood_storm`].
-pub fn flood_storm_unicast(graph: &Graph, depth: usize, engine_threads: usize) -> (usize, u64) {
-    flood_storm_mode(graph, depth, engine_threads, true)
+pub fn flood_storm_unicast(graph: &Graph, depth: usize) -> (usize, u64) {
+    flood_storm_mode(graph, depth, true)
 }
 
-fn flood_storm_mode(
-    graph: &Graph,
-    depth: usize,
-    engine_threads: usize,
-    expand: bool,
-) -> (usize, u64) {
+fn flood_storm_mode(graph: &Graph, depth: usize, expand: bool) -> (usize, u64) {
     let nodes: Vec<Storm> =
         (0..graph.node_count()).map(|_| Storm { remaining: depth, expand }).collect();
-    let cfg = Config::default()
-        .with_bandwidth_words(StormMsg([0; 6]).words())
-        .with_engine_threads(engine_threads);
+    let cfg = Config::default().with_bandwidth_words(StormMsg([0; 6]).words());
     let mut net = Network::new(graph, cfg, nodes).expect("probe network");
     net.run().expect("storm completes without isolated nodes");
     (net.metrics().rounds, net.metrics().messages)
@@ -278,34 +265,33 @@ mod tests {
     fn flood_storm_sends_two_m_per_round_and_matches_thread_counts() {
         let g = probe_graph(200, 9);
         let depth = 10;
-        let (rounds, messages) = flood_storm(&g, depth, 1);
+        let (rounds, messages) = flood_storm(&g, depth);
         assert_eq!(rounds, depth + 1);
         assert_eq!(messages, 2 * g.edge_count() as u64 * (depth as u64 + 1));
-        assert_eq!((rounds, messages), flood_storm(&g, depth, 4));
-        assert_eq!((rounds, messages), flood_storm(&g, depth, 0));
         // The unicast twin is observationally identical.
-        assert_eq!((rounds, messages), flood_storm_unicast(&g, depth, 1));
+        assert_eq!((rounds, messages), flood_storm_unicast(&g, depth));
     }
 
     #[test]
     fn flood_echo_unicast_twin_is_observationally_identical() {
         let g = probe_graph(300, 8);
-        assert_eq!(flood_echo(&g, 1), flood_echo_unicast(&g, 1));
+        assert_eq!(flood_echo(&g), flood_echo_unicast(&g));
     }
 
     #[test]
     fn flood_echo_completes_and_is_thread_count_independent() {
+        // The engine runs every callback on the calling thread, so a
+        // re-run is the whole check.
         let g = probe_graph(300, 8);
-        let serial = flood_echo(&g, 1);
+        let serial = flood_echo(&g);
         assert!(serial.0 > 0 && serial.1 > 0);
-        assert_eq!(serial, flood_echo(&g, 4));
-        assert_eq!(serial, flood_echo(&g, 0));
+        assert_eq!(serial, flood_echo(&g));
     }
 
     #[test]
     fn flood_echo_traffic_is_theta_m() {
         let g = probe_graph(200, 9);
-        let (_, messages) = flood_echo(&g, 1);
+        let (_, messages) = flood_echo(&g);
         let m = g.edge_count() as u64;
         // Every edge carries between one wave and two waves + two replies.
         assert!(messages >= m && messages <= 4 * m, "messages {messages}, m {m}");

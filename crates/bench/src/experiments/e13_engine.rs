@@ -1,21 +1,15 @@
 //! **E13 — engine throughput baseline** (not a paper claim): rounds/sec
 //! of the two-phase round engine on two workloads — the flood-echo
 //! microprotocol and the **broadcast storm** (every node `send_all`s
-//! every round, the shared-payload flood fabric's hot path) — across
-//! the engine-thread sweep `{1, 2, 4, all}`, recorded to
-//! `BENCH_engine.json` so the perf trajectory is tracked across PRs.
-//! Every row also records the **effective worker count** the setting
-//! resolves to on this host (the `0 = all cores` setting clamps to
-//! detected hardware concurrency), so numbers from different machines
-//! stay interpretable.
+//! every round, the shared-payload flood fabric's hot path) — recorded
+//! to `BENCH_engine.json` so the perf trajectory is tracked across PRs.
 //!
 //! The engine is the substrate every paper experiment stands on; a
 //! regression here silently inflates E1–E12 wall-clock without changing
 //! any simulated quantity, which is why the baseline is tracked
 //! explicitly. The `--heavy` gate adds one end-to-end **DHC1** point
-//! (`n = 10⁴`, `k = 50`) at one thread and at all cores — the real
-//! workload the compute phase's worker pool exists for — with the two
-//! runs asserted bit-identical.
+//! (`n = 10⁴`, `k = 50`), whose stitch is the engine's largest
+//! whole-graph workload.
 
 use crate::baseline::{baseline_path, carried_records, write_baseline};
 use crate::engine_probe::{
@@ -23,7 +17,6 @@ use crate::engine_probe::{
     probe_graph, STORM_DEPTH,
 };
 use crate::table::{f3, Table};
-use dhc_congest::Config as SimConfig;
 use dhc_core::{run_dhc1, CollectorHandle, DhcConfig};
 use dhc_graph::rng::rng_from_seed;
 use dhc_obs::schema::{BenchDoc, Record};
@@ -57,7 +50,7 @@ pub struct Params {
     /// Whether to write the `BENCH_engine.json` baseline (disabled for
     /// smoke runs so tests do not touch the filesystem).
     pub emit_json: bool,
-    /// End-to-end DHC1 engine-scaling point, if any.
+    /// End-to-end DHC1 point, if any.
     pub dhc1: Option<Dhc1Point>,
     /// A heavy point dropped by [`gated`](Params::gated); `run` prints a
     /// one-line skip notice for it.
@@ -119,26 +112,17 @@ impl Params {
     }
 }
 
-/// The worker count an `engine_threads` setting resolves to on this
-/// host — recorded per row so baselines from different machines stay
-/// interpretable.
-fn workers_for(threads: usize) -> usize {
-    SimConfig::default().with_engine_threads(threads).effective_engine_threads()
-}
-
 /// One measured microbenchmark point.
 struct Sample {
     workload: &'static str,
     n: usize,
-    engine_threads: usize,
-    workers: usize,
     rounds: usize,
     messages: u64,
     wall_ms: f64,
     rounds_per_sec: f64,
 }
 
-fn measure(workload: &'static str, n: usize, threads: usize, reps: usize, seed: u64) -> Sample {
+fn measure(workload: &'static str, n: usize, reps: usize, seed: u64) -> Sample {
     let g = probe_graph(n, seed);
     let mut best = f64::INFINITY;
     let mut rounds = 0;
@@ -146,10 +130,10 @@ fn measure(workload: &'static str, n: usize, threads: usize, reps: usize, seed: 
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
         let (r, m) = match workload {
-            "flood-echo" => flood_echo(&g, threads),
-            "flood-echo-unicast" => flood_echo_unicast(&g, threads),
-            "broadcast-storm" => flood_storm(&g, STORM_DEPTH, threads),
-            "broadcast-storm-unicast" => flood_storm_unicast(&g, STORM_DEPTH, threads),
+            "flood-echo" => flood_echo(&g),
+            "flood-echo-unicast" => flood_echo_unicast(&g),
+            "broadcast-storm" => flood_storm(&g, STORM_DEPTH),
+            "broadcast-storm-unicast" => flood_storm_unicast(&g, STORM_DEPTH),
             other => unreachable!("unknown E13 workload {other}"),
         };
         let dt = t0.elapsed().as_secs_f64();
@@ -162,8 +146,6 @@ fn measure(workload: &'static str, n: usize, threads: usize, reps: usize, seed: 
     Sample {
         workload,
         n,
-        engine_threads: threads,
-        workers: workers_for(threads),
         rounds,
         messages,
         wall_ms: best * 1e3,
@@ -171,10 +153,8 @@ fn measure(workload: &'static str, n: usize, threads: usize, reps: usize, seed: 
     }
 }
 
-/// One end-to-end DHC1 run at a thread setting.
+/// One end-to-end DHC1 run.
 struct Dhc1Sample {
-    engine_threads: usize,
-    workers: usize,
     wall_s: f64,
     rounds: usize,
     messages: u64,
@@ -192,14 +172,11 @@ fn dhc1_graph(pt: Dhc1Point, seed: u64) -> dhc_graph::Graph {
     dhc_graph::generator::gnp(pt.n, p, &mut rng_from_seed(seed ^ 0xE13)).expect("valid gnp")
 }
 
-/// Runs DHC1 at one engine thread and at all cores on the first
-/// succeeding seed; the two runs must be bit-identical (that contract
-/// is what makes the wall-clock comparison apples-to-apples).
-fn measure_dhc1(pt: Dhc1Point, seed: u64, progress: bool) -> Result<Vec<Dhc1Sample>, String> {
+/// Times DHC1 on the first succeeding seed.
+fn measure_dhc1(pt: Dhc1Point, seed: u64, progress: bool) -> Result<Dhc1Sample, String> {
     let g = dhc1_graph(pt, seed);
     // Live round counts on stderr for the multi-minute runs; the
-    // collector is pure observation (obs_equivalence), so the
-    // bit-identity assertion below is unaffected.
+    // collector is pure observation (obs_equivalence).
     let collector = progress
         .then(|| CollectorHandle::new(RunObserver::new().with_heartbeat(Duration::from_secs(2))));
     for attempt in 0..8u64 {
@@ -208,43 +185,20 @@ fn measure_dhc1(pt: Dhc1Point, seed: u64, progress: bool) -> Result<Vec<Dhc1Samp
             cfg = cfg.with_collector(col.clone());
         }
         let t0 = Instant::now();
-        let Ok(serial) = run_dhc1(&g, &cfg.clone().with_engine_threads(1)) else { continue };
-        let serial_wall = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let pooled = run_dhc1(&g, &cfg.clone().with_engine_threads(0))
-            .expect("the pooled run must succeed whenever the serial run does");
-        let pooled_wall = t0.elapsed().as_secs_f64();
-        assert!(
-            serial.cycle.order() == pooled.cycle.order() && serial.metrics == pooled.metrics,
-            "DHC1 runs diverged across thread counts at n = {}, k = {}",
-            pt.n,
-            pt.k
-        );
-        return Ok(vec![
-            Dhc1Sample {
-                engine_threads: 1,
-                workers: 1,
-                wall_s: serial_wall,
-                rounds: serial.metrics.rounds,
-                messages: serial.metrics.messages,
-                peak_words: serial.metrics.peak_memory_words(),
-            },
-            Dhc1Sample {
-                engine_threads: 0,
-                workers: workers_for(0),
-                wall_s: pooled_wall,
-                rounds: pooled.metrics.rounds,
-                messages: pooled.metrics.messages,
-                peak_words: pooled.metrics.peak_memory_words(),
-            },
-        ]);
+        let Ok(out) = run_dhc1(&g, &cfg) else { continue };
+        return Ok(Dhc1Sample {
+            wall_s: t0.elapsed().as_secs_f64(),
+            rounds: out.metrics.rounds,
+            messages: out.metrics.messages,
+            peak_words: out.metrics.peak_memory_words(),
+        });
     }
     Err(format!("DHC1 did not succeed in 8 seeds at n = {}, k = {}", pt.n, pt.k))
 }
 
-/// Collector overhead measured on the flood-echo probe: same graph and
-/// thread count, detached vs attached (a live [`RunObserver`] behind a
-/// shared handle). The simulated results are bit-identical either way
+/// Collector overhead measured on the flood-echo probe: same graph,
+/// detached vs attached (a live [`RunObserver`] behind a shared
+/// handle). The simulated results are bit-identical either way
 /// (`crates/core/tests/obs_equivalence.rs`); the telemetry layer's
 /// acceptance bar is < 2% on this probe.
 ///
@@ -298,8 +252,8 @@ fn measure_overhead(n: usize, reps: usize, seed: u64) -> Overhead {
     // to ~2.5 s of work per window — long enough that one 10 ms CPU
     // tick of quantization stays well under the few-percent signal.
     let t0 = Instant::now();
-    std::hint::black_box(flood_echo(&g, 1));
-    std::hint::black_box(flood_echo_observed(&g, 1, Some(handle.clone())));
+    std::hint::black_box(flood_echo(&g));
+    std::hint::black_box(flood_echo_observed(&g, Some(handle.clone())));
     let per_run = (t0.elapsed().as_secs_f64() / 2.0).max(1e-6);
     let batch = ((2.5 / per_run).ceil() as usize).clamp(1, 500);
     let cpu = cpu_ticks().is_some();
@@ -309,9 +263,9 @@ fn measure_overhead(n: usize, reps: usize, seed: u64) -> Overhead {
         let (t0, w0) = (cpu_ticks(), Instant::now());
         for _ in 0..batch {
             if attached {
-                std::hint::black_box(flood_echo_observed(&g, 1, Some(handle.clone())));
+                std::hint::black_box(flood_echo_observed(&g, Some(handle.clone())));
             } else {
-                std::hint::black_box(flood_echo(&g, 1));
+                std::hint::black_box(flood_echo(&g));
             }
         }
         match t0 {
@@ -349,7 +303,7 @@ fn measure_overhead(n: usize, reps: usize, seed: u64) -> Overhead {
 fn render_doc(
     samples: &[Sample],
     overhead: &Overhead,
-    dhc1: Option<(Dhc1Point, &[Dhc1Sample])>,
+    dhc1: Option<(Dhc1Point, &Dhc1Sample)>,
     carried: Vec<dhc_obs::json::Json>,
     cores: usize,
     seed: u64,
@@ -367,8 +321,6 @@ fn render_doc(
             Record::new("engine-workload")
                 .str("workload", s.workload)
                 .usize("n", s.n)
-                .usize("engine_threads", s.engine_threads)
-                .usize("workers", s.workers)
                 .usize("rounds", s.rounds)
                 .u64("messages", s.messages)
                 .f3("wall_ms", s.wall_ms)
@@ -379,7 +331,6 @@ fn render_doc(
         Record::new("collector-overhead")
             .str("workload", "flood-echo")
             .usize("n", overhead.n)
-            .usize("engine_threads", 1)
             .usize("pairs", overhead.pairs)
             .usize("batch", overhead.batch)
             .str("clock", overhead.clock)
@@ -388,20 +339,16 @@ fn render_doc(
             .f3("attached_run_ms", overhead.attached_ms)
             .f3("overhead_pct", overhead.overhead_pct),
     );
-    if let Some((pt, rows)) = dhc1 {
-        for r in rows {
-            doc.push(
-                Record::new("dhc1-e2e")
-                    .usize("n", pt.n)
-                    .usize("k", pt.k)
-                    .usize("engine_threads", r.engine_threads)
-                    .usize("workers", r.workers)
-                    .f3("wall_s", r.wall_s)
-                    .usize("rounds", r.rounds)
-                    .u64("messages", r.messages)
-                    .u64("engine_peak_words", r.peak_words),
-            );
-        }
+    if let Some((pt, r)) = dhc1 {
+        doc.push(
+            Record::new("dhc1-e2e")
+                .usize("n", pt.n)
+                .usize("k", pt.k)
+                .f3("wall_s", r.wall_s)
+                .usize("rounds", r.rounds)
+                .u64("messages", r.messages)
+                .u64("engine_peak_words", r.peak_words),
+        );
     }
     for rec in carried {
         doc.push_json(rec);
@@ -414,16 +361,14 @@ pub fn run(params: &Params, seed: u64) -> String {
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let mut out = String::new();
     out.push_str(&format!(
-        "E13 engine throughput: flood-echo + broadcast-storm rounds/sec across the \
-         engine-thread sweep, with -unicast pre-fabric twins (machine has {cores} core(s))\n\n"
+        "E13 engine throughput: flood-echo + broadcast-storm rounds/sec, with -unicast \
+         pre-fabric twins (machine has {cores} core(s))\n\n"
     ));
     // Measured first, on a fresh heap: the storm sweep below fragments
     // the allocator badly enough to swamp a few-percent signal.
     let overhead =
         measure_overhead(params.sizes.iter().copied().max().unwrap_or(256), params.reps, seed);
-    let mut t = Table::new(vec![
-        "workload", "n", "threads", "workers", "rounds", "messages", "wall ms", "rounds/s",
-    ]);
+    let mut t = Table::new(vec!["workload", "n", "rounds", "messages", "wall ms", "rounds/s"]);
     let mut samples = Vec::new();
     // The `-unicast` twins expand every flood into per-neighbor sends —
     // the pre-broadcast-fabric cost model, kept so the baseline records
@@ -432,26 +377,20 @@ pub fn run(params: &Params, seed: u64) -> String {
         &["flood-echo", "flood-echo-unicast", "broadcast-storm", "broadcast-storm-unicast"]
     {
         for &n in &params.sizes {
-            for threads in [1usize, 2, 4, 0] {
-                let s = measure(workload, n, threads, params.reps, seed);
-                t.row(vec![
-                    s.workload.to_string(),
-                    s.n.to_string(),
-                    if threads == 0 { format!("all ({cores})") } else { threads.to_string() },
-                    s.workers.to_string(),
-                    s.rounds.to_string(),
-                    s.messages.to_string(),
-                    f3(s.wall_ms),
-                    f3(s.rounds_per_sec),
-                ]);
-                samples.push(s);
-            }
+            let s = measure(workload, n, params.reps, seed);
+            t.row(vec![
+                s.workload.to_string(),
+                s.n.to_string(),
+                s.rounds.to_string(),
+                s.messages.to_string(),
+                f3(s.wall_ms),
+                f3(s.rounds_per_sec),
+            ]);
+            samples.push(s);
         }
     }
     out.push_str(&t.render());
-    out.push_str(
-        "\n    determinism contract: rounds and messages are identical at every thread count;\n    only wall-clock moves. Criterion variants: cargo bench -p dhc-bench --bench engine / --bench pool.\n",
-    );
+    out.push_str("\n    Criterion variants: cargo bench -p dhc-bench --bench engine.\n");
     out.push_str(&format!(
         "\n    telemetry collector overhead on flood-echo (n = {}, {} alternating \
          {}-run {} windows, median of per-pair ratios): \
@@ -464,39 +403,20 @@ pub fn run(params: &Params, seed: u64) -> String {
         f3(overhead.attached_ms),
         overhead.overhead_pct
     ));
-    let mut dhc1_rows = None;
+    let mut dhc1_row = None;
     if let Some(pt) = params.dhc1 {
-        out.push_str(&format!(
-            "\n    DHC1 end-to-end engine scaling (n = {}, k = {}):\n",
-            pt.n, pt.k
-        ));
+        out.push_str(&format!("\n    DHC1 end-to-end (n = {}, k = {}):\n", pt.n, pt.k));
         match measure_dhc1(pt, seed, params.progress) {
-            Ok(rows) => {
-                let mut dt = Table::new(vec![
-                    "threads",
-                    "workers",
-                    "wall s",
-                    "rounds",
-                    "messages",
-                    "peak words",
+            Ok(r) => {
+                let mut dt = Table::new(vec!["wall s", "rounds", "messages", "peak words"]);
+                dt.row(vec![
+                    f3(r.wall_s),
+                    r.rounds.to_string(),
+                    r.messages.to_string(),
+                    r.peak_words.to_string(),
                 ]);
-                for r in &rows {
-                    dt.row(vec![
-                        if r.engine_threads == 0 {
-                            format!("all ({cores})")
-                        } else {
-                            r.engine_threads.to_string()
-                        },
-                        r.workers.to_string(),
-                        f3(r.wall_s),
-                        r.rounds.to_string(),
-                        r.messages.to_string(),
-                        r.peak_words.to_string(),
-                    ]);
-                }
                 out.push_str(&dt.render());
-                out.push_str("    thread counts verified bit-identical (cycle and metrics).\n");
-                dhc1_rows = Some((pt, rows));
+                dhc1_row = Some((pt, r));
             }
             Err(e) => out.push_str(&format!("    {e}\n")),
         }
@@ -516,7 +436,7 @@ pub fn run(params: &Params, seed: u64) -> String {
         let doc = render_doc(
             &samples,
             &overhead,
-            dhc1_rows.as_ref().map(|(pt, rows)| (*pt, rows.as_slice())),
+            dhc1_row.as_ref().map(|(pt, r)| (*pt, r)),
             carried,
             cores,
             seed,
@@ -536,7 +456,7 @@ mod tests {
         let report = run(&Params::for_effort(Effort::Smoke), 4);
         assert!(report.contains("engine throughput"));
         assert!(report.contains("telemetry collector overhead"));
-        assert!(report.contains("DHC1 end-to-end engine scaling"));
+        assert!(report.contains("DHC1 end-to-end"));
         assert!(!report.contains("baseline written"));
     }
 
@@ -558,8 +478,6 @@ mod tests {
         Sample {
             workload: "flood-echo",
             n: 10,
-            engine_threads: 1,
-            workers: 1,
             rounds: 5,
             messages: 7,
             wall_ms: 0.5,
@@ -582,18 +500,11 @@ mod tests {
 
     #[test]
     fn doc_validates_and_keeps_row_fields() {
-        let d = Dhc1Sample {
-            engine_threads: 0,
-            workers: 4,
-            wall_s: 1.25,
-            rounds: 100,
-            messages: 4_000,
-            peak_words: 123_456,
-        };
+        let d = Dhc1Sample { wall_s: 1.25, rounds: 100, messages: 4_000, peak_words: 123_456 };
         let doc = render_doc(
             &[sample()],
             &overhead(),
-            Some((Dhc1Point { n: 240, k: 4 }, &[d])),
+            Some((Dhc1Point { n: 240, k: 4 }, &d)),
             Vec::new(),
             4,
             9,

@@ -32,7 +32,6 @@
 
 use crate::baseline::{baseline_path, carried_records, write_baseline};
 use crate::table::{f3, Table};
-use dhc_congest::Config as SimConfig;
 use dhc_core::{run_dhc2_with_colors, run_dra, CollectorHandle, DhcConfig, RunOutcome};
 use dhc_graph::generator::{clustered, gnp};
 use dhc_graph::rng::rng_from_seed;
@@ -153,7 +152,6 @@ impl Params {
 /// One measured run (fat or lean) at a scale point.
 struct ModeRow {
     mode: &'static str,
-    workers: usize,
     wall_s: f64,
     rounds: usize,
     messages: u64,
@@ -230,7 +228,6 @@ fn timed(
     let n = g.node_count();
     let row = ModeRow {
         mode,
-        workers: SimConfig::default().effective_engine_threads(),
         wall_s,
         rounds: out.metrics.rounds,
         messages: out.metrics.messages,
@@ -339,7 +336,6 @@ fn render_doc(
                     .usize("m", p.m)
                     .field("bit_identical", bit)
                     .str("mode", r.mode)
-                    .usize("workers", r.workers)
                     .f3("wall_s", r.wall_s)
                     .usize("rounds", r.rounds)
                     .u64("messages", r.messages)
@@ -493,7 +489,6 @@ mod tests {
             rows: vec![
                 ModeRow {
                     mode: "fat",
-                    workers: 1,
                     wall_s: 0.5,
                     rounds: 10,
                     messages: 100,
@@ -505,7 +500,6 @@ mod tests {
                 },
                 ModeRow {
                     mode: "lean",
-                    workers: 1,
                     wall_s: 0.4,
                     rounds: 10,
                     messages: 100,

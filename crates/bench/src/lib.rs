@@ -9,8 +9,8 @@
 //! * [`table`] — plain-text table rendering used by the `experiments`
 //!   binary;
 //! * [`workload`] — the `G(n, p)` operating points of the paper
-//!   (`p = c ln n / n^δ`) plus trial-sweep plumbing with
-//!   `std::thread`-based parallelism;
+//!   (`p = c ln n / n^δ`) plus trial sweeps spread over the cores with
+//!   `dhc_pool::run_mut`;
 //! * [`baseline`] — writing and carrying forward the committed
 //!   `BENCH_*.json` baselines in the shared `dhc-bench/v1` envelope
 //!   (`dhc_obs::schema`);

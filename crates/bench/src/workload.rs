@@ -31,34 +31,20 @@ impl OperatingPoint {
     }
 }
 
-/// Runs `trials` independent trials in parallel (one thread each, capped at
-/// the available parallelism) and returns the per-trial outputs in trial
+/// Runs `trials` independent trials on all available cores (one if the
+/// core count cannot be read) and returns the per-trial outputs in trial
 /// order. Each trial gets a seed derived from `(seed, index)`.
 pub fn run_trials<T, F>(trials: usize, seed: u64, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, u64) -> T + Sync,
 {
-    let max_par = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut out: Vec<Option<T>> = (0..trials).map(|_| None).collect();
-    let mut next = 0usize;
-    while next < trials {
-        let batch = (trials - next).min(max_par);
-        let chunk_results: Vec<(usize, T)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (next..next + batch)
-                .map(|i| {
-                    let f = &f;
-                    scope.spawn(move || (i, f(i, derive_seed(seed, i as u64))))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("trial thread panicked")).collect()
-        });
-        for (i, r) in chunk_results {
-            out[i] = Some(r);
-        }
-        next += batch;
-    }
-    out.into_iter().map(|o| o.expect("all trials filled")).collect()
+    dhc_pool::run_mut(threads, &mut out, &|i, slot| {
+        *slot = Some(f(i, derive_seed(seed, i as u64)))
+    });
+    out.into_iter().map(|o| o.expect("run_mut ran every trial")).collect()
 }
 
 /// Success-rate helper: fraction of `true` in a boolean sample.

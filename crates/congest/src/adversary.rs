@@ -20,11 +20,10 @@
 //! fate of a delivery is drawn by hashing
 //! `(fault_seed, round, sender, op index, destination)` through the
 //! workspace-standard SplitMix64 chain ([`dhc_graph::rng::derive_seed`]),
-//! and all draws happen inside the engine's sequential commit fold (or
-//! the equally sequential delay-queue injection). The realized fault
-//! schedule — and therefore the entire execution — is bit-identical at
-//! every [`Config::engine_threads`](crate::Config::engine_threads)
-//! setting, exactly like the clean engine
+//! and all draws happen inside the engine's commit fold (or the
+//! delay-queue injection), in a fixed order. The realized fault
+//! schedule — and therefore the entire execution — is bit-identical on
+//! every re-run with the same seed, exactly like the clean engine
 //! (pinned by `crates/congest/tests/adversary_proptest.rs`).
 //!
 //! A **null adversary** ([`Adversary::none`], or any adversary whose
@@ -231,7 +230,7 @@ impl Adversary {
 
     /// Draws the fate of one delivered message copy: a pure function of
     /// `(fault_seed, round, sender, op index, destination)`, independent
-    /// of thread count and wall-clock interleaving. Knobs are checked in
+    /// of wall-clock interleaving. Knobs are checked in
     /// drop → duplicate → delay order with independent sub-draws, so a
     /// copy suffers at most one fault.
     pub(crate) fn fate(&self, round: usize, from: NodeId, op: u32, to: NodeId) -> Fate {

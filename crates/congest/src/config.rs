@@ -3,8 +3,8 @@
 use crate::adversary::Adversary;
 use dhc_obs::CollectorHandle;
 
-/// Engine configuration: round budget, bandwidth, tracing, threads, and
-/// the optional fault and telemetry layers.
+/// Engine configuration: round budget, bandwidth, tracing, and the
+/// optional fault and telemetry layers.
 ///
 /// # Example
 ///
@@ -29,20 +29,6 @@ pub struct Config {
     /// Capacity of the engine event trace (sends, halts, wake-ups);
     /// 0 (the default) disables tracing.
     pub trace_capacity: usize,
-    /// Worker threads for the per-round compute phase: `1` (the
-    /// default) runs everything sequentially inline, `0` uses all
-    /// available cores. Results are **identical for every value** —
-    /// callbacks write only per-node effect scratch, and one sequential
-    /// commit fold applies it in ascending node-id order on the caller's
-    /// thread — so this trades wall-clock time only.
-    ///
-    /// Threads above 1 are served by a persistent worker pool
-    /// (`dhc-pool`): workers are spawned once at network construction
-    /// and parked on a condvar between rounds, so a round dispatch
-    /// costs one lock + notify, not a thread spawn. An effective count
-    /// of 1 (including `0` on a single-core host) never builds the
-    /// pool at all and runs the fully inline engine.
-    pub engine_threads: usize,
     /// Optional seeded fault model (message drop/duplicate/delay, node
     /// crash/restart). `None` (the default) — or a null adversary —
     /// runs the clean synchronous CONGEST engine unchanged; see
@@ -50,11 +36,10 @@ pub struct Config {
     pub adversary: Option<Adversary>,
     /// Optional telemetry collector (see [`dhc_obs`]). Like the
     /// k-machine layer, a collector is **pure observation**: it is
-    /// driven once per committed round from the engine's sequential
-    /// bookkeeping, after the commit fold, so attaching one cannot
-    /// change outcomes, [`Metrics`](crate::Metrics), traces, or realized
-    /// fault schedules at any thread count. `None` (the default)
-    /// skips every telemetry code path.
+    /// driven once per committed round from the engine's bookkeeping,
+    /// after the commit fold, so attaching one cannot change outcomes,
+    /// [`Metrics`](crate::Metrics), traces, or realized fault schedules.
+    /// `None` (the default) skips every telemetry code path.
     pub collector: Option<CollectorHandle>,
 }
 
@@ -65,7 +50,6 @@ impl Default for Config {
             bandwidth_words: 1,
             record_round_traffic: true,
             trace_capacity: 0,
-            engine_threads: 1,
             adversary: None,
             collector: None,
         }
@@ -107,24 +91,6 @@ impl Config {
         self
     }
 
-    /// Returns the configuration with the engine worker-thread count
-    /// replaced (`0` = all available cores). Never changes results;
-    /// see [`engine_threads`](Self::engine_threads).
-    pub fn with_engine_threads(mut self, threads: usize) -> Self {
-        self.engine_threads = threads;
-        self
-    }
-
-    /// The worker count [`engine_threads`](Self::engine_threads)
-    /// resolves to on this host: the setting itself, or detected
-    /// hardware concurrency when it is `0`.
-    pub fn effective_engine_threads(&self) -> usize {
-        match self.engine_threads {
-            0 => std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
-            t => t,
-        }
-    }
-
     /// Returns the configuration with the given seeded fault model
     /// attached. A null adversary ([`Adversary::is_null`]) is detected
     /// at network construction and leaves the clean engine code paths
@@ -161,20 +127,8 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c = Config::default().with_max_rounds(5).with_bandwidth_words(3).with_engine_threads(4);
+        let c = Config::default().with_max_rounds(5).with_bandwidth_words(3);
         assert_eq!((c.max_rounds, c.bandwidth_words), (5, 3));
-        assert_eq!(c.engine_threads, 4);
-    }
-
-    #[test]
-    fn engine_is_single_threaded_by_default() {
-        assert_eq!(Config::default().engine_threads, 1);
-    }
-
-    #[test]
-    fn effective_engine_threads_resolves_zero() {
-        assert_eq!(Config::default().with_engine_threads(4).effective_engine_threads(), 4);
-        assert!(Config::default().with_engine_threads(0).effective_engine_threads() >= 1);
     }
 
     #[test]

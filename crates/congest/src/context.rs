@@ -18,13 +18,12 @@ use crate::{NodeId, Payload, SimError};
 /// Internally the context is a thin wrapper over the node's private
 /// effects scratch: every mutation a callback performs (sends, halts,
 /// wake-ups, compute charges, faults) is recorded there, never applied to
-/// shared engine state. This is what lets the engine run all of a round's
-/// callbacks in parallel and commit the effects deterministically
-/// afterwards (see [`Config::engine_threads`](crate::Config::engine_threads)).
-/// Each successful send call appends one op to the node's op list, in
-/// call order, and adds its deliveries and words to the node's round
-/// totals; the payload's [`words`](Payload::words) is read here, on the
-/// calling thread.
+/// shared engine state, so every callback of a round reads the same
+/// inboxes and the engine commits the effects afterwards, in ascending
+/// node-id order. Each successful send call appends one op to the node's
+/// op list, in call order, and adds its deliveries and words to the
+/// node's round totals; the payload's [`words`](Payload::words) is read
+/// here, so the commit never calls into payload code.
 #[derive(Debug)]
 pub struct Context<'a, M: Payload> {
     pub(crate) node: NodeId,

@@ -4,11 +4,10 @@
 //! immutable view of the network and records everything it wants to do —
 //! unicast sends, broadcasts, a halt, a wake-up request, compute charges,
 //! faults — into its own [`Effects`] value. No shared state is mutated,
-//! which is what makes the compute phase safe to run on any number of
-//! worker threads. The engine's sequential **commit fold** then applies
-//! the effects in ascending node-id order, so the observable outcome
-//! (metrics, trace, message delivery order) is bit-identical at every
-//! thread count.
+//! so every callback of the round reads the same inboxes. The engine's
+//! **commit fold** then applies the effects in ascending node-id order,
+//! which fixes the observable outcome (metrics, trace, message delivery
+//! order).
 //!
 //! Unicast sends and broadcasts share one per-node **op list**: every
 //! successful `Context::send` / `send_all` / `send_all_except` call
@@ -20,8 +19,8 @@
 //! adversary's fates are keyed on it and its delayed messages can be
 //! re-sorted into place.
 //!
-//! Each push also takes the payload's word count (on the worker thread,
-//! so the fold never calls into payload code) and updates the node's
+//! Each push also takes the payload's word count (during the compute
+//! phase, so the fold never calls into payload code) and updates the node's
 //! round totals: directed deliveries, delivered words, the broadcast
 //! base load, and the counts of unicast and skip ops. From these the
 //! fold charges the sender's metrics once per node and answers the

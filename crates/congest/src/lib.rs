@@ -20,12 +20,10 @@
 //!   with **per-edge bandwidth enforcement**
 //!   (more than `B` message-words across one directed edge in one round is
 //!   a simulation error, exactly the CONGEST constraint). Each round runs
-//!   as a **parallel compute phase** (active nodes execute independently
-//!   against an immutable view, recording effects into private scratch;
-//!   [`Config::engine_threads`] sets the worker count, served by a
-//!   persistent worker pool) followed by one **sequential commit fold**
-//!   that applies the effects in ascending node-id order on the caller's
-//!   thread, so results are identical at every thread count;
+//!   as a **compute phase** (active nodes execute independently against
+//!   an immutable view, recording effects into private scratch) followed
+//!   by one **commit fold** that applies the effects in ascending
+//!   node-id order, all on the calling thread;
 //! * [`Metrics`] — rounds, messages, message-words, per-node send/receive/
 //!   compute counters, sampled per-node memory high-water marks, and
 //!   per-round congestion, feeding the paper's "fully distributed"
@@ -42,8 +40,8 @@
 //!   bounded delay with fixed-point probability knobs, plus node
 //!   crash/restart schedules. Every fault is a pure function of the
 //!   fault seed and the delivery's identity, drawn inside the commit
-//!   fold, so faulty executions keep the engine's
-//!   bit-identical-at-every-thread-count guarantee; a null adversary
+//!   fold, so a faulty execution is bit-identical on every re-run with
+//!   the same seed; a null adversary
 //!   ([`Adversary::none`]) leaves the clean code paths untouched
 //!   entirely.
 //!
@@ -139,11 +137,9 @@ pub type NodeId = dhc_graph::NodeId;
 /// messages or a scheduled wake-up. Messages sent in round `r` are delivered
 /// at the start of round `r + 1`.
 ///
-/// Protocols must be `Send` so a round's callbacks can execute on worker
-/// threads (each node is still only ever touched by one thread at a time;
-/// see [`Config::engine_threads`]). Per-node state is plain data in
-/// practice, so the bound is satisfied automatically.
-pub trait Protocol: Send {
+/// The engine runs every callback on the thread that drives the
+/// network, so protocols need no thread-safety bounds.
+pub trait Protocol {
     /// The message type exchanged by this protocol.
     type Msg: Payload;
 

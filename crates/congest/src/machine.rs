@@ -27,9 +27,8 @@
 //! influences scheduling, delivery, bandwidth checks, or protocol state,
 //! so a machine-instrumented run produces bit-identical outcomes, CONGEST
 //! [`Metrics`](crate::Metrics), and traces to the plain run. Because it
-//! runs inside the sequential commit fold, its numbers are also identical
-//! at every [`Config::engine_threads`](crate::Config::engine_threads)
-//! setting.
+//! runs inside the commit fold, its numbers are as deterministic as the
+//! run itself.
 //!
 //! Per-round link loads are retained in a [`MachineRoundLog`] (sparse:
 //! only touched links) rather than folded immediately, because phases of

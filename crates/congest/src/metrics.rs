@@ -7,10 +7,11 @@ use dhc_graph::NodeId;
 /// Aggregated measurements from one [`Network`](crate::Network) run.
 ///
 /// Equality (`==`) compares every *observable* field — everything a
-/// protocol run determines bit-for-bit regardless of thread count — and
-/// deliberately **excludes** [`engine_memory_words`](Metrics::engine_memory_words):
-/// buffer capacities legitimately vary with worker count and allocator
-/// growth policy while the computation stays identical.
+/// protocol run determines bit-for-bit — and deliberately **excludes**
+/// [`engine_memory_words`](Metrics::engine_memory_words): buffer
+/// capacities legitimately vary with scratch reuse (Phase 1 chains one
+/// scratch through its classes only when they run sequentially) and
+/// allocator growth policy while the computation stays identical.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     /// Rounds executed (the paper's primary cost measure).
@@ -47,7 +48,7 @@ pub struct Metrics {
     /// (the `Δ'` of the Klauck et al. k-machine conversion theorem).
     pub max_node_sends_per_round: usize,
     /// Sampled peak engine-buffer footprint in 8-byte machine words —
-    /// the payload arena and per-node inbox lists, per-worker effect
+    /// the payload arena and per-node inbox lists, per-node effect
     /// scratch, and scheduling lists, wake heap included (see
     /// [`Network::engine_memory_words`](crate::Network::engine_memory_words)).
     /// Composes as a max: the peak footprint of any single constituent
@@ -60,7 +61,7 @@ pub struct Metrics {
 impl PartialEq for Metrics {
     fn eq(&self, other: &Self) -> bool {
         // `engine_memory_words` is intentionally absent: it reports
-        // allocation capacity, which may differ across thread counts
+        // allocation capacity, which may differ with scratch reuse
         // while the run itself is bit-identical.
         self.rounds == other.rounds
             && self.messages == other.messages

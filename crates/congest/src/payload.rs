@@ -8,13 +8,9 @@
 /// the engine enforces the per-edge-per-round budget in these units and
 /// reports totals in [`crate::Metrics`].
 ///
-/// Payloads must be `Send + Sync`: the round engine's compute phase may
-/// hand inbox slices to worker threads and move freshly produced messages
-/// back to the committing thread (see
-/// [`Config::engine_threads`](crate::Config::engine_threads)). Message
-/// types are plain data in practice, so these bounds are satisfied
-/// automatically.
-pub trait Payload: Clone + std::fmt::Debug + Send + Sync {
+/// The engine runs each network on the thread that drives it, so
+/// payloads need no thread-safety bounds.
+pub trait Payload: Clone + std::fmt::Debug {
     /// Size of this message in `Θ(log n)`-bit words. Must be ≥ 1.
     fn words(&self) -> usize {
         1

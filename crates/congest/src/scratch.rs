@@ -2,12 +2,11 @@
 //!
 //! A [`Network`](crate::Network) owns a family of arena-style buffers —
 //! the payload arena and per-node inbox lists, the per-active-node effect
-//! scratch, the scheduling scratch, and (when `engine_threads > 1`) the
-//! persistent worker pool that serves the compute phase. Within
-//! one network they are allocated once and reused every round, but a
-//! *phase* that runs many networks back to back — the `√n` Phase 1
-//! color classes, DHC2's `⌈log k⌉` merge levels — used to pay the full
-//! allocation (and thread-spawn) cost once per network.
+//! scratch, and the scheduling scratch. Within one network they are
+//! allocated once and reused every round, but a *phase* that runs many
+//! networks back to back — the `√n` Phase 1 color classes, DHC2's
+//! `⌈log k⌉` merge levels — used to pay the full allocation cost once
+//! per network.
 //!
 //! [`EngineScratch`] breaks that: construct with
 //! [`Network::new_with_scratch`](crate::Network::new_with_scratch) and
@@ -27,16 +26,14 @@ use crate::adversary::Fate;
 use crate::effects::Effects;
 use crate::mailbox::Mailboxes;
 use crate::{NodeId, Payload};
-use dhc_pool::WorkerPool;
 
 /// Recycled allocations of finished [`Network`](crate::Network)s,
 /// ready to seed the next network carrying the same message type.
 ///
-/// Starts cold (no buffers, no threads); warms up on the first
+/// Starts cold (no buffers); warms up on the first
 /// [`finish_with_scratch`](crate::Network::finish_with_scratch). A
 /// network constructed from a warm scratch reuses the donor's payload
-/// arena and inbox lists, effect scratch, and — when the thread
-/// counts match — its worker pool.
+/// arena and inbox lists, effect scratch, and scheduling scratch.
 pub struct EngineScratch<M: Payload> {
     /// Recycled single-buffered mailboxes (the payload arena, per-node
     /// index lists, touch and ready lists, delay queue).
@@ -53,8 +50,6 @@ pub struct EngineScratch<M: Payload> {
     pub(crate) fates: Vec<Fate>,
     /// Recycled bandwidth-check scratch (both commit folds).
     pub(crate) charged: Vec<(NodeId, usize)>,
-    /// Recycled persistent worker pool, with its parked threads.
-    pub(crate) pool: Option<WorkerPool>,
 }
 
 /// The buffer set a [`Network`](crate::Network) is born with — taken
@@ -67,12 +62,11 @@ pub(crate) struct Parts<M: Payload> {
     pub(crate) work: Vec<NodeId>,
     pub(crate) fates: Vec<Fate>,
     pub(crate) charged: Vec<(NodeId, usize)>,
-    pub(crate) pool: Option<WorkerPool>,
 }
 
 impl<M: Payload> Parts<M> {
     /// Cold start: what [`Network::new`](crate::Network::new) allocates.
-    pub(crate) fn fresh(n: usize, threads: usize) -> Self {
+    pub(crate) fn fresh(n: usize) -> Self {
         Parts {
             mail: Mailboxes::new(n),
             effects: Vec::new(),
@@ -81,7 +75,6 @@ impl<M: Payload> Parts<M> {
             work: Vec::new(),
             fates: Vec::new(),
             charged: Vec::new(),
-            pool: (threads > 1).then(|| WorkerPool::new(threads)),
         }
     }
 }
@@ -98,7 +91,6 @@ impl<M: Payload> EngineScratch<M> {
             work: Vec::new(),
             fates: Vec::new(),
             charged: Vec::new(),
-            pool: None,
         }
     }
 
@@ -108,22 +100,16 @@ impl<M: Payload> EngineScratch<M> {
         self.mail.is_some()
     }
 
-    /// Takes the buffer set for a new `n`-node network running on
-    /// `threads` effective engine threads, readying every recycled
-    /// buffer (a donor run may have errored mid-round). The pool is
-    /// reused only when its thread count matches; the effect scratch
-    /// needs no clearing here — the engine resets each entry before
-    /// use.
-    pub(crate) fn take_parts(&mut self, n: usize, threads: usize) -> Parts<M> {
+    /// Takes the buffer set for a new `n`-node network, readying every
+    /// recycled buffer (a donor run may have errored mid-round). The
+    /// effect scratch needs no clearing here — the engine resets each
+    /// entry before use.
+    pub(crate) fn take_parts(&mut self, n: usize) -> Parts<M> {
         let mut mail = match self.mail.take() {
             Some(m) => m,
-            None => return Parts::fresh(n, threads),
+            None => return Parts::fresh(n),
         };
         mail.recycle(n);
-        let pool = match self.pool.take() {
-            Some(p) if threads > 1 && p.workers() == threads => Some(p),
-            _ => (threads > 1).then(|| WorkerPool::new(threads)),
-        };
         self.woken.clear();
         self.active.clear();
         self.work.clear();
@@ -137,7 +123,6 @@ impl<M: Payload> EngineScratch<M> {
             work: std::mem::take(&mut self.work),
             fates: std::mem::take(&mut self.fates),
             charged: std::mem::take(&mut self.charged),
-            pool,
         }
     }
 
@@ -151,7 +136,6 @@ impl<M: Payload> EngineScratch<M> {
         self.work = parts.work;
         self.fates = parts.fates;
         self.charged = parts.charged;
-        self.pool = parts.pool;
     }
 }
 

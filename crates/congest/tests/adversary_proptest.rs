@@ -1,8 +1,8 @@
 //! Property tests for the seeded adversary layer: the **realized fault
 //! schedule** (every drop, duplicate, delay, crash, and restart, as
 //! exposed by the engine trace) and the final outcomes must be a pure
-//! function of the fault seed — bit-identical at engine threads
-//! {1, 2, 4, all} — and faulted messages must still respect the
+//! function of the fault seed — bit-identical on a re-run — and faulted
+//! messages must still respect the
 //! per-edge bandwidth check (violations surface as the existing
 //! simulation error, never a silent queue).
 
@@ -56,14 +56,13 @@ impl Protocol for Gossip {
     }
 }
 
-/// Everything observable about a faulty run, for cross-thread-count
-/// comparison: the typed outcome, metrics, the full trace (which
+/// Everything observable about a faulty run, for re-run comparison: the typed outcome, metrics, the full trace (which
 /// includes every Dropped/Duplicated/Delayed/Crashed/Restarted event —
 /// the realized fault schedule), and each node's delivery log.
 type RunResult =
     (Result<(), String>, dhc_congest::Metrics, Vec<TraceEvent>, Vec<Vec<(usize, NodeId, u64)>>);
 
-fn run_gossip(n: usize, lives: &[usize], adv: &Adversary, threads: usize) -> RunResult {
+fn run_gossip(n: usize, lives: &[usize], adv: &Adversary) -> RunResult {
     let g = dhc_graph::generator::cycle_graph(n);
     let nodes: Vec<Gossip> = (0..n)
         .map(|id| Gossip { id: id as u32, life: lives[id % lives.len()], got: Vec::new() })
@@ -72,7 +71,6 @@ fn run_gossip(n: usize, lives: &[usize], adv: &Adversary, threads: usize) -> Run
         .with_bandwidth_words(4)
         .with_max_rounds(500)
         .with_trace_capacity(1_000_000)
-        .with_engine_threads(threads)
         .with_adversary(adv.clone());
     let mut net = Network::new(&g, cfg, nodes).unwrap();
     let outcome = net.run().map_err(|e| format!("{e:?}"));
@@ -109,14 +107,9 @@ proptest! {
             let restart = (restart > crash_at).then_some(restart);
             adv = adv.with_crash((crash_node % n) as u32, crash_at, restart);
         }
-        let baseline = run_gossip(n, &lives, &adv, 1);
-        for threads in [2, 4, 0] {
-            let other = run_gossip(n, &lives, &adv, threads);
-            prop_assert_eq!(&baseline, &other,
-                "faulty run diverged at engine_threads = {}", threads);
-        }
         // The same fault seed realizes the same schedule on a re-run.
-        prop_assert_eq!(&baseline, &run_gossip(n, &lives, &adv, 1));
+        let baseline = run_gossip(n, &lives, &adv);
+        prop_assert_eq!(&baseline, &run_gossip(n, &lives, &adv));
     }
 
     #[test]
@@ -130,8 +123,8 @@ proptest! {
         // that each is internally deterministic (checked above) and that
         // the knob draws key off the seed at all.
         let adv = |s| Adversary::seeded(s).with_drop_ppm(500_000);
-        let a = run_gossip(6, &[4], &adv(seed_a), 1);
-        let b = run_gossip(6, &[4], &adv(seed_b), 1);
+        let a = run_gossip(6, &[4], &adv(seed_a));
+        let b = run_gossip(6, &[4], &adv(seed_b));
         let drops = |r: &RunResult| {
             r.2.iter().filter(|e| matches!(e, TraceEvent::Dropped { .. })).count()
         };

@@ -2,8 +2,7 @@
 //! `send_all` / `send_all_except` broadcast effects and its explicit
 //! per-neighbor-unicast twin must be **observationally identical** — same
 //! per-node inbox streams (contents *and* order), same `Metrics`, same
-//! `Trace`, and under a tight budget the same `BandwidthExceeded` error
-//! — at every `engine_threads` setting.
+//! `Trace`, and under a tight budget the same `BandwidthExceeded` error.
 //!
 //! This is the contract that makes the shared-payload flood routing an
 //! implementation detail: one arena record per flooding op, but per-edge
@@ -121,7 +120,6 @@ fn run_scripts(
     edge_prob: f64,
     graph_seed: u64,
     expand: bool,
-    threads: usize,
     budget: usize,
 ) -> Observed {
     let n = scripts.len();
@@ -131,10 +129,7 @@ fn run_scripts(
         .iter()
         .map(|s| Scripted { script: s.clone().into(), expand, counter: 0, log: Vec::new() })
         .collect();
-    let cfg = Config::default()
-        .with_bandwidth_words(budget)
-        .with_trace_capacity(1_000_000)
-        .with_engine_threads(threads);
+    let cfg = Config::default().with_bandwidth_words(budget).with_trace_capacity(1_000_000);
     let mut net = Network::new(&g, cfg, nodes).unwrap();
     let result = net.run();
     let trace = net.trace().events();
@@ -142,24 +137,20 @@ fn run_scripts(
     (result, report.metrics, trace, nodes.into_iter().map(|nd| nd.log).collect())
 }
 
-/// Runs the broadcast script and its unicast twin at engine threads 1
-/// and 4, asserts all four observe the same, and returns the result.
+/// Runs the broadcast script and its unicast twin, asserts both observe
+/// the same, and returns the result.
 fn assert_twins_agree(
     scripts: &[Vec<Vec<Op>>],
     edge_prob: f64,
     graph_seed: u64,
     budget: usize,
 ) -> Result<(), SimError> {
-    let broadcast = run_scripts(scripts, edge_prob, graph_seed, false, 1, budget);
-    for (expand, threads) in [(true, 1), (false, 4), (true, 4)] {
-        let other = run_scripts(scripts, edge_prob, graph_seed, expand, threads, budget);
-        let what =
-            format!("{} at {threads} threads", if expand { "unicast twin" } else { "broadcast" });
-        assert_eq!(broadcast.0, other.0, "result diverged: {what}");
-        assert_eq!(broadcast.1, other.1, "Metrics diverged: {what}");
-        assert_eq!(broadcast.2, other.2, "Trace diverged: {what}");
-        assert_eq!(broadcast.3, other.3, "inbox logs diverged: {what}");
-    }
+    let broadcast = run_scripts(scripts, edge_prob, graph_seed, false, budget);
+    let twin = run_scripts(scripts, edge_prob, graph_seed, true, budget);
+    assert_eq!(broadcast.0, twin.0, "result diverged");
+    assert_eq!(broadcast.1, twin.1, "Metrics diverged");
+    assert_eq!(broadcast.2, twin.2, "Trace diverged");
+    assert_eq!(broadcast.3, twin.3, "inbox logs diverged");
     broadcast.0
 }
 
@@ -175,8 +166,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Broadcast-based and unicast-expanded executions of the same random
-    /// script are bit-identical in outcomes, `Metrics`, and `Trace`, at
-    /// engine threads 1 and 4.
+    /// script are bit-identical in outcomes, `Metrics`, and `Trace`.
     #[test]
     fn broadcast_and_unicast_twin_are_bit_identical(
         scripts in prop::collection::vec(

@@ -1,7 +1,7 @@
 //! Property tests for the round engine's scheduling semantics: arbitrary
 //! interleavings of `wake_in`, `halt`, unicast sends, and `send_all`
 //! broadcasts must never lose a round, never run a halted node, and must
-//! produce bit-identical results at every `engine_threads` setting.
+//! produce bit-identical results on a re-run.
 
 use dhc_congest::{Config, Context, Inbox, Network, NodeId, Payload, Protocol, TraceEvent};
 use proptest::prelude::*;
@@ -80,22 +80,16 @@ impl Protocol for Scripted {
     }
 }
 
-/// Per-node observable outcome, for cross-thread-count comparison.
+/// Per-node observable outcome, for re-run comparison.
 type NodeLog = (Vec<(usize, usize)>, Vec<usize>, Option<usize>);
 
-fn run_scripts(
-    scripts: &[Vec<Step>],
-    threads: usize,
-) -> (dhc_congest::Metrics, Vec<TraceEvent>, Vec<NodeLog>) {
+fn run_scripts(scripts: &[Vec<Step>]) -> (dhc_congest::Metrics, Vec<TraceEvent>, Vec<NodeLog>) {
     let n = scripts.len();
     let g = dhc_graph::generator::cycle_graph(n);
     let nodes: Vec<Scripted> =
         scripts.iter().enumerate().map(|(v, s)| Scripted::new((v) as u32, s.clone())).collect();
     // A broadcast plus a unicast put two words on one edge.
-    let cfg = Config::default()
-        .with_bandwidth_words(2)
-        .with_trace_capacity(1_000_000)
-        .with_engine_threads(threads);
+    let cfg = Config::default().with_bandwidth_words(2).with_trace_capacity(1_000_000);
     let mut net = Network::new(&g, cfg, nodes).unwrap();
     net.run().unwrap();
     assert!(net.is_finished());
@@ -119,13 +113,11 @@ proptest! {
             3..9,
         ),
     ) {
-        let (metrics, trace, logs) = run_scripts(&scripts, 1);
-        // Identical at 4 engine threads (and with the parallel code path
-        // genuinely exercised: 4 > 1 always builds the worker pool).
-        let (m4, t4, l4) = run_scripts(&scripts, 4);
-        prop_assert_eq!(&metrics, &m4, "metrics diverged between 1 and 4 engine threads");
-        prop_assert_eq!(&trace, &t4, "trace diverged between 1 and 4 engine threads");
-        prop_assert_eq!(&logs, &l4, "node logs diverged between 1 and 4 engine threads");
+        let (metrics, trace, logs) = run_scripts(&scripts);
+        let (m2, t2, l2) = run_scripts(&scripts);
+        prop_assert_eq!(&metrics, &m2, "metrics diverged on a re-run");
+        prop_assert_eq!(&trace, &t2, "trace diverged on a re-run");
+        prop_assert_eq!(&logs, &l2, "node logs diverged on a re-run");
 
         for (v, (activations, expected_wakes, halt_round)) in logs.iter().enumerate() {
             let halt = halt_round.expect("every scripted node halts");

@@ -2,9 +2,9 @@
 //!
 //! A network seeded from a warm scratch must behave **bit-identically**
 //! to one built by `Network::new`: same metrics, same final node
-//! states, same typed errors — across differently-sized graphs, at
-//! every thread count, and even when the donor run errored mid-round
-//! and left staged state behind.
+//! states, same typed errors — across differently-sized graphs, and
+//! even when the donor run errored mid-round and left staged state
+//! behind.
 
 use dhc_congest::{
     Config, Context, EngineScratch, Inbox, Metrics, Network, Payload, Protocol, SimError,
@@ -122,21 +122,15 @@ fn run_recycled(
     (report.metrics, states.into_iter().map(|s| s.acked).collect())
 }
 
-fn config(threads: usize) -> Config {
-    Config::default().with_engine_threads(threads)
-}
-
 #[test]
 fn recycled_networks_match_fresh_across_sizes() {
-    for threads in [1, 4] {
-        let mut scratch = EngineScratch::new();
-        assert!(!scratch.is_warm());
-        for (i, g) in graphs().iter().enumerate() {
-            let fresh = run_fresh(g, config(threads), 3);
-            let lean = run_recycled(g, config(threads), 3, &mut scratch);
-            assert_eq!(fresh, lean, "graph #{i} diverged at {threads} threads");
-            assert!(scratch.is_warm());
-        }
+    let mut scratch = EngineScratch::new();
+    assert!(!scratch.is_warm());
+    for (i, g) in graphs().iter().enumerate() {
+        let fresh = run_fresh(g, Config::default(), 3);
+        let lean = run_recycled(g, Config::default(), 3, &mut scratch);
+        assert_eq!(fresh, lean, "graph #{i} diverged");
+        assert!(scratch.is_warm());
     }
 }
 
@@ -147,7 +141,7 @@ fn scratch_poisoned_by_errored_run_stays_bit_identical() {
 
     // Donor run dies mid-flight with staged sends and scheduled state.
     let blasters = (0..8).map(|_| Blaster).collect();
-    let mut net = Network::new_with_scratch(&g, config(1), blasters, &mut scratch).unwrap();
+    let mut net = Network::new_with_scratch(&g, Config::default(), blasters, &mut scratch).unwrap();
     let err = net.run().unwrap_err();
     assert!(matches!(err, SimError::BandwidthExceeded { .. }), "unexpected error: {err:?}");
     let _ = net.finish_with_scratch(&mut scratch);
@@ -155,22 +149,9 @@ fn scratch_poisoned_by_errored_run_stays_bit_identical() {
 
     // The taker must scrub every recycled buffer.
     for g in graphs() {
-        let fresh = run_fresh(&g, config(1), 2);
-        let lean = run_recycled(&g, config(1), 2, &mut scratch);
+        let fresh = run_fresh(&g, Config::default(), 2);
+        let lean = run_recycled(&g, Config::default(), 2, &mut scratch);
         assert_eq!(fresh, lean, "post-error recycle diverged");
-    }
-}
-
-#[test]
-fn pool_is_recycled_across_thread_count_changes() {
-    // 4 → 1 → 4: the pool is dropped when the count stops matching and
-    // rebuilt when parallelism returns; results never change.
-    let mut scratch = EngineScratch::new();
-    let g = graphs().remove(2);
-    for threads in [4, 1, 4, 4] {
-        let fresh = run_fresh(&g, config(threads), 4);
-        let lean = run_recycled(&g, config(threads), 4, &mut scratch);
-        assert_eq!(fresh, lean, "thread-count switch diverged at {threads}");
     }
 }
 
@@ -181,8 +162,8 @@ fn streaming_aggregates_survive_disabling_the_round_log() {
     // footprint must still come out — and the peak must equal what the
     // full log would say.
     let g = graphs().remove(1);
-    let fat = run_fresh(&g, config(1), 3).0;
-    let lean = run_fresh(&g, config(1).with_record_round_traffic(false), 3).0;
+    let fat = run_fresh(&g, Config::default(), 3).0;
+    let lean = run_fresh(&g, Config::default().with_record_round_traffic(false), 3).0;
     assert!(!fat.round_traffic.is_empty());
     assert!(lean.round_traffic.is_empty(), "lean run must not keep the round log");
     assert_eq!(
@@ -206,9 +187,9 @@ fn ids_are_local_per_network() {
     // (inflated message metrics) or a missed Stalled error.
     let mut scratch = EngineScratch::new();
     let big = graphs().remove(2);
-    let _ = run_recycled(&big, config(1), 5, &mut scratch);
+    let _ = run_recycled(&big, Config::default(), 5, &mut scratch);
     let tiny = Graph::from_edges(2, [(0, 1)]).unwrap();
-    let fresh = run_fresh(&tiny, config(1), 1);
-    let lean = run_recycled(&tiny, config(1), 1, &mut scratch);
+    let fresh = run_fresh(&tiny, Config::default(), 1);
+    let lean = run_recycled(&tiny, Config::default(), 1, &mut scratch);
     assert_eq!(fresh, lean);
 }

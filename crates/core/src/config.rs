@@ -43,17 +43,6 @@ pub struct DhcConfig {
     /// keyed by the master seed, and outputs are folded in partition
     /// order — so this trades wall-clock time only.
     pub parallelism: usize,
-    /// Worker threads for the round engine's **within-round** compute
-    /// phase (`dhc_congest::Config::engine_threads`): `1` (the default)
-    /// runs a round's active nodes sequentially, `0` uses all available
-    /// cores. Orthogonal to [`parallelism`](Self::parallelism) — that
-    /// knob spreads *whole partition simulations* across threads, this
-    /// one parallelizes *inside every simulated round* — and the two
-    /// compose multiplicatively when both are raised. Results are
-    /// **identical for every value**: the engine's one sequential commit
-    /// fold applies each round's effects in ascending node-id order
-    /// regardless of thread count.
-    pub engine_threads: usize,
     /// Report the engine's per-round message counts (the one O(rounds)
     /// metrics vector) for every simulation the algorithms run. Default
     /// `true`; set `false` for long memory-lean runs — the streaming
@@ -78,7 +67,8 @@ pub struct DhcConfig {
     /// runners' span hierarchy (`run → phase → class / merge-level`).
     /// Pure observation: outcomes, [`dhc_congest::Metrics`], traces,
     /// and realized fault schedules are **bit-identical** with and
-    /// without a collector at every `engine_threads` setting (pinned by
+    /// without a collector, and its aggregates are identical at every
+    /// [`parallelism`](Self::parallelism) level (pinned by
     /// `crates/core/tests/obs_equivalence.rs`).
     pub collector: Option<CollectorHandle>,
 }
@@ -96,7 +86,6 @@ impl DhcConfig {
             sample_factor: 8.0,
             root_solve_retries: 8,
             parallelism: 1,
-            engine_threads: 1,
             record_round_traffic: true,
             adversary: None,
             collector: None,
@@ -132,14 +121,6 @@ impl DhcConfig {
     /// see [`parallelism`](Self::parallelism).
     pub fn with_parallelism(mut self, threads: usize) -> Self {
         self.parallelism = threads;
-        self
-    }
-
-    /// Sets the round engine's within-round worker-thread count (`0` =
-    /// all available cores). Never changes results, only wall-clock
-    /// time; see [`engine_threads`](Self::engine_threads).
-    pub fn with_engine_threads(mut self, threads: usize) -> Self {
-        self.engine_threads = threads;
         self
     }
 
@@ -192,7 +173,6 @@ impl DhcConfig {
         let mut sim = SimConfig::default()
             .with_max_rounds(self.max_rounds)
             .with_bandwidth_words(self.bandwidth_words)
-            .with_engine_threads(self.engine_threads)
             .with_record_round_traffic(self.record_round_traffic);
         if let Some(adv) = &self.adversary {
             sim = sim.with_adversary(adv.clone());
@@ -288,9 +268,6 @@ mod tests {
         let cfg = DhcConfig::new(0).with_max_rounds(123);
         assert_eq!(cfg.sim_config().max_rounds, 123);
         assert_eq!(cfg.sim_config().bandwidth_words, 16);
-        assert_eq!(cfg.sim_config().engine_threads, 1);
-        let cfg = cfg.with_engine_threads(0);
-        assert_eq!(cfg.sim_config().engine_threads, 0);
     }
 
     #[test]

@@ -235,15 +235,14 @@ pub(crate) fn run_phase1(
         let mut scratch = EngineScratch::new();
         jobs.iter().map(|class| run_job(class, Some(&mut scratch))).collect()
     } else {
-        // The pool joins its workers when dropped at the end of this
-        // call; per-round reuse lives inside the engine's own pool, this
-        // one only amortizes across the partition classes. Concurrent
-        // classes cannot share one scratch; each allocates its own.
-        let pool = dhc_pool::WorkerPool::new(threads);
+        // Concurrent classes cannot share one scratch; each allocates
+        // its own.
         let mut slots: Vec<(usize, Option<Result<PartitionRun<'_>, DhcError>>)> =
             jobs.iter().map(|&c| (c, None)).collect();
-        pool.run_mut(&mut slots, &|_, (class, slot)| *slot = Some(run_job(class, None)));
-        slots.into_iter().map(|(_, slot)| slot.expect("pool ran every job")).collect()
+        dhc_pool::run_mut(threads, &mut slots, &|_, (class, slot)| {
+            *slot = Some(run_job(class, None));
+        });
+        slots.into_iter().map(|(_, slot)| slot.expect("run_mut ran every job")).collect()
     };
 
     // Fold in partition (color) order: simulation faults surface for the

@@ -2,8 +2,9 @@
 //! [`Adversary`] ([`Adversary::none`], or any adversary whose knobs are
 //! all zero) must leave every algorithm's outcomes, [`Metrics`]
 //! (`dhc_congest::Metrics`), and engine traces **bit-identical** to a
-//! plain run with no adversary at all — for DRA/DHC1/DHC2/Upcast, at
-//! every engine thread count, including typed-failure cases. This is
+//! plain run with no adversary at all — for DRA/DHC1/DHC2/Upcast, with
+//! DHC1's and DHC2's Phase 1 at `parallelism` {1, 2}, including
+//! typed-failure cases. This is
 //! what licenses the adversary layer to exist next to the repo's
 //! determinism contract: zero-knob runs provably preserve the paper's
 //! clean synchronous CONGEST model.
@@ -13,7 +14,8 @@ use dhc_core::{run_dhc1, run_dhc2, run_dra, run_upcast, DhcConfig, RunOutcome};
 use dhc_graph::rng::rng_from_seed;
 use dhc_graph::{generator, thresholds, Graph, Topology};
 
-const ENGINE_THREADS: [usize; 2] = [1, 4];
+/// Phase-1 worker threads for the algorithms that have a Phase 1.
+const PARALLELISM: [usize; 2] = [1, 2];
 
 /// Null adversaries to test: the canonical one and a seeded-but-idle
 /// one (a bare fault seed influences nothing).
@@ -31,13 +33,11 @@ fn assert_outcomes_identical(plain: &RunOutcome, adv: &RunOutcome, what: &str) {
 fn dra_bit_identical_with_null_adversary() {
     let n = 144;
     let g = generator::gnp(n, 0.5, &mut rng_from_seed(90)).unwrap();
-    for threads in ENGINE_THREADS {
-        let cfg = DhcConfig::new(91).with_engine_threads(threads);
-        let plain = run_dra(&g, &cfg).unwrap();
-        for null in null_adversaries() {
-            let with = run_dra(&g, &cfg.clone().with_adversary(null)).unwrap();
-            assert_outcomes_identical(&plain, &with, &format!("dra @ {threads} threads"));
-        }
+    let cfg = DhcConfig::new(91);
+    let plain = run_dra(&g, &cfg).unwrap();
+    for null in null_adversaries() {
+        let with = run_dra(&g, &cfg.clone().with_adversary(null)).unwrap();
+        assert_outcomes_identical(&plain, &with, "dra");
     }
 }
 
@@ -51,11 +51,11 @@ fn dhc1_bit_identical_with_null_adversary() {
         .map(|seed| DhcConfig::new(seed).with_partitions(8))
         .find(|cfg| run_dhc1(&g, cfg).is_ok())
         .expect("DHC1 should succeed for at least one of 8 seeds");
-    for threads in ENGINE_THREADS {
-        let cfg = base.clone().with_engine_threads(threads);
+    for parallelism in PARALLELISM {
+        let cfg = base.clone().with_parallelism(parallelism);
         let plain = run_dhc1(&g, &cfg).unwrap();
         let with = run_dhc1(&g, &cfg.with_adversary(Adversary::none())).unwrap();
-        assert_outcomes_identical(&plain, &with, &format!("dhc1 @ {threads} threads"));
+        assert_outcomes_identical(&plain, &with, &format!("dhc1 @ parallelism {parallelism}"));
     }
 }
 
@@ -68,11 +68,11 @@ fn dhc2_bit_identical_with_null_adversary() {
         .map(|seed| DhcConfig::new(seed).with_partitions(6))
         .find(|cfg| run_dhc2(&g, cfg).is_ok())
         .expect("DHC2 should succeed for at least one of 8 seeds");
-    for threads in ENGINE_THREADS {
-        let cfg = base.clone().with_engine_threads(threads);
+    for parallelism in PARALLELISM {
+        let cfg = base.clone().with_parallelism(parallelism);
         let plain = run_dhc2(&g, &cfg).unwrap();
         let with = run_dhc2(&g, &cfg.with_adversary(Adversary::none())).unwrap();
-        assert_outcomes_identical(&plain, &with, &format!("dhc2 @ {threads} threads"));
+        assert_outcomes_identical(&plain, &with, &format!("dhc2 @ parallelism {parallelism}"));
     }
 }
 
@@ -85,12 +85,9 @@ fn upcast_bit_identical_with_null_adversary() {
         .map(DhcConfig::new)
         .find(|cfg| run_upcast(&g, cfg).is_ok())
         .expect("Upcast should succeed for at least one of 8 seeds");
-    for threads in ENGINE_THREADS {
-        let cfg = base.clone().with_engine_threads(threads);
-        let plain = run_upcast(&g, &cfg).unwrap();
-        let with = run_upcast(&g, &cfg.with_adversary(Adversary::none())).unwrap();
-        assert_outcomes_identical(&plain, &with, &format!("upcast @ {threads} threads"));
-    }
+    let plain = run_upcast(&g, &base).unwrap();
+    let with = run_upcast(&g, &base.with_adversary(Adversary::none())).unwrap();
+    assert_outcomes_identical(&plain, &with, "upcast");
 }
 
 #[test]
@@ -167,15 +164,11 @@ impl Protocol for Flood {
 
 fn run_traced<T: Topology>(
     topo: &T,
-    threads: usize,
     adversary: Option<Adversary>,
 ) -> (Trace, dhc_congest::Metrics) {
     let nodes: Vec<Flood> =
         (0..topo.node_count()).map(|_| Flood { seen: false, pending: 0, parent: None }).collect();
-    let mut cfg = Config::default()
-        .with_bandwidth_words(4)
-        .with_trace_capacity(100_000)
-        .with_engine_threads(threads);
+    let mut cfg = Config::default().with_bandwidth_words(4).with_trace_capacity(100_000);
     if let Some(adv) = adversary {
         cfg = cfg.with_adversary(adv);
     }
@@ -190,12 +183,10 @@ fn run_traced<T: Topology>(
 fn traces_bit_identical_with_null_adversary() {
     let n = 120;
     let g = generator::gnp(n, 0.3, &mut rng_from_seed(95)).unwrap();
-    for threads in ENGINE_THREADS {
-        let (pt, pm) = run_traced(&g, threads, None);
-        for null in null_adversaries() {
-            let (at, am) = run_traced(&g, threads, Some(null));
-            assert!(pt.iter().eq(at.iter()), "trace @ {threads} threads");
-            assert_eq!(pm, am, "metrics @ {threads} threads");
-        }
+    let (pt, pm) = run_traced(&g, None);
+    for null in null_adversaries() {
+        let (at, am) = run_traced(&g, Some(null));
+        assert!(pt.iter().eq(at.iter()), "trace diverged");
+        assert_eq!(pm, am, "metrics diverged");
     }
 }

@@ -1,8 +1,8 @@
 //! Pins the k-machine execution backend to the plain runs: for random
 //! `G(n, p)` instances, `run_*_kmachine` must produce **bit-identical**
 //! protocol outcomes (or the identical typed failure) and CONGEST
-//! [`dhc_congest::Metrics`] to `run_*` at engine threads {1, 4}, the
-//! machine-level accounting must be deterministic across thread counts,
+//! [`dhc_congest::Metrics`] to `run_*`, the machine-level accounting of
+//! DHC1's and DHC2's Phase 1 must be identical at `parallelism` {1, 2},
 //! and no directed machine link may ever exceed
 //! [`KMachineConfig::link_bandwidth_words`] in any k-machine round under
 //! the engine's deterministic link schedule.
@@ -17,7 +17,8 @@ use dhc_graph::rng::rng_from_seed;
 use dhc_graph::{generator, thresholds};
 use proptest::prelude::*;
 
-const ENGINE_THREADS: [usize; 2] = [1, 4];
+/// Phase-1 worker threads for the algorithms that have a Phase 1.
+const PARALLELISM: [usize; 2] = [1, 2];
 
 type PlainResult = Result<RunOutcome, DhcError>;
 type KmResult = Result<(RunOutcome, KMachineReport), DhcError>;
@@ -86,10 +87,11 @@ fn assert_schedule_sound(report: &KMachineReport, kcfg: &KMachineConfig) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random instances, random machine counts, both engine thread
-    /// counts: outcomes and CONGEST metrics bit-identical to the plain
-    /// runs (successes *and* typed failures), machine accounting
-    /// thread-independent, link schedule within budget.
+    /// Random instances, random machine counts, Phase 1 at both
+    /// parallelism levels: outcomes and CONGEST metrics bit-identical to
+    /// the plain runs (successes *and* typed failures), machine
+    /// accounting independent of parallelism, link schedule within
+    /// budget.
     #[test]
     fn kmachine_backend_is_pure_accounting(
         n in 24usize..56,
@@ -103,13 +105,18 @@ proptest! {
             .with_link_bandwidth_words(4)
             .with_rvp_seed(seed ^ 0xA11);
 
-        let mut dhc2_reports: Vec<Option<KMachineReport>> = Vec::new();
-        for threads in ENGINE_THREADS {
-            let cfg = DhcConfig::new(seed ^ 0x7).with_engine_threads(threads);
-            let cfg_parts = cfg.clone().with_partitions(parts);
+        let cfg = DhcConfig::new(seed ^ 0x7);
+        let dra_km = run_dra_kmachine(&g, &cfg, &kcfg);
+        assert_equivalent(&run_dra(&g, &cfg), &dra_km, "dra");
+        if let Ok((_, report)) = &dra_km {
+            assert_schedule_sound(report, &kcfg);
+            prop_assert_eq!(report.machine.machine_nodes.iter().sum::<usize>(), n,
+                "RVP must host every node");
+        }
 
-            let dra_km = run_dra_kmachine(&g, &cfg, &kcfg);
-            assert_equivalent(&run_dra(&g, &cfg), &dra_km, "dra");
+        let mut phase1_reports: Vec<[Option<KMachineReport>; 2]> = Vec::new();
+        for parallelism in PARALLELISM {
+            let cfg_parts = cfg.clone().with_partitions(parts).with_parallelism(parallelism);
 
             let dhc1_km = run_dhc1_kmachine(&g, &cfg_parts, &kcfg);
             assert_equivalent(&run_dhc1(&g, &cfg_parts), &dhc1_km, "dhc1");
@@ -117,26 +124,26 @@ proptest! {
             let dhc2_km = run_dhc2_kmachine(&g, &cfg_parts, &kcfg);
             assert_equivalent(&run_dhc2(&g, &cfg_parts), &dhc2_km, "dhc2");
 
-            for report in [&dra_km, &dhc1_km, &dhc2_km].into_iter().flatten() {
+            for report in [&dhc1_km, &dhc2_km].into_iter().flatten() {
                 assert_schedule_sound(&report.1, &kcfg);
                 prop_assert_eq!(
                     report.1.machine.machine_nodes.iter().sum::<usize>(), n,
                     "RVP must host every node"
                 );
             }
-            dhc2_reports.push(dhc2_km.ok().map(|(_, r)| r));
+            phase1_reports.push([dhc1_km.ok().map(|(_, r)| r), dhc2_km.ok().map(|(_, r)| r)]);
         }
         // Machine metrics are part of the determinism contract: identical
-        // at every engine thread count.
-        prop_assert_eq!(&dhc2_reports[0], &dhc2_reports[1],
-            "machine accounting diverged across engine thread counts");
+        // at every parallelism level.
+        prop_assert_eq!(&phase1_reports[0], &phase1_reports[1],
+            "machine accounting diverged across parallelism levels");
     }
 }
 
 #[test]
 fn dhc2_success_case_is_equivalent_and_scheduled_within_budget() {
     // The proptest above accepts matching typed failures; this pins a
-    // *successful* DHC2 run end to end at both thread counts.
+    // *successful* DHC2 run end to end at both parallelism levels.
     let n = 192;
     let p = thresholds::edge_probability(n, 0.5, 6.0);
     let g = generator::gnp(n, p, &mut rng_from_seed(80)).unwrap();
@@ -146,8 +153,8 @@ fn dhc2_success_case_is_equivalent_and_scheduled_within_budget() {
         .expect("DHC2 should succeed for at least one of 8 seeds");
     let kcfg = KMachineConfig::new(8).with_link_bandwidth_words(8).with_rvp_seed(3);
     let mut reports = Vec::new();
-    for threads in ENGINE_THREADS {
-        let cfg = base.clone().with_engine_threads(threads);
+    for parallelism in PARALLELISM {
+        let cfg = base.clone().with_parallelism(parallelism);
         let plain = run_dhc2(&g, &cfg);
         let km = run_dhc2_kmachine(&g, &cfg, &kcfg);
         assert!(plain.is_ok() && km.is_ok(), "seed-scanned success must reproduce");
@@ -158,7 +165,7 @@ fn dhc2_success_case_is_equivalent_and_scheduled_within_budget() {
         assert!(report.bound_factor().is_finite());
         reports.push(report);
     }
-    assert_eq!(reports[0], reports[1], "machine accounting diverged across thread counts");
+    assert_eq!(reports[0], reports[1], "machine accounting diverged across parallelism levels");
 }
 
 #[test]

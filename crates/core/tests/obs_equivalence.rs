@@ -3,11 +3,11 @@
 //! algorithm's outcomes, [`Metrics`](dhc_congest::Metrics), engine
 //! traces, and realized fault schedules **bit-identical** to a detached
 //! run — for DRA/DHC1/DHC2/Upcast, clean, adversarial, and under the
-//! k-machine accounting layer, at engine threads {1, 4}. The
-//! collector's own deterministic aggregates (counters + histogram
-//! percentiles) must in turn be identical across every thread count:
-//! telemetry is a pure function of the simulated execution, never of its
-//! scheduling.
+//! k-machine accounting layer. DHC1 and DHC2 run their Phase-1 classes
+//! at `parallelism` {1, 2}, so at 2 the collector is driven from two
+//! threads at once. Its deterministic aggregates (counters + histogram
+//! percentiles) must still be identical at both levels: telemetry is a
+//! pure function of the simulated execution, never of its scheduling.
 
 use dhc_congest::{Adversary, Config, Context, Inbox, Network, NodeId, Payload, Protocol, Trace};
 use dhc_core::{
@@ -20,7 +20,8 @@ use dhc_obs::RunObserver;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
-const ENGINE_THREADS: [usize; 2] = [1, 4];
+/// Phase-1 worker threads for the algorithms that have a Phase 1.
+const PARALLELISM: [usize; 2] = [1, 2];
 
 /// A fresh observer shared between the run (via the handle) and the
 /// test (via the other `Arc` clone), so aggregates can be read back.
@@ -35,18 +36,19 @@ fn assert_outcomes_identical(detached: &RunOutcome, attached: &RunOutcome, what:
     assert_eq!(detached.phases, attached.phases, "{what}: phase breakdown diverged");
 }
 
-/// Runs `run` detached and attached at every thread count, pinning
-/// (a) attached == detached per thread count and (b) one identical
-/// collector summary across all of them.
+/// Runs `run` detached and attached at each Phase-1 `parallelism`
+/// level, pinning (a) attached == detached at each level and (b) one
+/// identical collector summary across all of them.
 fn check_pure_observation(
     what: &str,
     base: &DhcConfig,
+    levels: &[usize],
     run: impl Fn(&DhcConfig) -> Result<RunOutcome, DhcError>,
 ) {
     let mut summaries: Vec<String> = Vec::new();
-    for threads in ENGINE_THREADS {
-        let cfg = base.clone().with_engine_threads(threads);
-        let tag = format!("{what} @ {threads} threads");
+    for &parallelism in levels {
+        let cfg = base.clone().with_parallelism(parallelism);
+        let tag = format!("{what} @ parallelism {parallelism}");
         let detached = run(&cfg).unwrap_or_else(|e| panic!("{tag}: detached run failed {e:?}"));
         let (handle, shared) = observed();
         let attached = run(&cfg.clone().with_collector(handle))
@@ -58,13 +60,13 @@ fn check_pure_observation(
         summaries.push(obs.summary_json().render());
     }
     summaries.dedup();
-    assert_eq!(summaries.len(), 1, "{what}: collector aggregates depend on engine threads");
+    assert_eq!(summaries.len(), 1, "{what}: collector aggregates depend on parallelism");
 }
 
 #[test]
 fn dra_attached_is_pure_observation() {
     let g = generator::gnp(144, 0.5, &mut rng_from_seed(90)).unwrap();
-    check_pure_observation("dra", &DhcConfig::new(91), |cfg| run_dra(&g, cfg));
+    check_pure_observation("dra", &DhcConfig::new(91), &[1], |cfg| run_dra(&g, cfg));
 }
 
 #[test]
@@ -77,7 +79,7 @@ fn dhc1_attached_is_pure_observation() {
         .map(|seed| DhcConfig::new(seed).with_partitions(8))
         .find(|cfg| run_dhc1(&g, cfg).is_ok())
         .expect("DHC1 should succeed for at least one of 8 seeds");
-    check_pure_observation("dhc1", &base, |cfg| run_dhc1(&g, cfg));
+    check_pure_observation("dhc1", &base, &PARALLELISM, |cfg| run_dhc1(&g, cfg));
 }
 
 #[test]
@@ -89,7 +91,7 @@ fn dhc2_attached_is_pure_observation() {
         .map(|seed| DhcConfig::new(seed).with_partitions(6))
         .find(|cfg| run_dhc2(&g, cfg).is_ok())
         .expect("DHC2 should succeed for at least one of 8 seeds");
-    check_pure_observation("dhc2", &base, |cfg| run_dhc2(&g, cfg));
+    check_pure_observation("dhc2", &base, &PARALLELISM, |cfg| run_dhc2(&g, cfg));
 }
 
 #[test]
@@ -101,7 +103,7 @@ fn upcast_attached_is_pure_observation() {
         .map(DhcConfig::new)
         .find(|cfg| run_upcast(&g, cfg).is_ok())
         .expect("Upcast should succeed for at least one of 8 seeds");
-    check_pure_observation("upcast", &base, |cfg| run_upcast(&g, cfg));
+    check_pure_observation("upcast", &base, &[1], |cfg| run_upcast(&g, cfg));
 }
 
 #[test]
@@ -111,43 +113,32 @@ fn adversarial_run_attached_is_pure_observation() {
     // fault seed and each delivery's identity, so an attached run must
     // realize exactly the same faults. The contract covers **both
     // shapes**: when the faulty run succeeds the outcomes must match,
-    // and when it fails the typed error must match — either way the
-    // collector's aggregates must be one and the same across every
-    // thread count.
+    // and when it fails the typed error must match.
     let g = generator::gnp(144, 0.5, &mut rng_from_seed(30)).unwrap();
     let adv = Adversary::seeded(7)
         .with_drop_ppm(2_000)
         .with_duplicate_ppm(2_000)
         .with_delay(2_000, 2)
         .with_crash(5, 2, Some(6));
-    let base = DhcConfig::new(31).with_adversary(adv);
-    let mut summaries: Vec<String> = Vec::new();
-    let mut saw_fault = false;
-    for threads in ENGINE_THREADS {
-        let cfg = base.clone().with_engine_threads(threads);
-        let tag = format!("dra+adversary @ {threads} threads");
-        let detached = run_dra(&g, &cfg);
-        let (handle, shared) = observed();
-        let attached = run_dra(&g, &cfg.clone().with_collector(handle));
-        match (&detached, &attached) {
-            (Ok(d), Ok(a)) => assert_outcomes_identical(d, a, &tag),
-            (Err(d), Err(a)) => {
-                assert_eq!(format!("{d:?}"), format!("{a:?}"), "{tag}: error diverged")
-            }
-            _ => panic!(
-                "{tag}: success/failure shape diverged (detached {:?}, attached {:?})",
-                detached.is_ok(),
-                attached.is_ok()
-            ),
-        }
-        let obs = shared.lock().unwrap();
-        let c = obs.counters();
-        saw_fault |= c.dropped + c.duplicated + c.delayed + c.crashes > 0;
-        summaries.push(obs.summary_json().render());
+    let cfg = DhcConfig::new(31).with_adversary(adv);
+    let tag = "dra+adversary";
+    let detached = run_dra(&g, &cfg);
+    let (handle, shared) = observed();
+    let attached = run_dra(&g, &cfg.clone().with_collector(handle));
+    match (&detached, &attached) {
+        (Ok(d), Ok(a)) => assert_outcomes_identical(d, a, tag),
+        (Err(d), Err(a)) => assert_eq!(format!("{d:?}"), format!("{a:?}"), "{tag}: error diverged"),
+        _ => panic!(
+            "{tag}: success/failure shape diverged (detached {:?}, attached {:?})",
+            detached.is_ok(),
+            attached.is_ok()
+        ),
     }
-    summaries.dedup();
-    assert_eq!(summaries.len(), 1, "adversarial collector aggregates depend on scheduling");
-    assert!(saw_fault, "adversarial run realized no observable fault");
+    let c = *shared.lock().unwrap().counters();
+    assert!(
+        c.dropped + c.duplicated + c.delayed + c.crashes > 0,
+        "adversarial run realized no observable fault"
+    );
 }
 
 #[test]
@@ -158,20 +149,15 @@ fn kmachine_run_attached_is_pure_observation() {
         .map(DhcConfig::new)
         .find(|cfg| run_dra_kmachine(&g, cfg, &kcfg).is_ok())
         .expect("k-machine DRA should succeed for at least one of 8 seeds");
-    for threads in ENGINE_THREADS {
-        let cfg = base.clone().with_engine_threads(threads);
-        let tag = format!("kmachine @ {threads} threads");
-        let (d_out, d_rep) = run_dra_kmachine(&g, &cfg, &kcfg).unwrap();
-        let (handle, shared) = observed();
-        let (a_out, a_rep) =
-            run_dra_kmachine(&g, &cfg.clone().with_collector(handle), &kcfg).unwrap();
-        assert_outcomes_identical(&d_out, &a_out, &tag);
-        // The whole machine-level report (link loads, dilation,
-        // estimates) is part of the bit-identity contract.
-        assert_eq!(format!("{d_rep:?}"), format!("{a_rep:?}"), "{tag}: report diverged");
-        let obs = shared.lock().unwrap();
-        assert!(obs.machine_link_hist().count() > 0, "{tag}: collector saw no machine link loads");
-    }
+    let (d_out, d_rep) = run_dra_kmachine(&g, &base, &kcfg).unwrap();
+    let (handle, shared) = observed();
+    let (a_out, a_rep) = run_dra_kmachine(&g, &base.with_collector(handle), &kcfg).unwrap();
+    assert_outcomes_identical(&d_out, &a_out, "kmachine");
+    // The whole machine-level report (link loads, dilation, estimates)
+    // is part of the bit-identity contract.
+    assert_eq!(format!("{d_rep:?}"), format!("{a_rep:?}"), "kmachine: report diverged");
+    let obs = shared.lock().unwrap();
+    assert!(obs.machine_link_hist().count() > 0, "kmachine: collector saw no machine link loads");
 }
 
 /// Flood-echo protocol for engine-level **trace** equality (algorithm
@@ -230,16 +216,12 @@ impl Protocol for Flood {
 
 fn run_traced<T: Topology>(
     topo: &T,
-    threads: usize,
     adversary: Option<Adversary>,
     collector: Option<CollectorHandle>,
 ) -> (Trace, dhc_congest::Metrics) {
     let nodes: Vec<Flood> =
         (0..topo.node_count()).map(|_| Flood { seen: false, pending: 0, parent: None }).collect();
-    let mut cfg = Config::default()
-        .with_bandwidth_words(4)
-        .with_trace_capacity(100_000)
-        .with_engine_threads(threads);
+    let mut cfg = Config::default().with_bandwidth_words(4).with_trace_capacity(100_000);
     if let Some(adv) = adversary {
         cfg = cfg.with_adversary(adv);
     }
@@ -259,23 +241,19 @@ fn traces_and_fault_schedules_bit_identical_with_collector() {
     let adversaries =
         [None, Some(Adversary::seeded(9).with_drop_ppm(20_000).with_crash(3, 2, Some(5)))];
     for adv in &adversaries {
-        for threads in ENGINE_THREADS {
-            let tag = format!("flood adv={} @ {threads} threads", adv.is_some());
-            let (dt, dm) = run_traced(&g, threads, adv.clone(), None);
-            let (handle, _shared) = observed();
-            let (at, am) = run_traced(&g, threads, adv.clone(), Some(handle));
-            assert!(dt.iter().eq(at.iter()), "{tag}: trace diverged");
-            assert_eq!(dm, am, "{tag}: metrics diverged");
-        }
+        let tag = format!("flood adv={}", adv.is_some());
+        let (dt, dm) = run_traced(&g, adv.clone(), None);
+        let (handle, _shared) = observed();
+        let (at, am) = run_traced(&g, adv.clone(), Some(handle));
+        assert!(dt.iter().eq(at.iter()), "{tag}: trace diverged");
+        assert_eq!(dm, am, "{tag}: metrics diverged");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random dense graphs and seeds: DRA attached == detached at every
-    /// thread count, and the collector's deterministic summary is one
-    /// and the same across all of them.
+    /// Random dense graphs and seeds: DRA attached == detached.
     #[test]
     fn prop_dra_attached_is_pure_observation(
         n in 24usize..56,
@@ -286,18 +264,13 @@ proptest! {
         let cfg = DhcConfig::new(seed);
         // DRA succeeds whp, not surely; skip unlucky draws (the
         // typed-failure path is pinned by the unit tests above).
-        prop_assume!(run_dra(&g, &cfg).is_ok());
-        let mut summaries: Vec<String> = Vec::new();
-        for threads in ENGINE_THREADS {
-            let cfg = cfg.clone().with_engine_threads(threads);
-            let detached = run_dra(&g, &cfg).unwrap();
-            let (handle, shared) = observed();
-            let attached = run_dra(&g, &cfg.clone().with_collector(handle)).unwrap();
-            prop_assert_eq!(detached.cycle.order(), attached.cycle.order());
-            prop_assert_eq!(&detached.metrics, &attached.metrics);
-            summaries.push(shared.lock().unwrap().summary_json().render());
-        }
-        summaries.dedup();
-        prop_assert_eq!(summaries.len(), 1);
+        let detached = run_dra(&g, &cfg);
+        prop_assume!(detached.is_ok());
+        let detached = detached.unwrap();
+        let (handle, shared) = observed();
+        let attached = run_dra(&g, &cfg.clone().with_collector(handle)).unwrap();
+        prop_assert_eq!(detached.cycle.order(), attached.cycle.order());
+        prop_assert_eq!(&detached.metrics, &attached.metrics);
+        prop_assert!(shared.lock().unwrap().counters().rounds_observed > 0);
     }
 }

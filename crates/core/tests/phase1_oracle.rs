@@ -28,7 +28,6 @@ use dhc_core::{
 use dhc_graph::rng::{derive_seed, rng_from_seed};
 use dhc_graph::{generator, Graph, Partition, PartitionedGraph, Topology};
 
-const ENGINE_THREADS: [usize; 2] = [1, 4];
 const PARALLELISM: [usize; 2] = [1, 2];
 
 /// The whole-graph Phase 1 of `cfg` under `colors`, checked the way the
@@ -179,20 +178,10 @@ fn assert_metrics_match(got: &Metrics, whole: &Whole, log: bool, what: &str) {
 /// Every runner setting the oracle must hold at.
 fn settings(base: &DhcConfig) -> Vec<(DhcConfig, bool, String)> {
     let mut out = Vec::new();
-    for threads in ENGINE_THREADS {
-        for parallelism in PARALLELISM {
-            for log in [true, false] {
-                let cfg = base
-                    .clone()
-                    .with_engine_threads(threads)
-                    .with_parallelism(parallelism)
-                    .with_round_traffic(log);
-                out.push((
-                    cfg,
-                    log,
-                    format!("threads {threads}, parallelism {parallelism}, log {log}"),
-                ));
-            }
+    for parallelism in PARALLELISM {
+        for log in [true, false] {
+            let cfg = base.clone().with_parallelism(parallelism).with_round_traffic(log);
+            out.push((cfg, log, format!("parallelism {parallelism}, log {log}")));
         }
     }
     out
@@ -283,7 +272,7 @@ fn drawn_colors(n: usize, cfg: &DhcConfig) -> Vec<u32> {
 }
 
 /// Pins `run`'s Phase 1 (`phases[0]` rounds and messages, or its typed
-/// failure) to the whole-graph run at engine threads × parallelism.
+/// failure) to the whole-graph run at every parallelism level.
 fn pin_phase1_of(name: &str, run: fn(&Graph, &DhcConfig) -> Result<RunOutcome, DhcError>) {
     // (k, graph seed, config seed, failing color): the algorithm either
     // succeeds or fails in Phase 1.
@@ -384,13 +373,10 @@ impl Protocol for Flood {
     }
 }
 
-fn run_traced<T: Topology>(topo: &T, threads: usize) -> (Trace, dhc_congest::Metrics) {
+fn run_traced<T: Topology>(topo: &T) -> (Trace, dhc_congest::Metrics) {
     let nodes: Vec<Flood> =
         (0..topo.node_count()).map(|_| Flood { seen: false, pending: 0, parent: None }).collect();
-    let cfg = Config::default()
-        .with_bandwidth_words(4)
-        .with_trace_capacity(100_000)
-        .with_engine_threads(threads);
+    let cfg = Config::default().with_bandwidth_words(4).with_trace_capacity(100_000);
     let mut net = Network::new(topo, cfg, nodes).unwrap();
     // Disconnected classes stall the flood; that is fine for trace
     // comparison purposes — both representations must stall identically.
@@ -409,11 +395,9 @@ fn traces_bit_identical_on_class_view_vs_materialized_subgraph() {
     for c in 0..partition.class_count() {
         let Ok(view) = pg.class_view(c) else { continue };
         let (sub, _) = g.induced_subgraph(partition.class(c)).unwrap();
-        for threads in ENGINE_THREADS {
-            let (vt, vm) = run_traced(&view, threads);
-            let (ct, cm) = run_traced(&sub, threads);
-            assert!(vt.iter().eq(ct.iter()), "class {c} trace @ {threads} threads");
-            assert_eq!(vm, cm, "class {c} metrics @ {threads} threads");
-        }
+        let (vt, vm) = run_traced(&view);
+        let (ct, cm) = run_traced(&sub);
+        assert!(vt.iter().eq(ct.iter()), "class {c} trace");
+        assert_eq!(vm, cm, "class {c} metrics");
     }
 }

@@ -4,11 +4,13 @@
 //! [`Collector`] receives per-round engine events and span open/close
 //! notifications, and may aggregate them into histograms, heartbeat
 //! lines, or JSONL run records — but it can never influence the
-//! simulation. The engine drives a collector only from its sequential
-//! commit-fold bookkeeping (the same contract as the k-machine
-//! accounting layer), so a collector-attached run is **bit-identical**
-//! to a detached one at every `engine_threads` setting;
-//! `crates/core/tests/obs_equivalence.rs` pins exactly that.
+//! simulation. The engine drives a collector only from its commit-fold
+//! bookkeeping (the same contract as the k-machine accounting layer), so
+//! a collector-attached run is **bit-identical** to a detached one. At
+//! Phase-1 `parallelism` above 1, class networks on several threads
+//! drive one collector at once, and its deterministic aggregates are
+//! still identical at every level; `crates/core/tests/obs_equivalence.rs`
+//! pins both.
 //!
 //! Determinism is split deliberately:
 //!
@@ -158,8 +160,8 @@ pub struct SpanClose {
 /// A telemetry consumer. All methods default to no-ops so a collector
 /// implements only what it needs.
 ///
-/// Collectors are driven from the engine's sequential round bookkeeping
-/// and from runner span guards; they observe the execution but can
+/// Collectors are driven from the engine's round bookkeeping and from
+/// runner span guards; they observe the execution but can
 /// never influence it. Implementations must be `Send` (Phase-1 class
 /// simulations may run on worker threads, sharing one collector behind
 /// the handle's mutex).

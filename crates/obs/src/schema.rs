@@ -244,7 +244,7 @@ mod tests {
     #[test]
     fn rendered_docs_validate() {
         let mut doc = BenchDoc::new("e13", "engine", "micro", 8, 7);
-        doc.meta("engine_threads", Json::Arr(vec![Json::u64(1), Json::u64(4)]));
+        doc.meta("sizes", Json::Arr(vec![Json::u64(1_000), Json::u64(10_000)]));
         doc.push(
             Record::new("engine-workload")
                 .str("workload", "flood-echo")
