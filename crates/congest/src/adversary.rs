@@ -24,7 +24,25 @@
 //! delay-queue injection), in a fixed order. The realized fault
 //! schedule — and therefore the entire execution — is bit-identical on
 //! every re-run with the same seed, exactly like the clean engine
-//! (pinned by `crates/congest/tests/adversary_proptest.rs`).
+//! (pinned by `crates/congest/tests/adversary_proptest.rs`, against a
+//! re-run and against recorded digests).
+//!
+//! Faulty runs commit through the engine's one commit fold, the same
+//! as clean runs. Each delivery — each addressed neighbor of a
+//! broadcast — meets its fate there:
+//!
+//! * a broadcast keeps its one shared arena record: a delivered copy
+//!   pushes the record's index onto the receiver's inbox list, a
+//!   duplicate pushes it twice, a drop pushes nothing, and a delay parks
+//!   a clone of the payload;
+//! * a duplicated copy is one more send and one more word load on its
+//!   edge, so it can push a saturated edge over its budget;
+//! * the k-machine layer charges a broadcast once per receiving machine,
+//!   as on clean runs, whatever its copies' fates, and a unicast once
+//!   per copy sent.
+//!
+//! The fates are drawn twice per round rather than stored: once to count
+//! the duplicates before the bandwidth check, and once to route.
 //!
 //! A **null adversary** ([`Adversary::none`], or any adversary whose
 //! knobs are all zero) is detected at network construction and the
@@ -97,7 +115,10 @@ pub struct Adversary {
     /// Per-delivery delay probability in parts per million.
     pub delay_ppm: u32,
     /// Maximum delay in rounds; a delayed message is re-injected
-    /// `1..=max_delay` rounds after its normal delivery round.
+    /// `1..=max_delay` rounds after its normal delivery round. Must be
+    /// at least 1 when `delay_ppm > 0`: [`with_delay`](Self::with_delay)
+    /// enforces it, and `dhc-core`'s entry points reject an adversary
+    /// built without it as an invalid configuration.
     pub max_delay: usize,
     /// Scheduled crashes/restarts.
     pub crashes: Vec<CrashEvent>,

@@ -25,7 +25,9 @@
 //! base load, and the counts of unicast and skip ops. From these the
 //! fold charges the sender's metrics once per node and answers the
 //! common bandwidth shapes with one comparison (see
-//! [`Effects::check_bandwidth`]).
+//! [`Effects::check_bandwidth`]). Under an active adversary the fold
+//! adds one send and one extra unicast load per duplicated copy, which
+//! the check folds into its sorted walk.
 //!
 //! `Effects` values live in a pool owned by the
 //! [`Network`](crate::Network) and are reused across rounds: the op list
@@ -180,47 +182,53 @@ impl<M: Payload> Effects<M> {
         self.ops.push(Op { dest, words, msg });
     }
 
-    /// Per-destination bandwidth check for a clean sender with neighbor
-    /// slice `nbrs`, updating `max_edge` as it goes (including the
-    /// partial updates before a violation). Returns the first violating
+    /// Per-destination bandwidth check for a sender with neighbor slice
+    /// `nbrs`, updating `max_edge` as it goes (including the partial
+    /// updates before a violation). Returns the first violating
     /// `(destination, attempted words)` in ascending destination order.
     ///
-    /// Two shapes take one comparison: a lone unicast, and broadcasts
-    /// alone when fewer skip ops than neighbors leave some neighbor
-    /// carrying the whole base load, which no edge exceeds. Every other
-    /// shape, and a broadcast shape over budget, sorts its unicast and
-    /// skip loads into `scratch` and walks them.
+    /// `loads` arrives holding the round's **extra** unicast loads: under
+    /// an active adversary, one `(destination, words)` entry per
+    /// duplicated copy, since the copy is one more send over its edge.
+    /// It is empty on clean runs, and the check leaves it dirty.
+    ///
+    /// Without extra loads, two shapes take one comparison: a lone
+    /// unicast, and broadcasts alone when fewer skip ops than neighbors
+    /// leave some neighbor carrying the whole base load, which no edge
+    /// exceeds. Every other shape, and a broadcast shape over budget,
+    /// sorts its unicast and skip loads into `loads` and walks them.
     pub(crate) fn check_bandwidth(
         &self,
         nbrs: &[NodeId],
         budget: usize,
         max_edge: &mut usize,
-        scratch: &mut Vec<(NodeId, usize)>,
+        loads: &mut Vec<(NodeId, usize)>,
     ) -> Result<(), (NodeId, usize)> {
-        if self.unicasts == 0 && self.skips < nbrs.len() && self.base_words <= budget {
-            *max_edge = (*max_edge).max(self.base_words);
-            return Ok(());
-        }
-        if let [Op { dest: Dest::To(to), words, .. }] = self.ops[..] {
-            if words > budget {
-                return Err((to, words));
+        if loads.is_empty() {
+            if self.unicasts == 0 && self.skips < nbrs.len() && self.base_words <= budget {
+                *max_edge = (*max_edge).max(self.base_words);
+                return Ok(());
             }
-            *max_edge = (*max_edge).max(words);
-            return Ok(());
+            if let [Op { dest: Dest::To(to), words, .. }] = self.ops[..] {
+                if words > budget {
+                    return Err((to, words));
+                }
+                *max_edge = (*max_edge).max(words);
+                return Ok(());
+            }
         }
-        scratch.clear();
-        scratch.extend(self.ops.iter().filter_map(|op| match op.dest {
+        loads.extend(self.ops.iter().filter_map(|op| match op.dest {
             Dest::To(to) => Some((to, op.words)),
             _ => None,
         }));
-        let n_uni = scratch.len();
-        scratch.extend(self.ops.iter().filter_map(|op| match op.dest {
+        let n_uni = loads.len();
+        loads.extend(self.ops.iter().filter_map(|op| match op.dest {
             Dest::AllBut(s) => Some((s, op.words)),
             _ => None,
         }));
         // Only the per-destination sums matter, so unstable sorts are
         // fine, and deterministic for a fixed input either way.
-        let (uni, skips) = scratch.split_at_mut(n_uni);
+        let (uni, skips) = loads.split_at_mut(n_uni);
         uni.sort_unstable();
         skips.sort_unstable();
         if self.base_words == 0 {
@@ -254,7 +262,7 @@ impl<M: Payload> Effects<M> {
 /// Sums sorted `(destination, words)` entries per destination and
 /// checks the sums against `budget` in ascending destination order,
 /// raising `max_edge` up to the first violation, which it returns.
-pub(crate) fn check_edge_loads(
+fn check_edge_loads(
     loads: &[(NodeId, usize)],
     budget: usize,
     max_edge: &mut usize,
@@ -364,10 +372,12 @@ mod tests {
         assert_eq!(max_edge, 1);
     }
 
-    /// The reference: every op expanded per addressed neighbor, loads
-    /// summed per destination and walked in ascending order.
+    /// The reference: every op expanded per addressed neighbor, plus
+    /// the extra loads, summed per destination and walked in ascending
+    /// order.
     fn expanded_check(
         fx: &Effects<W>,
+        extra: &[(NodeId, usize)],
         nbrs: &[NodeId],
         budget: usize,
         max_edge: &mut usize,
@@ -377,6 +387,9 @@ mod tests {
             for to in op.dest.targets(nbrs) {
                 *load.entry(to).or_insert(0) += op.words;
             }
+        }
+        for &(to, words) in extra {
+            *load.entry(to).or_insert(0) += words;
         }
         for (to, words) in load {
             if words > budget {
@@ -397,7 +410,7 @@ mod tests {
             state ^= state << 17;
             (state % bound) as usize
         };
-        let mut scratch = Vec::new();
+        let mut loads = Vec::new();
         for case in 0..4000 {
             let deg = 1 + case % nbrs.len();
             let nbrs = &nbrs[..deg];
@@ -412,12 +425,18 @@ mod tests {
                     }
                 }
             });
-            let budget = 1 + next(6);
+            // Some cases carry extra unicast loads, as duplicated copies
+            // do under an adversary.
+            let extra: Vec<(NodeId, usize)> =
+                (0..next(2) * next(4)).map(|_| (nbrs[next(deg as u64)], 1 + next(3))).collect();
+            let budget = 1 + next(8);
             let start = next(4);
             let (mut got_max, mut want_max) = (start, start);
-            let got = fx.check_bandwidth(nbrs, budget, &mut got_max, &mut scratch);
-            let want = expanded_check(&fx, nbrs, budget, &mut want_max);
-            assert_eq!((got, got_max), (want, want_max), "case {case}: {:?}", dests(&fx));
+            loads.clear();
+            loads.extend_from_slice(&extra);
+            let got = fx.check_bandwidth(nbrs, budget, &mut got_max, &mut loads);
+            let want = expanded_check(&fx, &extra, nbrs, budget, &mut want_max);
+            assert_eq!((got, got_max), (want, want_max), "case {case}: {:?} {extra:?}", dests(&fx));
         }
     }
 

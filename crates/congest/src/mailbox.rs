@@ -8,6 +8,9 @@
 //! **one** shared record, whatever the sender's degree, and the commit
 //! fold pushes that record's index onto the list of every addressed
 //! neighbor: a 4-byte index per delivery instead of a payload copy.
+//! Under an adversary, [`Mailboxes::route`] applies each copy's fate to
+//! the same record: the index once, twice, not at all, or a clone of
+//! the payload parked in the delay queue.
 //! Receivers read payloads by reference through the [`Inbox`] view, a
 //! plain walk over the node's list.
 //!
@@ -26,14 +29,15 @@
 //!    ascending, duplicate-free, and built without any scan over all `n`
 //!    lists.
 //!
-//! Every payload is moved exactly once (sender effects → arena), and all
-//! buffers are allocated once, reused every round, and capacity-stable
-//! after warm-up.
+//! Every payload is moved exactly once (sender effects → arena), and
+//! only a delayed copy is cloned out of it. All buffers are allocated
+//! once, reused every round, and capacity-stable after warm-up.
 
+use crate::adversary::Fate;
 use crate::{NodeId, Payload, SimError};
 
 /// One adversary-delayed message parked in virtual time until its due
-/// round (see [`Mailboxes::stage_delayed`]).
+/// round (see [`Mailboxes::route`]).
 #[derive(Debug)]
 struct DelayedMsg<M> {
     /// Round at whose start the message is re-injected.
@@ -139,26 +143,46 @@ impl<M: Payload> Mailboxes<M> {
     }
 
     /// Appends one payload to the arena and returns its record index,
-    /// which reaches receivers through [`deliver`](Self::deliver): once
-    /// for a unicast, once per addressed neighbor for a broadcast.
+    /// which reaches receivers through [`route`](Self::route): once for
+    /// a unicast, once per addressed neighbor for a broadcast.
     pub(crate) fn record(&mut self, from: NodeId, seq: u32, msg: M) -> u32 {
         let rec = u32::try_from(self.recs.len()).expect("a round stages under 2^32 records");
         self.recs.push(Rec { from, seq, msg });
         rec
     }
 
-    /// Stages one unicast for delivery next round: a record of its own,
-    /// delivered to `to`. Called by the commit fold in deterministic
-    /// order (senders ascending, each sender's ops by ascending `seq`),
-    /// so each list ends up sorted by `(sender, seq)`.
-    pub(crate) fn stage(&mut self, from: NodeId, seq: u32, to: NodeId, msg: M) {
-        let rec = self.record(from, seq, msg);
-        self.deliver(to, rec);
+    /// Routes one copy of arena record `rec` to `to` by its fate:
+    /// `Deliver` pushes the index onto `to`'s list for next round,
+    /// `Duplicate` pushes it twice, `Drop` not at all, and `Delay(d)`
+    /// parks a clone of the payload until the start of round
+    /// `round + 1 + d`. Called by the commit fold in deterministic order
+    /// (senders ascending, each sender's ops by ascending `seq`), so
+    /// each list ends up sorted by `(sender, seq)` and the delay queue
+    /// in commit order.
+    ///
+    /// Always inlined: on clean runs the fold passes the constant
+    /// `Deliver`, so the call folds into one index push. An out-of-line
+    /// call per delivery made perfbench's dhc1-dense about 30% slower.
+    #[inline(always)]
+    pub(crate) fn route(&mut self, rec: u32, to: NodeId, fate: Fate, round: usize) {
+        match fate {
+            Fate::Deliver => self.deliver(to, rec),
+            Fate::Duplicate => {
+                self.deliver(to, rec);
+                self.deliver(to, rec);
+            }
+            Fate::Drop => {}
+            Fate::Delay(d) => {
+                let Rec { from, seq, ref msg } = self.recs[rec as usize];
+                let msg = msg.clone();
+                self.delayed.push(DelayedMsg { due: round + 1 + d, from, seq, to, msg });
+            }
+        }
     }
 
     /// Delivers arena record `rec` to `to` next round: one index pushed
     /// onto `to`'s list, no payload copy.
-    pub(crate) fn deliver(&mut self, to: NodeId, rec: u32) {
+    fn deliver(&mut self, to: NodeId, rec: u32) {
         let list = &mut self.lists[to as usize];
         if list.is_empty() {
             self.touched.push(to);
@@ -179,12 +203,6 @@ impl<M: Payload> Mailboxes<M> {
     /// this round, ascending.
     pub(crate) fn ready(&self) -> &[(NodeId, usize)] {
         &self.ready
-    }
-
-    /// Parks one adversary-delayed message until the start of round
-    /// `due`. Called by the commit fold in deterministic order.
-    pub(crate) fn stage_delayed(&mut self, due: usize, from: NodeId, seq: u32, to: NodeId, msg: M) {
-        self.delayed.push(DelayedMsg { due, from, seq, to, msg });
     }
 
     /// Earliest due round among parked messages, if any — a wake source
@@ -369,16 +387,27 @@ mod tests {
         inbox.iter().map(|(from, &m)| (from, m)).collect()
     }
 
+    /// Stages one unicast for next round: a record of its own, delivered.
+    fn stage(mb: &mut Mailboxes<u64>, from: NodeId, seq: u32, to: NodeId, msg: u64) {
+        let rec = mb.record(from, seq, msg);
+        mb.route(rec, to, Fate::Deliver, 0);
+    }
+
+    /// Parks one message until the start of round `due`.
+    fn park(mb: &mut Mailboxes<u64>, due: usize, from: NodeId, seq: u32, to: NodeId, msg: u64) {
+        mb.delayed.push(DelayedMsg { due, from, seq, to, msg });
+    }
+
     #[test]
     fn seal_groups_by_destination_with_senders_in_commit_order() {
         let mut mb: Mailboxes<u64> = Mailboxes::new(5);
         // Commit order: sender 0 then sender 2 then sender 4.
         mb.consume();
-        mb.stage(0, 0, 3, 10);
-        mb.stage(0, 1, 1, 11);
-        mb.stage(2, 0, 3, 12);
-        mb.stage(4, 0, 1, 13);
-        mb.stage(4, 1, 1, 14);
+        stage(&mut mb, 0, 0, 3, 10);
+        stage(&mut mb, 0, 1, 1, 11);
+        stage(&mut mb, 2, 0, 3, 12);
+        stage(&mut mb, 4, 0, 1, 13);
+        stage(&mut mb, 4, 1, 1, 14);
         mb.seal();
         assert_eq!(mb.ready(), &[(1, 3), (3, 2)]);
         assert_eq!(collect(mb.inbox(1)), vec![(0, 11), (4, 13), (4, 14)]);
@@ -390,7 +419,7 @@ mod tests {
     #[test]
     fn seal_twice_clears_previous_round() {
         let mut mb: Mailboxes<u64> = Mailboxes::new(3);
-        mb.stage(0, 0, 1, 1);
+        stage(&mut mb, 0, 0, 1, 1);
         mb.seal();
         assert_eq!(mb.ready().len(), 1);
         mb.consume();
@@ -398,7 +427,7 @@ mod tests {
         assert!(mb.ready().is_empty());
         assert!(mb.inbox(1).is_empty());
         mb.consume();
-        mb.stage(1, 0, 2, 9);
+        stage(&mut mb, 1, 0, 2, 9);
         mb.seal();
         assert_eq!(mb.ready(), &[(2, 1)]);
         assert_eq!(collect(mb.inbox(2)), vec![(1, 9)]);
@@ -409,7 +438,7 @@ mod tests {
         let mut mb: Mailboxes<u64> = Mailboxes::new(2);
         for round in 0..4 {
             mb.consume();
-            mb.stage(0, 0, 1, round);
+            stage(&mut mb, 0, 0, 1, round);
             mb.seal();
             assert_eq!(collect(mb.inbox(1)), vec![(0, round)]);
         }
@@ -429,7 +458,7 @@ mod tests {
         let b = mb.record(1, 0, 77);
         mb.deliver(0, b);
         mb.deliver(2, b);
-        mb.stage(3, 0, 2, 88);
+        stage(&mut mb, 3, 0, 2, 88);
         mb.seal();
         assert_eq!(mb.recs.len(), 2, "one payload for the broadcast, one for the unicast");
         assert_eq!(mb.ready(), &[(0, 1), (2, 2)]);
@@ -445,24 +474,46 @@ mod tests {
         // Triangle 0-1-2. Node 0's ops: send(1, a); send_all_except(2, b);
         // send(1, c)  => node 1 sees a, b, c; node 2 sees nothing.
         let mut mb: Mailboxes<u64> = Mailboxes::new(3);
-        mb.stage(0, 0, 1, 100);
+        stage(&mut mb, 0, 0, 1, 100);
         let b = mb.record(0, 1, 200);
         mb.deliver(1, b);
-        mb.stage(0, 2, 1, 300);
+        stage(&mut mb, 0, 2, 1, 300);
         mb.seal();
         assert_eq!(collect(mb.inbox(1)), vec![(0, 100), (0, 200), (0, 300)]);
         assert_eq!(mb.ready(), &[(1, 3)]);
         assert!(mb.inbox(2).is_empty());
     }
 
+    /// Each fate routes a shared broadcast record its own way: one index,
+    /// two, none, or a parked clone that lands on its due round.
+    #[test]
+    fn route_applies_each_fate_to_one_shared_record() {
+        let mut mb: Mailboxes<u64> = Mailboxes::new(4);
+        let b = mb.record(0, 2, 9);
+        mb.route(b, 0, Fate::Deliver, 5);
+        mb.route(b, 1, Fate::Duplicate, 5);
+        mb.route(b, 2, Fate::Drop, 5);
+        mb.route(b, 3, Fate::Delay(2), 5);
+        mb.seal();
+        assert_eq!(mb.recs.len(), 1, "every copy shares the one record");
+        assert_eq!(mb.ready(), &[(0, 1), (1, 2)]);
+        assert_eq!(collect(mb.inbox(1)), vec![(0, 9), (0, 9)]);
+        assert_eq!(mb.next_due(), Some(8));
+        mb.consume();
+        mb.seal();
+        mb.inject_due(8, 1).unwrap();
+        assert_eq!(mb.ready(), &[(3, 1)]);
+        assert_eq!(collect(mb.inbox(3)), vec![(0, 9)]);
+    }
+
     #[test]
     fn delayed_messages_wait_for_their_round_and_merge_in_order() {
         let mut mb: Mailboxes<u64> = Mailboxes::new(3);
-        mb.stage_delayed(3, 0, 0, 2, 50);
+        park(&mut mb, 3, 0, 0, 2, 50);
         assert_eq!(mb.next_due(), Some(3));
         // Round 2: nothing due yet.
         mb.consume();
-        mb.stage(1, 0, 2, 40);
+        stage(&mut mb, 1, 0, 2, 40);
         mb.seal();
         mb.inject_due(2, 4).unwrap();
         assert_eq!(collect(mb.inbox(2)), vec![(1, 40)]);
@@ -470,7 +521,7 @@ mod tests {
         // Round 3: the delayed message lands and sorts before the fresh
         // one (sender 0 < sender 1), and `ready` picks up node 2.
         mb.consume();
-        mb.stage(1, 0, 2, 41);
+        stage(&mut mb, 1, 0, 2, 41);
         mb.seal();
         mb.inject_due(3, 4).unwrap();
         assert_eq!(mb.next_due(), None);
@@ -486,7 +537,7 @@ mod tests {
     #[test]
     fn injection_activates_an_otherwise_idle_destination() {
         let mut mb: Mailboxes<u64> = Mailboxes::new(2);
-        mb.stage_delayed(1, 0, 0, 1, 7);
+        park(&mut mb, 1, 0, 0, 1, 7);
         mb.seal();
         assert!(mb.ready().is_empty());
         mb.inject_due(1, 1).unwrap();
@@ -499,13 +550,13 @@ mod tests {
         let mut mb: Mailboxes<u64> = Mailboxes::new(2);
         // A fresh word on edge 0→1 plus a delayed one: fits budget 2,
         // not budget 1.
-        mb.stage_delayed(1, 0, 0, 1, 7);
-        mb.stage(0, 1, 1, 8);
+        park(&mut mb, 1, 0, 0, 1, 7);
+        stage(&mut mb, 0, 1, 1, 8);
         mb.seal();
         let err = {
             let mut tight = Mailboxes::<u64>::new(2);
-            tight.stage_delayed(1, 0, 0, 1, 7);
-            tight.stage(0, 1, 1, 8);
+            park(&mut tight, 1, 0, 0, 1, 7);
+            stage(&mut tight, 0, 1, 1, 8);
             tight.seal();
             tight.inject_due(1, 1).unwrap_err()
         };
@@ -532,11 +583,11 @@ mod tests {
     #[test]
     fn delayed_unicast_lands_between_lower_broadcast_and_higher_unicast() {
         let mut mb: Mailboxes<u64> = Mailboxes::new(5);
-        mb.stage_delayed(1, 2, 0, 4, 20);
+        park(&mut mb, 1, 2, 0, 4, 20);
         let b = mb.record(1, 0, 10);
         mb.deliver(0, b);
         mb.deliver(4, b);
-        mb.stage(3, 0, 4, 30);
+        stage(&mut mb, 3, 0, 4, 30);
         mb.seal();
         mb.inject_due(1, 1).unwrap();
         assert_eq!(mb.ready(), &[(0, 1), (4, 3)]);

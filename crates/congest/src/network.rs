@@ -22,12 +22,19 @@
 //!    observationally identical to the per-neighbor unicast expansion,
 //!    at a fraction of the cost.
 //!
+//!    Faults plug into the same fold. It is one body instantiated twice,
+//!    over whether an active [`Adversary`](crate::Adversary) is attached.
+//!    Under faults each delivery meets the fate drawn from a pure hash
+//!    of its identity, and a broadcast still keeps its one arena record
+//!    (see [`crate::adversary`]). On clean runs each delivery meets the
+//!    constant "deliver", which compiles away.
+//!
 //! The mailboxes are single-buffered: between the two phases the engine
 //! clears the inboxes the compute phase has just read, and the fold
 //! refills the same buffers for the next round.
 
 use crate::adversary::{AdversaryState, Fate};
-use crate::effects::{check_edge_loads, Dest, Effects, Op};
+use crate::effects::{Dest, Effects, Op};
 use crate::machine::{MachineLayer, MachineMap};
 use crate::mailbox::Mailboxes;
 use crate::scratch::{EngineScratch, Parts};
@@ -84,13 +91,9 @@ pub struct Network<'g, P: Protocol, T: Topology = Graph> {
     /// commit fold (or the delay-queue injection), in a fixed order, so
     /// the realized schedule is a pure function of the fault seed.
     adversary: Option<AdversaryState>,
-    /// Reusable per-node scratch for the adversarial commit: the drawn
-    /// fate of each delivery, in merged op order.
-    scratch_fates: Vec<Fate>,
-    /// Reusable per-node scratch for the bandwidth checks: the
-    /// adversarial fold's `(destination, charged words)` per delivery,
-    /// and the clean fold's unicast and skip loads of a node that mixes
-    /// ops.
+    /// Reusable per-node scratch for the bandwidth check: the
+    /// `(destination, words)` loads of a faulty fold's duplicated copies,
+    /// and the unicast and skip loads of a node that mixes ops.
     scratch_charged: Vec<(NodeId, usize)>,
     /// Optional telemetry collector (see [`dhc_obs`]), cloned out of the
     /// config once so emission needs no config borrow. Driven only from
@@ -105,7 +108,7 @@ pub struct Network<'g, P: Protocol, T: Topology = Graph> {
     /// [`Network::obs_compute`] (see [`ObsPre`]).
     obs_scratch: ObsPre,
     /// This round's realized delivery fates `[dropped, duplicated,
-    /// delayed]`, tallied by the adversarial routing.
+    /// delayed]`, tallied by the fold's routing under faults.
     obs_fates: [u64; 3],
     /// This round's crash-schedule events `[crashes, restarts]`.
     obs_crash: [u64; 2],
@@ -234,7 +237,6 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             finished: false,
             machines,
             adversary,
-            scratch_fates: parts.fates,
             scratch_charged: parts.charged,
             obs,
             obs_compute: Vec::new(),
@@ -287,7 +289,6 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             + self.scratch_active.capacity() * size_of::<(NodeId, usize)>()
             + self.scratch_work.capacity() * size_of::<NodeId>()
             + self.wakes.capacity() * size_of::<Reverse<(usize, NodeId)>>()
-            + self.scratch_fates.capacity() * size_of::<Fate>()
             + self.scratch_charged.capacity() * size_of::<(NodeId, usize)>();
         let bytes = self.mail.memory_bytes() + effects + sched;
         bytes.div_ceil(size_of::<u64>())
@@ -326,7 +327,6 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             scratch_work,
             metrics,
             machines,
-            scratch_fates,
             scratch_charged,
             ..
         } = self;
@@ -336,7 +336,6 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             woken: scratch_woken,
             active: scratch_active,
             work: scratch_work,
-            fates: scratch_fates,
             charged: scratch_charged,
         });
         (
@@ -607,7 +606,11 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
         }
 
         // --- Commit fold: ascending node id. ---
-        self.commit_sequential(work)?;
+        if self.adversary.is_some() {
+            self.commit_sequential::<true>(work)?;
+        } else {
+            self.commit_sequential::<false>(work)?;
+        }
         // Close the machine layer's round: every executed phase (init is
         // round 0) becomes one log entry, so the dilation accounting sees
         // exactly the executed schedule (fast-forwarded quiescent rounds
@@ -662,153 +665,20 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     /// Each node is one walk: its metrics are charged once from the
     /// push-time totals, its bandwidth checked (one comparison for the
     /// common shapes), and its op list routed in index order.
-    fn commit_sequential(&mut self, work: &[NodeId]) -> Result<(), SimError> {
-        let graph = self.graph;
-        let adversarial = self.adversary.is_some();
-        let budget = self.config.bandwidth_words;
-        // Telemetry tallies ride the fold's own walk (the effect fields
-        // are in cache right here).
-        let obs_attached = self.obs.is_some();
-        for (i, &v) in work.iter().enumerate() {
-            if obs_attached {
-                let fx = &self.effects[i];
-                let o = &mut self.obs_scratch;
-                o.unicast_ops += fx.unicasts() as u64;
-                o.broadcast_ops += (fx.ops.len() - fx.unicasts()) as u64;
-                if fx.halted {
-                    o.halts += 1;
-                } else if fx.wake.is_some() {
-                    o.wakes_scheduled += 1;
-                }
-                self.obs_compute.push(fx.compute);
-            }
-            if adversarial {
-                // The fault-influenced commit lives in its own fold so the
-                // clean path below stays exactly the pre-adversary engine.
-                self.commit_adversarial(i, v)?;
-                continue;
-            }
-            let fx = &mut self.effects[i];
-            if let Some(err) = fx.fault.take() {
-                return Err(err);
-            }
-            let nbrs = graph.neighbors(v);
-            let metrics = &mut self.metrics;
-            metrics.compute_per_node[(v) as usize] += fx.compute;
-            if fx.memory > metrics.peak_memory_per_node[(v) as usize] {
-                metrics.peak_memory_per_node[(v) as usize] = fx.memory;
-            }
-            // Per-directed-edge accounting: every broadcast still counts
-            // one message per addressed neighbor — only the payload
-            // materialization is shared.
-            if fx.deliveries() > metrics.max_node_sends_per_round {
-                metrics.max_node_sends_per_round = fx.deliveries();
-            }
-            if let Err((to, words)) = fx.check_bandwidth(
-                nbrs,
-                budget,
-                &mut metrics.max_edge_words,
-                &mut self.scratch_charged,
-            ) {
-                return Err(SimError::BandwidthExceeded {
-                    from: v,
-                    to,
-                    round: self.round,
-                    attempted_words: words,
-                    budget_words: budget,
-                });
-            }
-            metrics.messages += fx.deliveries() as u64;
-            metrics.words += fx.delivered_words();
-            metrics.sent_per_node[(v) as usize] += fx.deliveries() as u64;
-            // Route the ops in index (= call) order, so trace events and
-            // per-receiver delivery order match the unicast expansion.
-            let trace_on = self.trace.is_enabled();
-            for (seq, Op { dest, words, msg }) in fx.ops.drain(..).enumerate() {
-                let seq = seq as u32;
-                if let Dest::To(to) = dest {
-                    if trace_on {
-                        self.trace.push(TraceEvent::Sent { round: self.round, from: v, to, words });
-                    }
-                    if let Some(ml) = self.machines.as_mut() {
-                        ml.unicast(v, to, words);
-                    }
-                    self.mail.stage(v, seq, to, msg);
-                    continue;
-                }
-                if dest.targets(nbrs).next().is_none() {
-                    // A skip-one broadcast from a degree-1 node addresses
-                    // nobody: nothing to stage.
-                    continue;
-                }
-                if trace_on {
-                    for to in dest.targets(nbrs) {
-                        self.trace.push(TraceEvent::Sent { round: self.round, from: v, to, words });
-                    }
-                }
-                // One payload copy into the arena; every addressed
-                // neighbor gets its index. The machine layer likewise
-                // charges the payload once per receiving *machine*, not
-                // per receiving node.
-                let rec = self.mail.record(v, seq, msg);
-                if let Some(ml) = self.machines.as_mut() {
-                    ml.begin_broadcast(v, words);
-                }
-                for to in dest.targets(nbrs) {
-                    self.mail.deliver(to, rec);
-                    if let Some(ml) = self.machines.as_mut() {
-                        ml.broadcast_dest(to);
-                    }
-                }
-            }
-            if let Some(target) = fx.wake {
-                if !fx.halted {
-                    self.wakes.push(Reverse((target, v)));
-                    if trace_on {
-                        self.trace.push(TraceEvent::WakeScheduled {
-                            round: self.round,
-                            node: v,
-                            target,
-                        });
-                    }
-                }
-            }
-            if fx.halted && !self.halted[(v) as usize] {
-                self.halted[(v) as usize] = true;
-                self.halted_count += 1;
-                if trace_on {
-                    self.trace.push(TraceEvent::Halted { round: self.round, node: v });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Commits one node's effects under an **active adversary**: the
-    /// fault-influenced twin of the clean fold in
-    /// [`commit_sequential`](Self::commit_sequential).
     ///
-    /// Two passes over the node's op list, both sequential. Pass 1 draws
-    /// the [`Fate`] of every delivery — ops in index order, each
-    /// broadcast expanded over its addressed neighbors in ascending
-    /// order — and checks the per-edge budgets with duplicates charged
-    /// twice (a duplicated copy is extra traffic on the edge, so it can
-    /// push a protocol that saturates its budget over the limit; the
-    /// violation surfaces as the ordinary [`SimError::BandwidthExceeded`],
-    /// never a silent queue). Pass 2 routes: delivered copies are staged
-    /// as usual, dropped ones are charged to the sender but never staged,
-    /// duplicated ones are staged twice, and delayed ones are parked in
-    /// the mailbox delay queue until their due round.
-    ///
-    /// Broadcasts are committed as **per-destination unicasts** (each
-    /// copy can meet a different fate), so no arena record is shared
-    /// under an active adversary; the k-machine layer
-    /// likewise sees the per-edge unicast expansion.
-    fn commit_adversarial(&mut self, i: usize, v: NodeId) -> Result<(), SimError> {
-        let round = self.round;
-        let budget = self.config.bandwidth_words;
+    /// `FAULTY` is set when an active adversary is attached. Each
+    /// delivery then meets the [`Fate`] the adversary draws from a pure
+    /// hash of `(fault seed, round, sender, op index, receiver)`; on clean
+    /// runs it meets the constant [`Fate::Deliver`], which compiles away.
+    /// Fates are drawn twice rather than stored. A pre-pass counts each
+    /// duplicated copy as one more send and one more unicast load on its
+    /// edge, so a duplicate that overfills an edge surfaces as the
+    /// ordinary [`SimError::BandwidthExceeded`], never a silent queue.
+    /// The routing walk then draws them again.
+    fn commit_sequential<const FAULTY: bool>(&mut self, work: &[NodeId]) -> Result<(), SimError> {
         let Network {
             graph,
+            config,
             effects,
             mail,
             metrics,
@@ -818,132 +688,145 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             wakes,
             halted,
             halted_count,
-            scratch_fates: fates,
-            scratch_charged: charged,
+            round,
+            scratch_charged: loads,
+            obs,
+            obs_compute,
+            obs_scratch,
             obs_fates,
             ..
         } = self;
-        let adv = &adversary.as_ref().expect("adversarial commit without an adversary").adv;
-        let fx = &mut effects[i];
-        if let Some(err) = fx.fault.take() {
-            return Err(err);
-        }
-        let nbrs = graph.neighbors(v);
-        metrics.compute_per_node[(v) as usize] += fx.compute;
-        if fx.memory > metrics.peak_memory_per_node[(v) as usize] {
-            metrics.peak_memory_per_node[(v) as usize] = fx.memory;
-        }
-
-        // --- Pass 1: draw fates (op index order, broadcasts expanded
-        // over ascending addressed neighbors) and charge the edges. The
-        // send count is recorded before and the edge maximum during the
-        // charge aggregation, so a violation leaves exactly the partial
-        // maxima of the walk. ---
-        fates.clear();
-        charged.clear();
-        let mut attempts = 0usize;
-        for (seq, op) in fx.ops.iter().enumerate() {
-            for to in op.dest.targets(nbrs) {
-                let fate = adv.fate(round, v, seq as u32, to);
-                let w = if fate == Fate::Duplicate { op.words * 2 } else { op.words };
-                fates.push(fate);
-                charged.push((to, w));
-                attempts += usize::from(fate == Fate::Duplicate) + 1;
-            }
-        }
-        if attempts > metrics.max_node_sends_per_round {
-            metrics.max_node_sends_per_round = attempts;
-        }
-        // Sort, then aggregate per destination ascending: same
-        // first-violation destination as the clean fold's walk.
-        charged.sort_unstable();
-        if let Err((to, words)) = check_edge_loads(charged, budget, &mut metrics.max_edge_words) {
-            return Err(SimError::BandwidthExceeded {
-                from: v,
-                to,
-                round,
-                attempted_words: words,
-                budget_words: budget,
-            });
-        }
-
-        // --- Pass 2: route each delivery by its fate: sender-side
-        // metrics and trace per delivery, then per-fate staging.
-        // `obs_fates` tallies the realized non-deliver fates `[dropped,
-        // duplicated, delayed]` for the round's telemetry event (pure
-        // counting — it influences nothing). ---
-        let trace_on = trace.is_enabled();
-        let mut fates = fates.iter();
-        let mut commit_one = |to: NodeId, seq: u32, words: usize, msg: P::Msg| {
-            let fate = *fates.next().expect("one fate per delivery");
-            match fate {
-                Fate::Deliver => {}
-                Fate::Drop => obs_fates[0] += 1,
-                Fate::Duplicate => obs_fates[1] += 1,
-                Fate::Delay(_) => obs_fates[2] += 1,
-            }
-            let copies: u64 = if fate == Fate::Duplicate { 2 } else { 1 };
-            metrics.words += words as u64 * copies;
-            metrics.messages += copies;
-            metrics.sent_per_node[(v) as usize] += copies;
-            if trace_on {
-                trace.push(TraceEvent::Sent { round, from: v, to, words });
-                match fate {
-                    Fate::Deliver => {}
-                    Fate::Drop => trace.push(TraceEvent::Dropped { round, from: v, to }),
-                    Fate::Duplicate => trace.push(TraceEvent::Duplicated { round, from: v, to }),
-                    Fate::Delay(d) => {
-                        trace.push(TraceEvent::Delayed {
-                            round,
-                            from: v,
-                            to,
-                            until: round + 1 + d,
-                        });
-                    }
-                }
-            }
-            if let Some(ml) = machines.as_mut() {
-                for _ in 0..copies {
-                    ml.unicast(v, to, words);
-                }
-            }
-            match fate {
-                Fate::Deliver => mail.stage(v, seq, to, msg),
-                // Charged to the sender, lost in transit.
-                Fate::Drop => {}
-                Fate::Duplicate => {
-                    mail.stage(v, seq, to, msg.clone());
-                    mail.stage(v, seq, to, msg);
-                }
-                Fate::Delay(d) => mail.stage_delayed(round + 1 + d, v, seq, to, msg),
-            }
+        let (graph, round, budget) = (*graph, *round, config.bandwidth_words);
+        let adv = adversary.as_ref().map(|st| &st.adv);
+        let fate = |v: NodeId, seq: u32, to: NodeId| match adv {
+            Some(adv) if FAULTY => adv.fate(round, v, seq, to),
+            _ => Fate::Deliver,
         };
-        for (seq, Op { dest, words, msg }) in fx.ops.drain(..).enumerate() {
-            let seq = seq as u32;
-            match dest {
-                Dest::To(to) => commit_one(to, seq, words, msg),
-                _ => {
-                    for to in dest.targets(nbrs) {
-                        commit_one(to, seq, words, msg.clone());
+        let trace_on = trace.is_enabled();
+        // Telemetry tallies ride the fold's own walk (the effect fields
+        // are in cache right here).
+        let obs_attached = obs.is_some();
+        for (fx, &v) in effects.iter_mut().zip(work) {
+            if obs_attached {
+                obs_scratch.unicast_ops += fx.unicasts() as u64;
+                obs_scratch.broadcast_ops += (fx.ops.len() - fx.unicasts()) as u64;
+                if fx.halted {
+                    obs_scratch.halts += 1;
+                } else if fx.wake.is_some() {
+                    obs_scratch.wakes_scheduled += 1;
+                }
+                obs_compute.push(fx.compute);
+            }
+            if let Some(err) = fx.fault.take() {
+                return Err(err);
+            }
+            let nbrs = graph.neighbors(v);
+            metrics.compute_per_node[(v) as usize] += fx.compute;
+            if fx.memory > metrics.peak_memory_per_node[(v) as usize] {
+                metrics.peak_memory_per_node[(v) as usize] = fx.memory;
+            }
+            // Per-directed-edge accounting: every broadcast still counts
+            // one message per addressed neighbor — only the payload
+            // materialization is shared — and a duplicated copy counts
+            // once more.
+            let (mut sends, mut sent_words) = (fx.deliveries(), fx.delivered_words());
+            loads.clear();
+            if FAULTY {
+                for (seq, op) in fx.ops.iter().enumerate() {
+                    for to in op.dest.targets(nbrs) {
+                        if fate(v, seq as u32, to) == Fate::Duplicate {
+                            loads.push((to, op.words));
+                            sends += 1;
+                            sent_words += op.words as u64;
+                        }
                     }
                 }
             }
-        }
-        debug_assert!(fates.next().is_none(), "fate scratch out of sync");
-
-        if let Some(target) = fx.wake {
-            if !fx.halted {
-                wakes.push(Reverse((target, v)));
-                if trace_on {
-                    trace.push(TraceEvent::WakeScheduled { round, node: v, target });
+            if sends > metrics.max_node_sends_per_round {
+                metrics.max_node_sends_per_round = sends;
+            }
+            if let Err((to, words)) =
+                fx.check_bandwidth(nbrs, budget, &mut metrics.max_edge_words, loads)
+            {
+                return Err(SimError::BandwidthExceeded {
+                    from: v,
+                    to,
+                    round,
+                    attempted_words: words,
+                    budget_words: budget,
+                });
+            }
+            metrics.messages += sends as u64;
+            metrics.words += sent_words;
+            metrics.sent_per_node[(v) as usize] += sends as u64;
+            // Route the ops in index (= call) order, so trace events and
+            // per-receiver delivery order match the unicast expansion.
+            for (seq, Op { dest, words, msg }) in fx.ops.drain(..).enumerate() {
+                let seq = seq as u32;
+                if let Dest::To(to) = dest {
+                    let fate = fate(v, seq, to);
+                    if trace_on {
+                        trace.push(TraceEvent::Sent { round, from: v, to, words });
+                    }
+                    if FAULTY {
+                        note_fault(trace, obs_fates, fate, round, v, to);
+                    }
+                    if let Some(ml) = machines.as_mut() {
+                        ml.unicast(v, to, words);
+                        if fate == Fate::Duplicate {
+                            ml.unicast(v, to, words);
+                        }
+                    }
+                    let rec = mail.record(v, seq, msg);
+                    mail.route(rec, to, fate, round);
+                    continue;
+                }
+                if dest.targets(nbrs).next().is_none() {
+                    // A skip-one broadcast from a degree-1 node addresses
+                    // nobody: nothing to stage.
+                    continue;
+                }
+                if trace_on && !FAULTY {
+                    for to in dest.targets(nbrs) {
+                        trace.push(TraceEvent::Sent { round, from: v, to, words });
+                    }
+                }
+                // One payload copy into the arena; every addressed
+                // neighbor gets its index as its fate says. The machine
+                // layer likewise charges the payload once per receiving
+                // *machine*, not per receiving node, whatever the fates.
+                let rec = mail.record(v, seq, msg);
+                if let Some(ml) = machines.as_mut() {
+                    ml.begin_broadcast(v, words);
+                }
+                for to in dest.targets(nbrs) {
+                    let fate = fate(v, seq, to);
+                    if FAULTY {
+                        if trace_on {
+                            trace.push(TraceEvent::Sent { round, from: v, to, words });
+                        }
+                        note_fault(trace, obs_fates, fate, round, v, to);
+                    }
+                    mail.route(rec, to, fate, round);
+                    if let Some(ml) = machines.as_mut() {
+                        ml.broadcast_dest(to);
+                    }
                 }
             }
-        }
-        if fx.halted && !halted[(v) as usize] {
-            halted[(v) as usize] = true;
-            *halted_count += 1;
-            if trace_on {
-                trace.push(TraceEvent::Halted { round, node: v });
+            if let Some(target) = fx.wake {
+                if !fx.halted {
+                    wakes.push(Reverse((target, v)));
+                    if trace_on {
+                        trace.push(TraceEvent::WakeScheduled { round, node: v, target });
+                    }
+                }
+            }
+            if fx.halted && !halted[(v) as usize] {
+                halted[(v) as usize] = true;
+                *halted_count += 1;
+                if trace_on {
+                    trace.push(TraceEvent::Halted { round, node: v });
+                }
             }
         }
         Ok(())
@@ -998,6 +881,27 @@ impl<P: Protocol, T: Topology> std::fmt::Debug for Network<'_, P, T> {
 enum CallKind {
     Init,
     Round,
+}
+
+/// Notes one delivery's fault: tallies a non-`Deliver` fate into
+/// `tally` (`[dropped, duplicated, delayed]`, for the round's telemetry
+/// event) and traces it right after the delivery's `Sent` event.
+fn note_fault(
+    trace: &mut Trace,
+    tally: &mut [u64; 3],
+    fate: Fate,
+    round: usize,
+    from: NodeId,
+    to: NodeId,
+) {
+    let (slot, event) = match fate {
+        Fate::Deliver => return,
+        Fate::Drop => (0, TraceEvent::Dropped { round, from, to }),
+        Fate::Duplicate => (1, TraceEvent::Duplicated { round, from, to }),
+        Fate::Delay(d) => (2, TraceEvent::Delayed { round, from, to, until: round + 1 + d }),
+    };
+    tally[slot] += 1;
+    trace.push(event);
 }
 
 #[cfg(test)]

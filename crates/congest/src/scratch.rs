@@ -2,7 +2,8 @@
 //!
 //! A [`Network`](crate::Network) owns a family of arena-style buffers —
 //! the payload arena and per-node inbox lists, the per-active-node effect
-//! scratch, and the scheduling scratch. Within one network they are
+//! scratch, the scheduling scratch, and the commit fold's bandwidth-check
+//! scratch. Within one network they are
 //! allocated once and reused every round, but a *phase* that runs many
 //! networks back to back — the `√n` Phase 1 color classes, DHC2's
 //! `⌈log k⌉` merge levels — used to pay the full allocation cost once
@@ -12,7 +13,8 @@
 //! [`Network::new_with_scratch`](crate::Network::new_with_scratch) and
 //! tear down with
 //! [`Network::finish_with_scratch`](crate::Network::finish_with_scratch),
-//! and the buffers flow from one network to the next. Recycling is
+//! and the buffers flow from one network to the next: the scratch holds
+//! the last donor's whole buffer set, or nothing while cold. Recycling is
 //! purely an allocation-level affair — every buffer is cleared and
 //! resized for the new node count before use, so execution, metrics,
 //! traces, and errors are bit-identical to fresh construction (pinned
@@ -22,7 +24,6 @@
 //! protocol: any two protocols that exchange the same message type can
 //! share one scratch.
 
-use crate::adversary::Fate;
 use crate::effects::Effects;
 use crate::mailbox::Mailboxes;
 use crate::{NodeId, Payload};
@@ -35,32 +36,24 @@ use crate::{NodeId, Payload};
 /// network constructed from a warm scratch reuses the donor's payload
 /// arena and inbox lists, effect scratch, and scheduling scratch.
 pub struct EngineScratch<M: Payload> {
-    /// Recycled single-buffered mailboxes (the payload arena, per-node
-    /// index lists, touch and ready lists, delay queue).
-    pub(crate) mail: Option<Mailboxes<M>>,
-    /// Recycled per-active-node effect scratch.
-    pub(crate) effects: Vec<Effects<M>>,
-    /// Recycled per-round scheduling scratch (due wake-ups).
-    pub(crate) woken: Vec<NodeId>,
-    /// Recycled per-round scheduling scratch (merged active set).
-    pub(crate) active: Vec<(NodeId, usize)>,
-    /// Recycled per-round scheduling scratch (runnable list).
-    pub(crate) work: Vec<NodeId>,
-    /// Recycled adversarial-commit fate scratch.
-    pub(crate) fates: Vec<Fate>,
-    /// Recycled bandwidth-check scratch (both commit folds).
-    pub(crate) charged: Vec<(NodeId, usize)>,
+    /// The last donor's buffers; `None` while cold.
+    parts: Option<Parts<M>>,
 }
 
 /// The buffer set a [`Network`](crate::Network) is born with — taken
 /// from a warm [`EngineScratch`] or freshly allocated.
 pub(crate) struct Parts<M: Payload> {
+    /// Single-buffered mailboxes (the payload arena, per-node index
+    /// lists, touch and ready lists, delay queue).
     pub(crate) mail: Mailboxes<M>,
+    /// Per-active-node effect scratch.
     pub(crate) effects: Vec<Effects<M>>,
+    /// Per-round scheduling scratch: due wake-ups, merged active set,
+    /// runnable list.
     pub(crate) woken: Vec<NodeId>,
     pub(crate) active: Vec<(NodeId, usize)>,
     pub(crate) work: Vec<NodeId>,
-    pub(crate) fates: Vec<Fate>,
+    /// Per-node bandwidth-check scratch of the commit fold.
     pub(crate) charged: Vec<(NodeId, usize)>,
 }
 
@@ -73,7 +66,6 @@ impl<M: Payload> Parts<M> {
             woken: Vec::new(),
             active: Vec::new(),
             work: Vec::new(),
-            fates: Vec::new(),
             charged: Vec::new(),
         }
     }
@@ -83,59 +75,29 @@ impl<M: Payload> EngineScratch<M> {
     /// An empty (cold) scratch. The first network built from it
     /// allocates normally; every later one recycles.
     pub fn new() -> Self {
-        EngineScratch {
-            mail: None,
-            effects: Vec::new(),
-            woken: Vec::new(),
-            active: Vec::new(),
-            work: Vec::new(),
-            fates: Vec::new(),
-            charged: Vec::new(),
-        }
+        EngineScratch { parts: None }
     }
 
     /// Whether the scratch holds recycled buffers (i.e. at least one
     /// network has been finished into it).
     pub fn is_warm(&self) -> bool {
-        self.mail.is_some()
+        self.parts.is_some()
     }
 
-    /// Takes the buffer set for a new `n`-node network, readying every
-    /// recycled buffer (a donor run may have errored mid-round). The
-    /// effect scratch needs no clearing here — the engine resets each
-    /// entry before use.
+    /// Takes the buffer set for a new `n`-node network, readying the
+    /// recycled mailboxes (a donor run may have errored mid-round). The
+    /// effect, scheduling and bandwidth-check scratch need no clearing
+    /// here — the engine clears each before use.
     pub(crate) fn take_parts(&mut self, n: usize) -> Parts<M> {
-        let mut mail = match self.mail.take() {
-            Some(m) => m,
-            None => return Parts::fresh(n),
-        };
-        mail.recycle(n);
-        self.woken.clear();
-        self.active.clear();
-        self.work.clear();
-        self.fates.clear();
-        self.charged.clear();
-        Parts {
-            mail,
-            effects: std::mem::take(&mut self.effects),
-            woken: std::mem::take(&mut self.woken),
-            active: std::mem::take(&mut self.active),
-            work: std::mem::take(&mut self.work),
-            fates: std::mem::take(&mut self.fates),
-            charged: std::mem::take(&mut self.charged),
-        }
+        let Some(mut parts) = self.parts.take() else { return Parts::fresh(n) };
+        parts.mail.recycle(n);
+        parts
     }
 
     /// Stores a finished network's buffers for the next taker,
     /// replacing whatever was held before.
     pub(crate) fn store(&mut self, parts: Parts<M>) {
-        self.mail = Some(parts.mail);
-        self.effects = parts.effects;
-        self.woken = parts.woken;
-        self.active = parts.active;
-        self.work = parts.work;
-        self.fates = parts.fates;
-        self.charged = parts.charged;
+        self.parts = Some(parts);
     }
 }
 

@@ -84,7 +84,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn fault_schedule_and_outcomes_identical_at_all_thread_counts(
+    fn fault_schedule_and_outcomes_identical_on_rerun(
         n in 4usize..9,
         lives in prop::collection::vec(0usize..6, 1..4),
         fault_seed in any::<u64>(),
@@ -210,3 +210,216 @@ fn delayed_messages_respect_the_arrival_round_bandwidth_check() {
         .expect("some seed collides a delayed and a fresh message on edge 0→1");
     assert!(matches!(err, SimError::BandwidthExceeded { from: 0, to: 1, .. }), "{err:?}");
 }
+
+/// Under an active adversary a broadcast keeps its one arena record, so
+/// the k-machine layer charges each receiving machine once, as on clean
+/// runs: a broadcast to three nodes hosted by one other machine crosses
+/// that link once.
+#[test]
+fn faulty_broadcast_crosses_each_machine_link_once() {
+    struct Hub;
+    impl Protocol for Hub {
+        type Msg = Tok;
+        fn init(&mut self, ctx: &mut Context<'_, Tok>) {
+            if ctx.node() == 0 {
+                ctx.send_all(Tok(1));
+            }
+            ctx.halt();
+        }
+        fn round(&mut self, _: &mut Context<'_, Tok>, _: Inbox<'_, Tok>) {}
+    }
+    let g = dhc_graph::generator::star(4);
+    // Active, yet every copy is delivered: the only fault is a crash
+    // after the run has ended.
+    let adv = Adversary::seeded(0).with_crash(1, 5, None);
+    let machines = dhc_congest::MachineMap::new(vec![0, 1, 1, 1], 2);
+    let cfg = Config::default().with_trace_capacity(100).with_adversary(adv);
+    let mut net = Network::new_with_machines(&g, cfg, vec![Hub, Hub, Hub, Hub], machines).unwrap();
+    net.run().unwrap();
+    let sends = net.trace().iter().filter(|e| matches!(e, TraceEvent::Sent { .. })).count();
+    let (report, _) = net.finish();
+    assert_eq!((sends, report.metrics.messages), (3, 3));
+    let log = report.machine_log.unwrap();
+    // Link index 0 * 2 + 1 carries the one 1-word payload.
+    assert_eq!(log.rounds()[0].links, [(1, 1)]);
+    assert_eq!(log.cross_messages(), 1);
+}
+
+/// A payload of one or two words.
+#[derive(Clone, Debug)]
+struct Pay(u64, usize);
+impl Payload for Pay {
+    fn words(&self) -> usize {
+        self.1
+    }
+}
+
+/// A scripted node: each activation it issues up to two ops — `send`,
+/// `send_all` and `send_all_except` of 1–2 words, or only `send`s — drawn
+/// from its own stream, logs its deliveries, and re-arms a wake-up, for
+/// `life` activations.
+struct Script {
+    stream: u64,
+    life: usize,
+    unicast_only: bool,
+    got: Vec<(usize, NodeId, u64)>,
+}
+
+impl Script {
+    fn draw(&mut self, bound: u64) -> u64 {
+        self.stream = dhc_graph::rng::derive_seed(self.stream, 1);
+        self.stream % bound
+    }
+
+    fn act(&mut self, ctx: &mut Context<'_, Pay>) {
+        if self.life == 0 {
+            ctx.halt();
+            return;
+        }
+        self.life -= 1;
+        let deg = ctx.degree() as u64;
+        for i in 0..if deg == 0 { 0 } else { self.draw(3) } {
+            let to = ctx.neighbors()[self.draw(deg) as usize];
+            let words = 1 + self.draw(2) as usize;
+            let msg =
+                Pay(u64::from(ctx.node()) << 32 | (ctx.round_number() as u64) << 8 | i, words);
+            match if self.unicast_only { 0 } else { self.draw(3) } {
+                0 => ctx.send(to, msg),
+                1 => ctx.send_all(msg),
+                _ => ctx.send_all_except(to, msg),
+            }
+        }
+        ctx.wake_in(1 + self.draw(2) as usize);
+    }
+}
+
+impl Protocol for Script {
+    type Msg = Pay;
+    fn init(&mut self, ctx: &mut Context<'_, Pay>) {
+        self.act(ctx);
+    }
+    fn round(&mut self, ctx: &mut Context<'_, Pay>, inbox: Inbox<'_, Pay>) {
+        for (from, msg) in inbox.iter() {
+            self.got.push((ctx.round_number(), from, msg.0));
+        }
+        self.act(ctx);
+    }
+}
+
+/// Runs fixed script `case` under an active adversary and returns an
+/// FNV-1a digest of its result, `Metrics` (all but
+/// `engine_memory_words`, a buffer-capacity sample that `PartialEq`
+/// skips too), trace and inbox logs — plus, for unicast-only scripts,
+/// its k-machine log.
+fn script_digest(case: u64, unicast_only: bool) -> u64 {
+    let mut draw = {
+        let mut s = dhc_graph::rng::derive_seed(0x5C41_9700, case);
+        move |bound: u64| {
+            s = dhc_graph::rng::derive_seed(s, 7);
+            s % bound
+        }
+    };
+    let n = 4 + draw(6) as usize;
+    let p = 0.3 + 0.1 * draw(5) as f64;
+    let g = dhc_graph::generator::gnp(n, p, &mut dhc_graph::rng::rng_from_seed(case)).unwrap();
+    let mut adv = Adversary::seeded(draw(1 << 32))
+        .with_drop_ppm(draw(300_001) as u32)
+        .with_duplicate_ppm(draw(300_001) as u32)
+        .with_delay(draw(300_001) as u32, 1 + draw(3) as usize);
+    if draw(2) == 0 {
+        let at = 1 + draw(4) as usize;
+        let restart = (draw(2) == 0).then(|| at + 1 + draw(4) as usize);
+        adv = adv.with_crash(draw(n as u64) as NodeId, at, restart);
+    }
+    let cfg = Config::default()
+        .with_bandwidth_words(3 + draw(5) as usize)
+        .with_max_rounds(80)
+        .with_trace_capacity(1_000_000)
+        .with_adversary(adv);
+    let nodes: Vec<Script> = (0..n as u64)
+        .map(|v| Script {
+            stream: dhc_graph::rng::derive_seed(case, v),
+            life: 3 + draw(6) as usize,
+            unicast_only,
+            got: Vec::new(),
+        })
+        .collect();
+    let machines = dhc_congest::MachineMap::new((0..n).map(|v| v % 3).collect(), 3);
+    let built = if unicast_only {
+        Network::new_with_machines(&g, cfg, nodes, machines)
+    } else {
+        Network::new(&g, cfg, nodes)
+    };
+    let text = match built {
+        Err(e) => format!("{e:?}"),
+        Ok(mut net) => {
+            let outcome = net.run();
+            let trace = net.trace().events();
+            let logs: Vec<_> = net.nodes().iter().map(|nd| nd.got.clone()).collect();
+            let (mut report, _) = net.finish();
+            report.metrics.engine_memory_words = 0;
+            format!("{outcome:?} {:?} {trace:?} {logs:?} {:?}", report.metrics, report.machine_log)
+        }
+    };
+    text.bytes()
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3))
+}
+
+/// Fixed faulty scripts pin the realized fault schedule, every metric,
+/// the trace and each node's deliveries to recorded digests, so a change
+/// to the commit fold that reorders a fate event or drops a duplicate's
+/// edge charge fails here, not only against a re-run of itself.
+#[test]
+fn scripted_faulty_runs_match_recorded_digests() {
+    let got: Vec<u64> = (0..SCRIPT_DIGESTS.len() as u64).map(|c| script_digest(c, false)).collect();
+    assert_eq!(got, SCRIPT_DIGESTS);
+}
+
+/// The same for unicast-only scripts, whose k-machine logs are pinned
+/// too: each copy sent, duplicate included, crosses its machine link.
+#[test]
+fn scripted_unicast_runs_match_recorded_machine_logs() {
+    let got: Vec<u64> =
+        (0..UNICAST_DIGESTS.len() as u64).map(|c| script_digest(100 + c, true)).collect();
+    assert_eq!(got, UNICAST_DIGESTS);
+}
+
+/// Recorded digests of `script_digest(case, false)`, `case` in `0..24`.
+const SCRIPT_DIGESTS: [u64; 24] = [
+    0x4F75_9B15_CC52_A462,
+    0x91FF_5DB6_CDE5_71CF,
+    0xD0D0_587F_20C5_BA82,
+    0xE0B0_CFDD_D793_101B,
+    0xB147_861F_0164_91F3,
+    0x5F0C_ED3D_6B68_786E,
+    0xB57C_4EB3_F03B_7EE8,
+    0xD313_0D7E_3F06_2FA5,
+    0xCBED_2D57_269C_6C33,
+    0x96C0_BE24_F3F0_F3B6,
+    0x9BF8_6684_6C5B_BB38,
+    0xF1F0_56CB_2E85_541E,
+    0x8BA8_85BC_1D2D_2D1A,
+    0x16B0_2346_98EB_CC47,
+    0xB619_E126_9E91_316E,
+    0xA8FC_A7D6_DF3B_9267,
+    0x8989_954C_B57E_5FF3,
+    0x0FE9_8A4B_3B54_18E0,
+    0xC0E1_7B4E_2D0E_0205,
+    0x984E_7BF1_4D4F_4B97,
+    0x6E60_FDDC_07CE_F93F,
+    0xB2D4_124E_2EFA_4FED,
+    0xEE0A_53FC_6F41_96FD,
+    0x03B8_1391_8195_3015,
+];
+
+/// Recorded digests of `script_digest(100 + case, true)`, `case` in `0..8`.
+const UNICAST_DIGESTS: [u64; 8] = [
+    0x1415_3AB8_FAC1_4D41,
+    0xBCF3_29C8_4218_EA48,
+    0x2E3B_6A98_4090_7740,
+    0x1010_F6AC_4785_7172,
+    0x5C59_5902_4454_AA83,
+    0x69C9_F6F1_410E_6D4B,
+    0xD082_FF83_AE55_F667,
+    0x5FAE_B1B0_9BAB_FD76,
+];

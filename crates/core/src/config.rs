@@ -199,7 +199,8 @@ impl DhcConfig {
         sim
     }
 
-    /// Validates parameter ranges.
+    /// Validates parameter ranges, including an attached adversary's
+    /// delay knob (delaying needs `max_delay >= 1`).
     ///
     /// # Errors
     ///
@@ -214,6 +215,27 @@ impl DhcConfig {
         }
         if self.sample_factor <= 0.0 {
             return Err(crate::DhcError::InvalidConfig { what: "sample_factor must be positive" });
+        }
+        if self.adversary.as_ref().is_some_and(|a| a.delay_ppm > 0 && a.max_delay == 0) {
+            return Err(crate::DhcError::InvalidConfig {
+                what: "adversary delay needs max_delay >= 1",
+            });
+        }
+        Ok(())
+    }
+
+    /// The checks every entry point makes before it builds a network:
+    /// [`validate`](Self::validate), a graph of at least 3 nodes, and a
+    /// crash schedule that names only nodes of the `n`-node graph.
+    pub(crate) fn validate_run(&self, n: usize) -> Result<(), crate::DhcError> {
+        self.validate()?;
+        if n < 3 {
+            return Err(crate::DhcError::GraphTooSmall { n });
+        }
+        if self.adversary.iter().flat_map(|a| &a.crashes).any(|c| c.node as usize >= n) {
+            return Err(crate::DhcError::InvalidConfig {
+                what: "adversary crash schedule names a node outside the graph",
+            });
         }
         Ok(())
     }
@@ -248,6 +270,12 @@ mod tests {
         let mut cfg = DhcConfig::new(0);
         cfg.sample_factor = -1.0;
         assert!(cfg.validate().is_err());
+        let no_bound = Adversary { delay_ppm: 500_000, ..Adversary::seeded(1) };
+        assert!(DhcConfig::new(0).with_adversary(no_bound).validate().is_err());
+        let crash = DhcConfig::new(0).with_adversary(Adversary::seeded(1).with_crash(9, 1, None));
+        assert!(crash.validate().is_ok() && crash.validate_run(10).is_ok());
+        assert!(crash.validate_run(9).is_err());
+        assert!(matches!(crash.validate_run(2), Err(crate::DhcError::GraphTooSmall { n: 2 })));
     }
 
     #[test]

@@ -509,11 +509,8 @@ pub(crate) fn run(
     cfg: &DhcConfig,
     mut km: Option<&mut KMachineProbe>,
 ) -> Result<RunOutcome, DhcError> {
-    cfg.validate()?;
     let n = graph.node_count();
-    if n < 3 {
-        return Err(DhcError::GraphTooSmall { n });
-    }
+    cfg.validate_run(n)?;
     let (partition, _) = draw_colors(n, cfg);
     // Dense class ids, so hypernode indices are too.
     let compacted = compact_colors(&partition);

@@ -570,11 +570,8 @@ pub(crate) fn run(
     cfg: &DhcConfig,
     km: Option<&mut KMachineProbe>,
 ) -> Result<RunOutcome, DhcError> {
-    cfg.validate()?;
     let n = graph.node_count();
-    if n < 3 {
-        return Err(DhcError::GraphTooSmall { n });
-    }
+    cfg.validate_run(n)?;
     let (partition, _) = draw_colors(n, cfg);
     run_with_colors(graph, cfg, &partition, km)
 }

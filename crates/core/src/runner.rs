@@ -397,11 +397,8 @@ pub fn run_partition_cycles(
     partition: &Partition,
     cfg: &DhcConfig,
 ) -> Result<(Vec<Subcycle>, Metrics), DhcError> {
-    cfg.validate()?;
     let n = graph.node_count();
-    if n < 3 {
-        return Err(DhcError::GraphTooSmall { n });
-    }
+    cfg.validate_run(n)?;
     if partition.node_count() != n {
         return Err(DhcError::InvalidConfig { what: "partition must hold one color per node" });
     }
@@ -460,11 +457,8 @@ pub(crate) fn run_dra_with(
     cfg: &DhcConfig,
     km: Option<&mut KMachineProbe>,
 ) -> Result<RunOutcome, DhcError> {
-    cfg.validate()?;
     let n = graph.node_count();
-    if n < 3 {
-        return Err(DhcError::GraphTooSmall { n });
-    }
+    cfg.validate_run(n)?;
     let partition = Partition::from_colors(vec![0u32; n], 1);
     let mut run_span = Span::root(cfg.collector.as_ref(), "run", format!("dra n={n}"));
     let outcome = run_phase1(graph, &partition, cfg, km, &run_span)?;
@@ -540,11 +534,8 @@ pub fn run_dhc2_with_colors(
     colors: &[u32],
     num_colors: usize,
 ) -> Result<RunOutcome, DhcError> {
-    cfg.validate()?;
     let n = graph.node_count();
-    if n < 3 {
-        return Err(DhcError::GraphTooSmall { n });
-    }
+    cfg.validate_run(n)?;
     if colors.len() != n {
         return Err(DhcError::InvalidConfig { what: "colors must hold one color per node" });
     }

@@ -38,7 +38,7 @@ use dhc_rotation::{posa_with_restarts, PosaConfig};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Records forwarded per tree edge per round (each is ≤ 3 words, so 4 of
 /// them fit the default 16-word budget).
@@ -123,8 +123,10 @@ pub(crate) struct UpcastNode {
     /// Root only: all collected records.
     records: Vec<(NodeId, NodeId)>,
 
-    // Downcast.
-    downqueues: HashMap<NodeId, VecDeque<(NodeId, NodeId, NodeId)>>,
+    // Downcast. Keyed by child in ascending id, so `pump_down` issues a
+    // round's sends in the same order on every run (each send's op index
+    // keys its fate under an adversary).
+    downqueues: BTreeMap<NodeId, VecDeque<(NodeId, NodeId, NodeId)>>,
     down_received: usize,
     solved: bool,
 
@@ -160,7 +162,7 @@ impl UpcastNode {
             up_end_pending: 0,
             sent_up_end: false,
             records: Vec::new(),
-            downqueues: HashMap::new(),
+            downqueues: BTreeMap::new(),
             down_received: 0,
             solved: false,
             output: None,
@@ -483,11 +485,8 @@ pub(crate) fn run(
     all_edges: bool,
     km: Option<&mut KMachineProbe>,
 ) -> Result<RunOutcome, DhcError> {
-    cfg.validate()?;
     let n = graph.node_count();
-    if n < 3 {
-        return Err(DhcError::GraphTooSmall { n });
-    }
+    cfg.validate_run(n)?;
     let algo = if all_edges { "collect-all" } else { "upcast" };
     let mut run_span = Span::root(cfg.collector.as_ref(), "run", format!("{algo} n={n}"));
     let mut phase_span = run_span.child("phase", algo);

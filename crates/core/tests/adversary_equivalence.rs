@@ -10,7 +10,7 @@
 //! clean synchronous CONGEST model.
 
 use dhc_congest::{Adversary, Config, Context, Inbox, Network, NodeId, Payload, Protocol, Trace};
-use dhc_core::{run_dhc1, run_dhc2, run_dra, run_upcast, DhcConfig, RunOutcome};
+use dhc_core::{run_dhc1, run_dhc2, run_dra, run_upcast, DhcConfig, DhcError, RunOutcome};
 use dhc_graph::rng::rng_from_seed;
 use dhc_graph::{generator, thresholds, Graph, Topology};
 
@@ -190,3 +190,91 @@ fn traces_bit_identical_with_null_adversary() {
         assert_eq!(pm, am, "metrics diverged");
     }
 }
+
+/// FNV-1a over the `Debug` text of a run's result: the cycle, every
+/// `Metrics` field but `engine_memory_words` (a buffer-capacity sample
+/// that `Metrics`' `PartialEq` skips too), and the phase breakdown — or
+/// the typed error.
+fn digest(res: Result<RunOutcome, DhcError>) -> u64 {
+    let text = match res {
+        Ok(mut out) => {
+            out.metrics.engine_memory_words = 0;
+            format!("{:?} {:?} {:?}", out.cycle.order(), out.metrics, out.phases)
+        }
+        Err(e) => format!("{e:?}"),
+    };
+    text.bytes()
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3))
+}
+
+/// Upcast under faults is a pure function of its seeds. Each delivery's
+/// fate is keyed on the sender's op index, so a node must issue its
+/// sends in the same order on every run — its downcast children
+/// included.
+#[test]
+fn upcast_under_faults_is_reproducible_on_rerun() {
+    for s in 0..3 {
+        let g = generator::gnp(96, 0.5, &mut rng_from_seed(s)).unwrap();
+        let adv = Adversary::seeded(s + 3).with_delay(50_000, 3);
+        let cfg = DhcConfig::new(s).with_adversary(adv);
+        assert_eq!(digest(run_upcast(&g, &cfg)), digest(run_upcast(&g, &cfg)), "seed {s}");
+    }
+}
+
+/// The faulty runs pinned by [`faulty_runs_match_recorded_digests`]:
+/// DRA, DHC2 and Upcast on small G(n, 1/2) under a duplicate, a delay, a
+/// drop, and a crash-restart adversary, at a budget wide enough that most
+/// duplicates and delays fit.
+fn faulty_run(case: u64) -> Result<RunOutcome, DhcError> {
+    let g = generator::gnp(64 + 16 * (case % 3) as usize, 0.5, &mut rng_from_seed(case)).unwrap();
+    let adv = match case % 4 {
+        0 => Adversary::seeded(case).with_duplicate_ppm(2_000),
+        1 => Adversary::seeded(case).with_delay(2_000, 2),
+        2 => Adversary::seeded(case).with_drop_ppm(2),
+        _ => Adversary::seeded(case).with_duplicate_ppm(200).with_crash(5, 3, Some(9)),
+    };
+    let cfg = DhcConfig { bandwidth_words: 512, ..DhcConfig::new(case) };
+    let cfg = cfg.with_partitions(4).with_adversary(adv);
+    match case % 3 {
+        0 => run_dra(&g, &cfg),
+        1 => run_dhc2(&g, &cfg),
+        _ => run_upcast(&g, &cfg),
+    }
+}
+
+/// Faulty DRA, DHC2 and Upcast runs keep their recorded digests, so a
+/// change to the engine's commit fold that reorders a fate or drops a
+/// duplicate's edge charge fails here. Most of these runs end in a typed
+/// error, which is part of the digest.
+#[test]
+fn faulty_runs_match_recorded_digests() {
+    for (case, want) in FAULTY_DIGESTS {
+        assert_eq!(digest(faulty_run(case)), want, "case {case}");
+    }
+}
+
+/// Recorded `(case, digest)` of `faulty_run(case)`. Cases 0, 1, 4, 9, 12
+/// and 16 have no single outcome to pin: there a duplicate or a delay
+/// makes a DRA head act while it still awaits a reply, which trips the
+/// debug assertion in `DraNode::head_act` in debug builds and runs on to
+/// a bandwidth error in release builds.
+const FAULTY_DIGESTS: [(u64, u64); 18] = [
+    (2, 0x98FE_8544_76E5_3D82),
+    (3, 0x6ACB_2692_4D17_3D7B),
+    (5, 0x9605_5D6A_265B_2E48),
+    (6, 0x6ACB_2692_4D17_3D7B),
+    (7, 0x2837_50F2_748D_B1B2),
+    (8, 0xCB0D_B1E3_7E45_BC90),
+    (10, 0xC553_039B_E4AC_389B),
+    (11, 0x7AA4_6558_68EC_9374),
+    (13, 0xC553_039B_E4AC_389B),
+    (14, 0xAEAC_5E4D_F5AF_CDC2),
+    (15, 0x6ACB_2692_4D17_3D7B),
+    (17, 0x8629_0CFA_209B_0D33),
+    (18, 0x257F_CEFA_4E06_5D56),
+    (19, 0x8317_1E9F_1D99_E3B1),
+    (20, 0xCB0D_B1E3_7E45_BC90),
+    (21, 0x4818_4D20_3BAE_6E86),
+    (22, 0xB7F0_5B81_CC0C_1B74),
+    (23, 0x7AA4_6558_68EC_9374),
+];

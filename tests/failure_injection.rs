@@ -3,9 +3,9 @@
 
 use dhc::congest::SimError;
 use dhc::core::{
-    run_dhc1, run_dhc1_kmachine, run_dhc2, run_dhc2_kmachine, run_dhc2_with_colors, run_dra,
-    run_dra_kmachine, run_partition_cycles, run_upcast, run_upcast_kmachine, DhcConfig,
-    KMachineConfig, KMachineReport, RunOutcome,
+    run_collect_all, run_dhc1, run_dhc1_kmachine, run_dhc2, run_dhc2_kmachine,
+    run_dhc2_with_colors, run_dra, run_dra_kmachine, run_partition_cycles, run_upcast,
+    run_upcast_kmachine, DhcConfig, KMachineConfig, KMachineReport, RunOutcome,
 };
 use dhc::graph::{generator, rng::rng_from_seed, Graph, Partition};
 use dhc::{Adversary, DhcError};
@@ -146,6 +146,39 @@ fn total_message_loss_terminates_with_round_limit() {
     let cfg = DhcConfig::new(45).with_partitions(2).with_max_rounds(500).with_adversary(adv);
     let err = run_dra(&g, &cfg).unwrap_err();
     assert!(matches!(err, DhcError::Simulation(SimError::RoundLimitExceeded { .. })), "{err:?}");
+}
+
+#[test]
+fn bad_adversaries_are_rejected_before_any_network_runs() {
+    // A crash on a node the graph does not have, and a delay knob with
+    // no delay bound (built without `with_delay`, which would refuse
+    // it): every entry point returns a typed error instead of running.
+    let n = 40;
+    let g = generator::complete(n);
+    let colors: Vec<u32> = (0..n as u32).map(|v| v % 4).collect();
+    let partition = Partition::from_colors(colors.clone(), 4);
+    let kcfg = KMachineConfig::new(3);
+    let out_of_range = Adversary::seeded(1).with_crash(1000, 2, None);
+    let no_bound = Adversary { delay_ppm: 500_000, ..Adversary::seeded(1) };
+    for adv in [out_of_range, no_bound] {
+        let cfg = DhcConfig::new(2).with_partitions(4).with_adversary(adv);
+        let results = [
+            run_dra(&g, &cfg).map(drop),
+            run_dhc1(&g, &cfg).map(drop),
+            run_dhc2(&g, &cfg).map(drop),
+            run_upcast(&g, &cfg).map(drop),
+            run_collect_all(&g, &cfg).map(drop),
+            run_dhc2_with_colors(&g, &cfg, &colors, 4).map(drop),
+            run_partition_cycles(&g, &partition, &cfg).map(drop),
+            run_dra_kmachine(&g, &cfg, &kcfg).map(drop),
+            run_dhc1_kmachine(&g, &cfg, &kcfg).map(drop),
+            run_dhc2_kmachine(&g, &cfg, &kcfg).map(drop),
+            run_upcast_kmachine(&g, &cfg, &kcfg).map(drop),
+        ];
+        for (i, res) in results.into_iter().enumerate() {
+            assert!(matches!(res, Err(DhcError::InvalidConfig { .. })), "entry {i}: {res:?}");
+        }
+    }
 }
 
 #[test]
