@@ -15,7 +15,7 @@
 //! `--heavy` — a million-node sweep should never look hung — and
 //! `--no-progress` turns it back off.
 
-use dhc_bench::experiments::{run_by_id, Effort, ALL_IDS, CATALOG};
+use dhc_bench::experiments::{run_by_id, Effort, CATALOG};
 use std::time::Instant;
 
 fn main() {
@@ -43,7 +43,7 @@ fn main() {
                 let v = it.next().unwrap_or_else(|| usage("missing value after --seed"));
                 seed = v.parse().unwrap_or_else(|_| usage("--seed expects an integer"));
             }
-            "all" => ids.extend(ALL_IDS.iter().map(|s| s.to_string())),
+            "all" => ids.extend(CATALOG.iter().map(|(id, _)| id.to_string())),
             id if id.starts_with('e') => ids.push(id.to_string()),
             other => usage(&format!("unknown argument: {other}")),
         }
@@ -77,7 +77,7 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: experiments [--list] [--quick|--smoke] [--heavy] [--progress|--no-progress] \
-         [--seed S] <e1..e16|all>..."
+         [--seed S] <id>...|all"
     );
     std::process::exit(2)
 }

@@ -1,5 +1,5 @@
-//! Round-engine throughput probes used by `benches/engine.rs` and
-//! experiment E13 to track rounds/sec:
+//! Round-engine throughput probes used by experiment E13 to track
+//! rounds/sec:
 //!
 //! * **flood-echo** — a microprotocol whose cost is almost pure engine
 //!   overhead (mailbox routing, active-set bookkeeping, per-edge
@@ -13,13 +13,9 @@
 //!   the pure `send_all` hot path of the paper's color waves and
 //!   rotation/abort/done floods.
 //!
-//! Both probes run in two modes: the default rides the engine's
-//! **broadcast fabric** (`send_all` / `send_all_except`, one shared
-//! payload per flooding op), while the *unicast* twin expands every
-//! flood into per-neighbor `send` calls — the pre-fabric cost model,
-//! kept as the speedup baseline. The two modes are observationally
-//! identical (same rounds, messages, metrics; pinned by
-//! `crates/congest/tests/broadcast_equivalence.rs`).
+//! Both probes flood through the engine's **broadcast fabric**
+//! (`send_all` / `send_all_except`, one shared payload per flooding
+//! op).
 
 use dhc_congest::{CollectorHandle, Config, Context, Inbox, Network, NodeId, Payload, Protocol};
 use dhc_graph::Graph;
@@ -43,8 +39,6 @@ pub struct FloodEcho {
     /// Replies still outstanding for the waves this node sent.
     pending: usize,
     done: bool,
-    /// Expand floods into per-neighbor unicasts (pre-fabric baseline).
-    expand: bool,
 }
 
 impl FloodEcho {
@@ -67,14 +61,7 @@ impl Protocol for FloodEcho {
         if ctx.node() == 0 {
             self.seen = true;
             self.pending = ctx.degree();
-            if self.expand {
-                for i in 0..ctx.degree() {
-                    let to = ctx.neighbors()[i];
-                    ctx.send(to, ProbeMsg::Wave);
-                }
-            } else {
-                ctx.send_all(ProbeMsg::Wave);
-            }
+            ctx.send_all(ProbeMsg::Wave);
         }
     }
 
@@ -90,16 +77,7 @@ impl Protocol for FloodEcho {
                         self.seen = true;
                         self.parent = Some(from);
                         self.pending = ctx.degree() - 1;
-                        if self.expand {
-                            for i in 0..ctx.degree() {
-                                let to = ctx.neighbors()[i];
-                                if to != from {
-                                    ctx.send(to, ProbeMsg::Wave);
-                                }
-                            }
-                        } else {
-                            ctx.send_all_except(from, ProbeMsg::Wave);
-                        }
+                        ctx.send_all_except(from, ProbeMsg::Wave);
                     }
                 }
                 ProbeMsg::Reply => {
@@ -131,26 +109,7 @@ pub fn flood_echo(graph: &Graph) -> (usize, u64) {
 ///
 /// Like [`flood_echo`].
 pub fn flood_echo_observed(graph: &Graph, collector: Option<CollectorHandle>) -> (usize, u64) {
-    flood_echo_mode(graph, false, collector)
-}
-
-/// [`flood_echo`] with the floods expanded into per-neighbor unicasts —
-/// the pre-broadcast-fabric cost model, kept as the speedup baseline.
-///
-/// # Panics
-///
-/// Like [`flood_echo`].
-pub fn flood_echo_unicast(graph: &Graph) -> (usize, u64) {
-    flood_echo_mode(graph, true, None)
-}
-
-fn flood_echo_mode(
-    graph: &Graph,
-    expand: bool,
-    collector: Option<CollectorHandle>,
-) -> (usize, u64) {
-    let nodes: Vec<FloodEcho> =
-        (0..graph.node_count()).map(|_| FloodEcho { expand, ..FloodEcho::default() }).collect();
+    let nodes: Vec<FloodEcho> = (0..graph.node_count()).map(|_| FloodEcho::default()).collect();
     // A node may forward the wave to a neighbor and decline that same
     // neighbor's wave in one round: two 1-word messages per edge.
     let mut cfg = Config::default().with_bandwidth_words(2);
@@ -163,35 +122,19 @@ fn flood_echo_mode(
 }
 
 /// The probe's standard topology: a connected sparse `G(n, p)` with
-/// `p = 3 ln n / n` (seeded, shared by the bench and E13).
+/// `p = 3 ln n / n` (seeded).
 pub fn probe_graph(n: usize, seed: u64) -> Graph {
     let p = 3.0 * (n as f64).ln() / n as f64;
     dhc_graph::generator::gnp(n, p, &mut dhc_graph::rng::rng_from_seed(seed)).expect("valid gnp")
 }
 
-/// Storm depth (rounds of all-node broadcasting) shared by
-/// `benches/engine.rs` and experiment E13.
+/// Storm depth (rounds of all-node broadcasting) of experiment E13.
 pub const STORM_DEPTH: usize = 50;
 
 /// Per-node state of the broadcast-storm probe.
 #[derive(Debug)]
 pub struct Storm {
     remaining: usize,
-    /// Expand floods into per-neighbor unicasts (pre-fabric baseline).
-    expand: bool,
-}
-
-impl Storm {
-    fn flood(&self, ctx: &mut Context<'_, StormMsg>, tag: u64) {
-        if self.expand {
-            for i in 0..ctx.degree() {
-                let to = ctx.neighbors()[i];
-                ctx.send(to, StormMsg([tag; 6]));
-            }
-        } else {
-            ctx.send_all(StormMsg([tag; 6]));
-        }
-    }
 }
 
 /// Storm payload: six words, the size of the paper's rotation-broadcast
@@ -210,7 +153,7 @@ impl Protocol for Storm {
     type Msg = StormMsg;
 
     fn init(&mut self, ctx: &mut Context<'_, StormMsg>) {
-        self.flood(ctx, 0);
+        ctx.send_all(StormMsg([0; 6]));
     }
 
     fn round(&mut self, ctx: &mut Context<'_, StormMsg>, _inbox: Inbox<'_, StormMsg>) {
@@ -218,7 +161,7 @@ impl Protocol for Storm {
             ctx.halt();
         } else {
             self.remaining -= 1;
-            self.flood(ctx, self.remaining as u64);
+            ctx.send_all(StormMsg([self.remaining as u64; 6]));
         }
     }
 }
@@ -235,22 +178,7 @@ impl Protocol for Storm {
 /// Panics if the simulation faults — only possible when the graph has an
 /// isolated node (which never activates and stalls the run).
 pub fn flood_storm(graph: &Graph, depth: usize) -> (usize, u64) {
-    flood_storm_mode(graph, depth, false)
-}
-
-/// [`flood_storm`] with the floods expanded into per-neighbor unicasts —
-/// the pre-broadcast-fabric cost model, kept as the speedup baseline.
-///
-/// # Panics
-///
-/// Like [`flood_storm`].
-pub fn flood_storm_unicast(graph: &Graph, depth: usize) -> (usize, u64) {
-    flood_storm_mode(graph, depth, true)
-}
-
-fn flood_storm_mode(graph: &Graph, depth: usize, expand: bool) -> (usize, u64) {
-    let nodes: Vec<Storm> =
-        (0..graph.node_count()).map(|_| Storm { remaining: depth, expand }).collect();
+    let nodes: Vec<Storm> = (0..graph.node_count()).map(|_| Storm { remaining: depth }).collect();
     let cfg = Config::default().with_bandwidth_words(StormMsg([0; 6]).words());
     let mut net = Network::new(graph, cfg, nodes).expect("probe network");
     net.run().expect("storm completes without isolated nodes");
@@ -268,14 +196,6 @@ mod tests {
         let (rounds, messages) = flood_storm(&g, depth);
         assert_eq!(rounds, depth + 1);
         assert_eq!(messages, 2 * g.edge_count() as u64 * (depth as u64 + 1));
-        // The unicast twin is observationally identical.
-        assert_eq!((rounds, messages), flood_storm_unicast(&g, depth));
-    }
-
-    #[test]
-    fn flood_echo_unicast_twin_is_observationally_identical() {
-        let g = probe_graph(300, 8);
-        assert_eq!(flood_echo(&g), flood_echo_unicast(&g));
     }
 
     #[test]

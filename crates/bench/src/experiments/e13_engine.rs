@@ -12,10 +12,7 @@
 //! whole-graph workload.
 
 use crate::baseline::{baseline_path, carried_records, write_baseline};
-use crate::engine_probe::{
-    flood_echo, flood_echo_observed, flood_echo_unicast, flood_storm, flood_storm_unicast,
-    probe_graph, STORM_DEPTH,
-};
+use crate::engine_probe::{flood_echo, flood_echo_observed, flood_storm, probe_graph, STORM_DEPTH};
 use crate::table::{f3, Table};
 use dhc_core::{run_dhc1, CollectorHandle, DhcConfig};
 use dhc_graph::rng::rng_from_seed;
@@ -37,7 +34,7 @@ pub struct Dhc1Point {
 
 /// DHC1 points with more nodes than this take over a minute per run on
 /// a CI-class host and are gated behind the experiments binary's
-/// explicit `--heavy` flag (same threshold as E14's end-to-end point).
+/// explicit `--heavy` flag.
 pub const HEAVY_DHC1_NODES: usize = 4_000;
 
 /// Sweep parameters for E13.
@@ -131,9 +128,7 @@ fn measure(workload: &'static str, n: usize, reps: usize, seed: u64) -> Sample {
         let t0 = Instant::now();
         let (r, m) = match workload {
             "flood-echo" => flood_echo(&g),
-            "flood-echo-unicast" => flood_echo_unicast(&g),
             "broadcast-storm" => flood_storm(&g, STORM_DEPTH),
-            "broadcast-storm-unicast" => flood_storm_unicast(&g, STORM_DEPTH),
             other => unreachable!("unknown E13 workload {other}"),
         };
         let dt = t0.elapsed().as_secs_f64();
@@ -164,8 +159,7 @@ struct Dhc1Sample {
 }
 
 /// The DHC1 operating point: class size `s = n/k` with intra-class
-/// expected degree `6 ln s` (the density Phase 1 needs) — the same
-/// regime as E14's end-to-end point.
+/// expected degree `6 ln s` (the density Phase 1 needs).
 fn dhc1_graph(pt: Dhc1Point, seed: u64) -> dhc_graph::Graph {
     let s = (pt.n / pt.k).max(2) as f64;
     let p = (6.0 * s.ln() / (s - 1.0)).min(1.0);
@@ -311,8 +305,7 @@ fn render_doc(
     let mut doc = BenchDoc::new(
         "e13",
         "engine",
-        "flood-echo + broadcast-storm(50) on G(n, 3 ln n / n); -unicast twins = pre-fabric \
-         baseline",
+        "flood-echo + broadcast-storm(50) on G(n, 3 ln n / n)",
         cores,
         seed,
     );
@@ -361,8 +354,8 @@ pub fn run(params: &Params, seed: u64) -> String {
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let mut out = String::new();
     out.push_str(&format!(
-        "E13 engine throughput: flood-echo + broadcast-storm rounds/sec, with -unicast \
-         pre-fabric twins (machine has {cores} core(s))\n\n"
+        "E13 engine throughput: flood-echo + broadcast-storm rounds/sec \
+         (machine has {cores} core(s))\n\n"
     ));
     // Measured first, on a fresh heap: the storm sweep below fragments
     // the allocator badly enough to swamp a few-percent signal.
@@ -370,12 +363,7 @@ pub fn run(params: &Params, seed: u64) -> String {
         measure_overhead(params.sizes.iter().copied().max().unwrap_or(256), params.reps, seed);
     let mut t = Table::new(vec!["workload", "n", "rounds", "messages", "wall ms", "rounds/s"]);
     let mut samples = Vec::new();
-    // The `-unicast` twins expand every flood into per-neighbor sends —
-    // the pre-broadcast-fabric cost model, kept so the baseline records
-    // pre- vs post-fabric numbers side by side on the same machine.
-    for &workload in
-        &["flood-echo", "flood-echo-unicast", "broadcast-storm", "broadcast-storm-unicast"]
-    {
+    for &workload in &["flood-echo", "broadcast-storm"] {
         for &n in &params.sizes {
             let s = measure(workload, n, params.reps, seed);
             t.row(vec![
@@ -390,7 +378,6 @@ pub fn run(params: &Params, seed: u64) -> String {
         }
     }
     out.push_str(&t.render());
-    out.push_str("\n    Criterion variants: cargo bench -p dhc-bench --bench engine.\n");
     out.push_str(&format!(
         "\n    telemetry collector overhead on flood-echo (n = {}, {} alternating \
          {}-run {} windows, median of per-pair ratios): \

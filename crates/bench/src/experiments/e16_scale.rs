@@ -1,11 +1,6 @@
-//! **E16 — memory-lean scale sweep** (not a paper claim): runtime and
-//! memory trajectory of the hot path as `n` grows, recorded to
-//! `BENCH_scale.json`. Every point runs twice — **fat** (full per-round
-//! traffic log, kept as the equivalence oracle) and **lean**
-//! (`with_round_traffic(false)`: streaming-only metrics) — and the two
-//! runs are asserted bit-identical (cycle order, rounds, messages, words,
-//! max round traffic) wherever the oracle runs, which pins that dropping
-//! the round log changes no simulated quantity.
+//! **E16 — scale sweep** (not a paper claim): runtime and memory
+//! trajectory of the hot path as `n` grows, recorded to
+//! `BENCH_scale.json`. Each point runs once.
 //!
 //! Two workloads:
 //!
@@ -25,14 +20,14 @@
 //! `/proc/self/clear_refs` before each run where the kernel allows —
 //! rows record `null` when it does not, rather than a stale high-water
 //! mark). Points above `n = 10⁵` take several minutes per run on a
-//! CI-class host and are gated behind `--heavy`; unlike E13/E14 the
-//! JSON is still written without the flag (the committed baseline *is*
-//! the non-heavy trajectory), with the skipped points listed in a
-//! `skipped_heavy` array so the omission is explicit.
+//! CI-class host and are gated behind `--heavy`; the JSON is still
+//! written without the flag (the committed baseline *is* the non-heavy
+//! trajectory), with the skipped points listed in a `skipped_heavy`
+//! array so the omission is explicit.
 
 use crate::baseline::{baseline_path, carried_records, write_baseline};
 use crate::table::{f3, Table};
-use dhc_core::{run_dhc2_with_colors, run_dra, CollectorHandle, DhcConfig, RunOutcome};
+use dhc_core::{run_dhc2_with_colors, run_dra, CollectorHandle, DhcConfig};
 use dhc_graph::generator::{clustered, gnp};
 use dhc_graph::rng::rng_from_seed;
 use dhc_graph::Graph;
@@ -61,12 +56,6 @@ pub const BRIDGE_FACTOR: f64 = 3.0;
 /// DHC2 points above this many nodes take several minutes per run and
 /// are gated behind the experiments binary's explicit `--heavy` flag.
 pub const HEAVY_SCALE_NODES: usize = 100_000;
-
-/// The fat (full round log) oracle runs alongside the lean path up to
-/// this size; beyond it only the lean path runs (the acceptance bar is
-/// bit-identity at n ≤ 10⁵, and the fat run would double multi-minute
-/// wall-clock without changing what the row demonstrates).
-pub const FAT_ORACLE_MAX_NODES: usize = 100_000;
 
 /// One clustered-DHC2 scale point: `n = k · CLUSTER_SIZE` nodes.
 #[derive(Debug, Clone, Copy)]
@@ -149,9 +138,12 @@ impl Params {
     }
 }
 
-/// One measured run (fat or lean) at a scale point.
-struct ModeRow {
-    mode: &'static str,
+/// One measured run at a scale point.
+struct PointResult {
+    algo: &'static str,
+    n: usize,
+    k: usize,
+    m: usize,
     wall_s: f64,
     rounds: usize,
     messages: u64,
@@ -162,18 +154,6 @@ struct ModeRow {
     /// `VmHWM` after the run, if the high-water mark could be reset
     /// before it (monotone stale values are recorded as `None`).
     rss_hwm_kb: Option<u64>,
-}
-
-/// One scale point with its fat/lean rows.
-struct PointResult {
-    algo: &'static str,
-    n: usize,
-    k: usize,
-    m: usize,
-    rows: Vec<ModeRow>,
-    /// `Some(true)` when the fat oracle ran and matched; `None` when
-    /// the point is past [`FAT_ORACLE_MAX_NODES`] (lean-only).
-    bit_identical: Option<bool>,
 }
 
 /// Resets the process RSS high-water mark so the next `VmHWM` read is
@@ -190,61 +170,8 @@ fn rss_hwm_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-fn execute(
-    algo: &'static str,
-    g: &Graph,
-    colors: Option<&[u32]>,
-    k: usize,
-    cfg: &DhcConfig,
-) -> Result<RunOutcome, String> {
-    match algo {
-        "dra" => run_dra(g, cfg).map_err(|e| e.to_string()),
-        _ => run_dhc2_with_colors(g, cfg, colors.expect("clustered coloring"), k)
-            .map_err(|e| e.to_string()),
-    }
-}
-
-/// Runs one run in one mode, measuring wall-clock and (when the reset
-/// works) per-run peak RSS.
-fn timed(
-    algo: &'static str,
-    g: &Graph,
-    colors: Option<&[u32]>,
-    k: usize,
-    cfg: &DhcConfig,
-    mode: &'static str,
-    progress: Option<&CollectorHandle>,
-) -> Result<(ModeRow, RunOutcome), String> {
-    let cfg = &match progress {
-        // Live round counts on stderr; pure observation, so the fat/lean
-        // bit-identity assertion is unaffected (obs_equivalence).
-        Some(col) => cfg.clone().with_collector(col.clone()),
-        None => cfg.clone(),
-    };
-    let rss_ok = reset_rss_hwm();
-    let t0 = Instant::now();
-    let out = execute(algo, g, colors, k, cfg)?;
-    let wall_s = t0.elapsed().as_secs_f64();
-    let n = g.node_count();
-    let row = ModeRow {
-        mode,
-        wall_s,
-        rounds: out.metrics.rounds,
-        messages: out.metrics.messages,
-        words: out.metrics.words,
-        words_per_node: out.metrics.words as f64 / n as f64,
-        peak_engine_words: out.metrics.peak_memory_words(),
-        peak_words_per_node: out.metrics.peak_memory_words() as f64 / n as f64,
-        rss_hwm_kb: if rss_ok { rss_hwm_kb() } else { None },
-    };
-    Ok((row, out))
-}
-
-/// Measures one scale point: scans up to 8 config seeds with the lean
-/// path (the representation that must scale), then replays the first
-/// succeeding seed through the fat oracle and asserts bit-identity on
-/// everything both paths compute (the round-traffic *log* differs by
-/// construction — lean keeps only the streaming maximum).
+/// Measures one scale point on the first of up to 8 config seeds that
+/// succeeds: wall-clock and (when the reset works) per-run peak RSS.
 fn measure_point(
     algo: &'static str,
     g: &Graph,
@@ -256,39 +183,43 @@ fn measure_point(
     let n = g.node_count();
     let collector = progress
         .then(|| CollectorHandle::new(RunObserver::new().with_heartbeat(Duration::from_secs(2))));
-    let collector = collector.as_ref();
     for attempt in 0..8u64 {
-        let base = DhcConfig::new(seed ^ (0xE16C + attempt)).with_partitions(k);
-        let lean_cfg = base.clone().with_round_traffic(false);
-        let Ok((lean_row, lean)) = timed(algo, g, colors, k, &lean_cfg, "lean", collector) else {
-            continue;
-        };
-        let mut rows = vec![lean_row];
-        let mut bit_identical = None;
-        if n <= FAT_ORACLE_MAX_NODES {
-            let (fat_row, fat) = timed(algo, g, colors, k, &base, "fat", collector)?;
-            let same = fat.cycle.order() == lean.cycle.order()
-                && fat.metrics.rounds == lean.metrics.rounds
-                && fat.metrics.messages == lean.metrics.messages
-                && fat.metrics.words == lean.metrics.words
-                && fat.metrics.max_round_traffic == lean.metrics.max_round_traffic;
-            assert!(
-                same,
-                "fat and lean runs diverged at {algo} n = {n} (dropping the round log must \
-                 not change any simulated quantity)"
-            );
-            rows.insert(0, fat_row);
-            bit_identical = Some(true);
+        let mut cfg = DhcConfig::new(seed ^ (0xE16C + attempt)).with_partitions(k);
+        if let Some(col) = &collector {
+            // Live round counts on stderr; pure observation
+            // (obs_equivalence).
+            cfg = cfg.with_collector(col.clone());
         }
-        return Ok(PointResult { algo, n, k, m: g.edge_count(), rows, bit_identical });
+        let rss_ok = reset_rss_hwm();
+        let t0 = Instant::now();
+        let run = match algo {
+            "dra" => run_dra(g, &cfg),
+            _ => run_dhc2_with_colors(g, &cfg, colors.expect("clustered coloring"), k),
+        };
+        let Ok(out) = run else { continue };
+        let wall_s = t0.elapsed().as_secs_f64();
+        return Ok(PointResult {
+            algo,
+            n,
+            k,
+            m: g.edge_count(),
+            wall_s,
+            rounds: out.metrics.rounds,
+            messages: out.metrics.messages,
+            words: out.metrics.words,
+            words_per_node: out.metrics.words as f64 / n as f64,
+            peak_engine_words: out.metrics.peak_memory_words(),
+            peak_words_per_node: out.metrics.peak_memory_words() as f64 / n as f64,
+            rss_hwm_kb: if rss_ok { rss_hwm_kb() } else { None },
+        });
     }
     Err(format!("{algo} did not succeed in 8 seeds at n = {n}, k = {k}"))
 }
 
 /// The baseline document in the shared `dhc-bench/v1` envelope: one
-/// flat `scale-row` record per measured mode (point fields repeated on
-/// each row), cluster constants and skipped heavy points in `meta`,
-/// carried-forward committed heavy rows re-appended verbatim.
+/// flat `scale-row` record per measured point, cluster constants and
+/// skipped heavy points in `meta`, carried-forward committed heavy rows
+/// re-appended verbatim.
 fn render_doc(
     points: &[PointResult],
     params: &Params,
@@ -300,8 +231,7 @@ fn render_doc(
         "e16",
         "scale",
         "DRA on G(n, 6 ln n/(n-1)) + clustered DHC2 (k clusters of s nodes, intra \
-         G(s, 8 ln s/(s-1)), ceil(3 sqrt(|A||B|)) cross edges per merge pair); fat = full \
-         round log, lean = streaming metrics only",
+         G(s, 8 ln s/(s-1)), ceil(3 sqrt(|A||B|)) cross edges per merge pair)",
         cores,
         seed,
     );
@@ -319,33 +249,25 @@ fn render_doc(
         ),
     );
     for p in points {
-        for r in &p.rows {
-            let bit = match p.bit_identical {
-                Some(b) => Json::Bool(b),
-                None => Json::Null,
-            };
-            let rss = match r.rss_hwm_kb {
-                Some(kb) => Json::u64(kb),
-                None => Json::Null,
-            };
-            doc.push(
-                Record::new("scale-row")
-                    .str("algo", p.algo)
-                    .usize("n", p.n)
-                    .usize("k", p.k)
-                    .usize("m", p.m)
-                    .field("bit_identical", bit)
-                    .str("mode", r.mode)
-                    .f3("wall_s", r.wall_s)
-                    .usize("rounds", r.rounds)
-                    .u64("messages", r.messages)
-                    .u64("words", r.words)
-                    .f1("words_per_node", r.words_per_node)
-                    .u64("peak_engine_words", r.peak_engine_words)
-                    .f1("peak_words_per_node", r.peak_words_per_node)
-                    .field("rss_hwm_kb", rss),
-            );
-        }
+        let rss = match p.rss_hwm_kb {
+            Some(kb) => Json::u64(kb),
+            None => Json::Null,
+        };
+        doc.push(
+            Record::new("scale-row")
+                .str("algo", p.algo)
+                .usize("n", p.n)
+                .usize("k", p.k)
+                .usize("m", p.m)
+                .f3("wall_s", p.wall_s)
+                .usize("rounds", p.rounds)
+                .u64("messages", p.messages)
+                .u64("words", p.words)
+                .f1("words_per_node", p.words_per_node)
+                .u64("peak_engine_words", p.peak_engine_words)
+                .f1("peak_words_per_node", p.peak_words_per_node)
+                .field("rss_hwm_kb", rss),
+        );
     }
     for rec in carried {
         doc.push_json(rec);
@@ -359,15 +281,13 @@ pub fn run(params: &Params, seed: u64) -> String {
     let s = params.cluster_size;
     let mut out = String::new();
     out.push_str(&format!(
-        "E16 memory-lean scale sweep: fat (full round log) vs lean (streaming metrics \
-         only) runtime and memory trajectory (machine has {cores} core(s))\n\n"
+        "E16 scale sweep: runtime and memory trajectory (machine has {cores} core(s))\n\n"
     ));
     let mut t = Table::new(vec![
         "algo",
         "n",
         "k",
         "m",
-        "mode",
         "wall s",
         "rounds",
         "messages",
@@ -396,38 +316,20 @@ pub fn run(params: &Params, seed: u64) -> String {
         }
     }
     for p in &points {
-        for r in &p.rows {
-            t.row(vec![
-                p.algo.to_string(),
-                p.n.to_string(),
-                p.k.to_string(),
-                p.m.to_string(),
-                r.mode.to_string(),
-                f3(r.wall_s),
-                r.rounds.to_string(),
-                r.messages.to_string(),
-                f3(r.words_per_node),
-                r.peak_engine_words.to_string(),
-                r.rss_hwm_kb.map_or_else(|| "n/a".into(), |kb| kb.to_string()),
-            ]);
-        }
+        t.row(vec![
+            p.algo.to_string(),
+            p.n.to_string(),
+            p.k.to_string(),
+            p.m.to_string(),
+            f3(p.wall_s),
+            p.rounds.to_string(),
+            p.messages.to_string(),
+            f3(p.words_per_node),
+            p.peak_engine_words.to_string(),
+            p.rss_hwm_kb.map_or_else(|| "n/a".into(), |kb| kb.to_string()),
+        ]);
     }
     out.push_str(&t.render());
-    for p in &points {
-        if let [fat, lean] = p.rows.as_slice() {
-            out.push_str(&format!(
-                "    {} n = {}: lean/fat peak engine words = {:.2}, wall = {:.2}\n",
-                p.algo,
-                p.n,
-                lean.peak_engine_words as f64 / fat.peak_engine_words as f64,
-                lean.wall_s / fat.wall_s,
-            ));
-        }
-    }
-    out.push_str(
-        "\n    fat rows are the equivalence oracle: cycle, rounds, messages, words, and max \
-         round traffic\n    are asserted identical to the lean run on the same seed.\n",
-    );
     for e in &failures {
         out.push_str(&format!("    FAILED: {e}\n"));
     }
@@ -460,8 +362,8 @@ mod tests {
     #[test]
     fn smoke_runs_and_reports() {
         let report = run(&Params::for_effort(Effort::Smoke), 7);
-        assert!(report.contains("memory-lean scale sweep"));
-        assert!(report.contains("lean/fat peak engine words"));
+        assert!(report.contains("scale sweep"));
+        assert!(report.contains("peak words"));
         assert!(!report.contains("FAILED"));
         assert!(!report.contains("baseline written"));
     }
@@ -480,49 +382,31 @@ mod tests {
 
     #[test]
     fn doc_validates_and_carries_heavy_rows_forward() {
-        let point = PointResult {
+        let point = |n, rss_hwm_kb| PointResult {
             algo: "dhc2",
-            n: 120,
+            n,
             k: 3,
             m: 456,
-            bit_identical: Some(true),
-            rows: vec![
-                ModeRow {
-                    mode: "fat",
-                    wall_s: 0.5,
-                    rounds: 10,
-                    messages: 100,
-                    words: 200,
-                    words_per_node: 1.7,
-                    peak_engine_words: 999,
-                    peak_words_per_node: 8.3,
-                    rss_hwm_kb: Some(4_096),
-                },
-                ModeRow {
-                    mode: "lean",
-                    wall_s: 0.4,
-                    rounds: 10,
-                    messages: 100,
-                    words: 200,
-                    words_per_node: 1.7,
-                    peak_engine_words: 777,
-                    peak_words_per_node: 6.5,
-                    rss_hwm_kb: None,
-                },
-            ],
+            wall_s: 0.5,
+            rounds: 10,
+            messages: 100,
+            words: 200,
+            words_per_node: 1.7,
+            peak_engine_words: 777,
+            peak_words_per_node: 6.5,
+            rss_hwm_kb,
         };
         let params = Params::for_effort(Effort::Full).gated(false);
         let carried = vec![Json::obj()
             .set("kind", Json::str("scale-row"))
             .set("n", Json::u64(1_000_000))
             .set("mode", Json::str("lean"))];
-        let doc = render_doc(&[point], &params, carried, 1, 7);
+        let doc = render_doc(&[point(120, Some(4_096)), point(240, None)], &params, carried, 1, 7);
         let text = doc.render();
         let checked = dhc_obs::schema::validate(&text);
         assert!(checked.is_ok(), "{checked:?}");
         assert!(text.contains("\"bench\": \"scale\""));
         assert!(text.contains("\"kind\":\"scale-row\""));
-        assert!(text.contains("\"bit_identical\":true"));
         assert!(text.contains("\"peak_engine_words\":777"));
         assert!(text.contains("\"rss_hwm_kb\":4096"));
         assert!(text.contains("\"rss_hwm_kb\":null"));

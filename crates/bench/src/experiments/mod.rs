@@ -9,7 +9,6 @@ pub mod e10_ablations;
 pub mod e11_kmachine;
 pub mod e12_other_models;
 pub mod e13_engine;
-pub mod e14_partition;
 pub mod e15_adversary;
 pub mod e16_scale;
 pub mod e1_dra_steps;
@@ -33,7 +32,8 @@ pub enum Effort {
     Smoke,
 }
 
-/// Runs one experiment by id (`"e1"` … `"e16"`), returning its report.
+/// Runs one experiment by id (one listed in [`CATALOG`]), returning its
+/// report.
 /// `heavy` opts into the experiment points that take over a minute per
 /// run (E13's end-to-end DHC1 at n = 10⁴, E15's delay/crash sweeps, and
 /// E16's scale points past n = 10⁵); without it those
@@ -52,39 +52,55 @@ pub fn run_by_id(
     progress: bool,
     seed: u64,
 ) -> Result<String, String> {
-    let report = match id {
-        "e1" => e1_dra_steps::run(&e1_dra_steps::Params::for_effort(effort), seed),
-        "e2" => e2_partition_balance::run(&e2_partition_balance::Params::for_effort(effort), seed),
-        "e3" => e3_dhc1_scaling::run(&e3_dhc1_scaling::Params::for_effort(effort), seed),
-        "e4" => e4_dhc2_scaling::run(&e4_dhc2_scaling::Params::for_effort(effort), seed),
-        "e5" => e5_merge_levels::run(&e5_merge_levels::Params::for_effort(effort), seed),
-        "e6" => e6_upcast_sqrt::run(&e6_upcast_sqrt::Params::for_effort(effort), seed),
-        "e7" => e7_upcast_general::run(&e7_upcast_general::Params::for_effort(effort), seed),
-        "e8" => e8_resources::run(&e8_resources::Params::for_effort(effort), seed),
-        "e9" => e9_comparison::run(&e9_comparison::Params::for_effort(effort), seed),
-        "e10" => e10_ablations::run(&e10_ablations::Params::for_effort(effort), seed),
-        "e11" => e11_kmachine::run(&e11_kmachine::Params::for_effort(effort), seed),
-        "e12" => e12_other_models::run(&e12_other_models::Params::for_effort(effort), seed),
-        "e13" => {
+    let run = runner(id).ok_or_else(|| format!("unknown experiment id: {id}"))?;
+    Ok(run(effort, heavy, progress, seed))
+}
+
+/// An experiment's entry point: `(effort, heavy, progress, seed)` → report.
+type Run = fn(Effort, bool, bool, u64) -> String;
+
+/// The entry point behind `id`, or `None` if no experiment has that id.
+fn runner(id: &str) -> Option<Run> {
+    let run: Run = match id {
+        "e1" => |e, _, _, seed| e1_dra_steps::run(&e1_dra_steps::Params::for_effort(e), seed),
+        "e2" => |e, _, _, seed| {
+            e2_partition_balance::run(&e2_partition_balance::Params::for_effort(e), seed)
+        },
+        "e3" => |e, _, _, seed| e3_dhc1_scaling::run(&e3_dhc1_scaling::Params::for_effort(e), seed),
+        "e4" => |e, _, _, seed| e4_dhc2_scaling::run(&e4_dhc2_scaling::Params::for_effort(e), seed),
+        "e5" => |e, _, _, seed| e5_merge_levels::run(&e5_merge_levels::Params::for_effort(e), seed),
+        "e6" => |e, _, _, seed| e6_upcast_sqrt::run(&e6_upcast_sqrt::Params::for_effort(e), seed),
+        "e7" => {
+            |e, _, _, seed| e7_upcast_general::run(&e7_upcast_general::Params::for_effort(e), seed)
+        }
+        "e8" => |e, _, _, seed| e8_resources::run(&e8_resources::Params::for_effort(e), seed),
+        "e9" => |e, _, _, seed| e9_comparison::run(&e9_comparison::Params::for_effort(e), seed),
+        "e10" => |e, _, _, seed| e10_ablations::run(&e10_ablations::Params::for_effort(e), seed),
+        "e11" => |e, _, _, seed| e11_kmachine::run(&e11_kmachine::Params::for_effort(e), seed),
+        "e12" => {
+            |e, _, _, seed| e12_other_models::run(&e12_other_models::Params::for_effort(e), seed)
+        }
+        "e13" => |effort, heavy, progress, seed| {
             let mut p = e13_engine::Params::for_effort(effort).gated(heavy);
             p.progress = progress;
             e13_engine::run(&p, seed)
-        }
-        "e14" => e14_partition::run(&e14_partition::Params::for_effort(effort), seed),
-        "e15" => e15_adversary::run(&e15_adversary::Params::for_effort(effort).gated(heavy), seed),
-        "e16" => {
+        },
+        "e15" => |effort, heavy, _, seed| {
+            e15_adversary::run(&e15_adversary::Params::for_effort(effort).gated(heavy), seed)
+        },
+        "e16" => |effort, heavy, progress, seed| {
             let mut p = e16_scale::Params::for_effort(effort).gated(heavy);
             p.progress = progress;
             e16_scale::run(&p, seed)
-        }
-        other => return Err(format!("unknown experiment id: {other}")),
+        },
+        _ => return None,
     };
-    Ok(report)
+    Some(run)
 }
 
 /// All experiments in order: `(id, one-line description)` — what the
-/// binary's `--list` flag prints.
-pub const CATALOG: [(&str, &str); 16] = [
+/// binary's `--list` flag prints and what its `all` runs.
+pub const CATALOG: &[(&str, &str)] = &[
     ("e1", "Theorem 2: DRA rotation-walk steps and rounds on a single partition"),
     ("e2", "Lemmas 4 and 7: random-coloring class balance and intra-class degrees"),
     ("e3", "Theorem 1: DHC1 round/message scaling at p = c ln n / sqrt(n)"),
@@ -98,21 +114,9 @@ pub const CATALOG: [(&str, &str); 16] = [
     ("e11", "k-machine conversion: measured KNPR simulation vs the O~(M/k^2 + T*D'/k) bound"),
     ("e12", "Conclusion's extension claim: other random-graph models"),
     ("e13", "Engine throughput baseline: flood-echo and broadcast-storm rounds/sec"),
-    ("e14", "Partition-pipeline baseline: zero-copy class views vs materialized subgraphs"),
     ("e15", "Adversary degradation: success rates under seeded drop/delay/crash faults"),
-    ("e16", "Memory-lean scale sweep: fat vs lean (no round log) runtime and peak memory"),
+    ("e16", "Scale sweep: runtime, rounds, messages, and peak memory as n grows"),
 ];
-
-/// All experiment ids in order.
-pub const ALL_IDS: [&str; 16] = {
-    let mut ids = [""; 16];
-    let mut i = 0;
-    while i < 16 {
-        ids[i] = CATALOG[i].0;
-        i += 1;
-    }
-    ids
-};
 
 #[cfg(test)]
 mod tests {
@@ -125,13 +129,19 @@ mod tests {
 
     #[test]
     fn all_ids_listed() {
-        assert_eq!(ALL_IDS.len(), 16);
+        // Every id with a runner is in the catalog, once.
+        for n in 1..=99 {
+            let id = format!("e{n}");
+            let listed = CATALOG.iter().filter(|(entry, _)| *entry == id).count();
+            let want = usize::from(runner(&id).is_some());
+            assert_eq!(listed, want, "{id} is listed {listed} times");
+        }
     }
 
     #[test]
     fn catalog_matches_ids_and_every_entry_runs() {
-        for ((id, description), want) in CATALOG.iter().zip(ALL_IDS.iter()) {
-            assert_eq!(id, want);
+        for (id, description) in CATALOG {
+            assert!(runner(id).is_some(), "{id} has no runner");
             assert!(!description.is_empty(), "{id} needs a description");
         }
     }

@@ -15,13 +15,10 @@
 //!   `BENCH_*.json` baselines in the shared `dhc-bench/v1` envelope
 //!   (`dhc_obs::schema`);
 //! * [`engine_probe`] — the flood-echo and broadcast-storm
-//!   microprotocols used to track the round engine's throughput, each
-//!   with a per-neighbor-unicast twin as the pre-broadcast-fabric
-//!   baseline (`benches/engine.rs`, experiment E13);
-//! * [`partition_probe`] — the Phase-1 setup workload comparing
-//!   zero-copy class views against materialized induced subgraphs
-//!   (`benches/partition.rs`, experiment E14);
-//! * [`experiments`] — one module per experiment (`e1` … `e16`).
+//!   microprotocols used to track the round engine's throughput
+//!   (experiment E13);
+//! * [`experiments`] — one module per experiment, listed in
+//!   [`experiments::CATALOG`].
 //!
 //! Regenerate everything with:
 //!
@@ -35,7 +32,6 @@
 pub mod baseline;
 pub mod engine_probe;
 pub mod experiments;
-pub mod partition_probe;
 pub mod stats;
 pub mod table;
 pub mod workload;

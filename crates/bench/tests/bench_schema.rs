@@ -27,9 +27,11 @@ fn committed_baselines_validate_against_the_bench_schema() {
         }
         checked.push(name.to_string());
     }
-    assert!(
-        checked.len() >= 5,
-        "expected at least the five committed baselines at {}, found {checked:?}",
+    checked.sort();
+    assert_eq!(
+        checked,
+        ["BENCH_adversary.json", "BENCH_engine.json", "BENCH_kmachine.json", "BENCH_scale.json"],
+        "committed baselines at {}",
         root.display()
     );
 }

@@ -53,14 +53,13 @@
 //!
 //! With an **active** adversary the engine additionally treats
 //! quiescence (no mail, no wake-ups, no delayed messages, no pending
-//! restarts) as the round-cap outcome
-//! [`SimError::RoundLimitExceeded`](crate::SimError::RoundLimitExceeded)
-//! rather than [`SimError::Stalled`](crate::SimError::Stalled): under
-//! message loss a starved protocol is an *environmental* outcome, not a
+//! restarts) as the round-cap outcome [`SimError::RoundLimitExceeded`]
+//! rather than [`SimError::Stalled`]: under message loss a starved
+//! protocol is an *environmental* outcome, not a
 //! protocol deadlock, and no future round can make progress — so lossy
 //! runs always terminate with a typed error instead of hanging.
 
-use crate::NodeId;
+use crate::{NodeId, SimError};
 use dhc_graph::rng::derive_seed;
 
 /// Fixed-point probability denominator: knobs are expressed in
@@ -117,8 +116,8 @@ pub struct Adversary {
     /// Maximum delay in rounds; a delayed message is re-injected
     /// `1..=max_delay` rounds after its normal delivery round. Must be
     /// at least 1 when `delay_ppm > 0`: [`with_delay`](Self::with_delay)
-    /// enforces it, and `dhc-core`'s entry points reject an adversary
-    /// built without it as an invalid configuration.
+    /// enforces it, and a network built with an adversary that lacks it
+    /// fails with [`SimError::InvalidConfig`].
     pub max_delay: usize,
     /// Scheduled crashes/restarts.
     pub crashes: Vec<CrashEvent>,
@@ -298,20 +297,29 @@ pub(crate) struct AdversaryState {
 impl AdversaryState {
     /// Builds the runtime state for an `n`-node network.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a crash schedule names a node outside `0..n`.
-    pub(crate) fn new(adv: Adversary, n: usize) -> Self {
+    /// [`SimError::InvalidConfig`] if the adversary delays messages with
+    /// `max_delay == 0`, or if a crash schedule names a node outside
+    /// `0..n`.
+    pub(crate) fn new(adv: Adversary, n: usize) -> Result<Self, SimError> {
+        if adv.delay_ppm > 0 && adv.max_delay == 0 {
+            return Err(SimError::InvalidConfig { what: "adversary delay needs max_delay >= 1" });
+        }
+        if adv.crashes.iter().any(|c| c.node as usize >= n) {
+            return Err(SimError::InvalidConfig {
+                what: "adversary crash schedule names a node outside the graph",
+            });
+        }
         let mut events = Vec::with_capacity(adv.crashes.len() * 2);
         for c in &adv.crashes {
-            assert!(c.node < (n) as u32, "crash schedule names node {} outside 0..{n}", c.node);
             events.push((c.at_round, c.node, true));
             if let Some(r) = c.restart_round {
                 events.push((r, c.node, false));
             }
         }
         events.sort_unstable();
-        AdversaryState { adv, down: vec![false; n], events, next_event: 0 }
+        Ok(AdversaryState { adv, down: vec![false; n], events, next_event: 0 })
     }
 
     /// Rounds at which a restart is scheduled, as `(round, node)` — the
@@ -425,7 +433,7 @@ mod tests {
     #[test]
     fn crash_state_applies_events_in_round_order() {
         let adv = Adversary::seeded(0).with_crash(2, 3, Some(6)).with_crash(0, 4, None);
-        let mut st = AdversaryState::new(adv, 5);
+        let mut st = AdversaryState::new(adv, 5).unwrap();
         assert_eq!(st.restart_wakes().collect::<Vec<_>>(), vec![(6, 2)]);
         let mut log = Vec::new();
         st.advance(2, |v, d| log.push((v, d)));
@@ -436,11 +444,5 @@ mod tests {
         st.advance(10, |v, d| log.push((v, d)));
         assert_eq!(log.last(), Some(&(2, false)));
         assert!(st.is_down(0) && !st.is_down(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn out_of_range_crash_rejected() {
-        AdversaryState::new(Adversary::seeded(0).with_crash(9, 1, None), 3);
     }
 }

@@ -23,9 +23,6 @@ pub struct Config {
     /// Per-directed-edge, per-round budget in message words (the CONGEST
     /// `B`, in units of `Θ(log n)`-bit words). Default 1.
     pub bandwidth_words: usize,
-    /// Record the per-round message counts (cheap; enables congestion
-    /// plots). Default true.
-    pub record_round_traffic: bool,
     /// Capacity of the engine event trace (sends, halts, wake-ups);
     /// 0 (the default) disables tracing.
     pub trace_capacity: usize,
@@ -48,7 +45,6 @@ impl Default for Config {
         Config {
             max_rounds: 1_000_000,
             bandwidth_words: 1,
-            record_round_traffic: true,
             trace_capacity: 0,
             adversary: None,
             collector: None,
@@ -78,16 +74,6 @@ impl Config {
     /// capacity.
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
         self.trace_capacity = capacity;
-        self
-    }
-
-    /// Enables or disables the per-round message-count log. `false`
-    /// drops the only O(rounds) metrics vector; the running
-    /// [`Metrics::max_round_traffic`](crate::Metrics::max_round_traffic)
-    /// is maintained either way, so long lean runs keep their headline
-    /// congestion figure at O(1) extra memory.
-    pub fn with_record_round_traffic(mut self, record: bool) -> Self {
-        self.record_round_traffic = record;
         self
     }
 

@@ -53,6 +53,13 @@ pub enum SimError {
         /// Nodes still not halted.
         unhalted: usize,
     },
+    /// The configuration cannot run on this network: an attached
+    /// adversary delays messages with `max_delay == 0`, or its crash
+    /// schedule names a node outside the graph.
+    InvalidConfig {
+        /// Description of the offending parameter.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -77,6 +84,7 @@ impl fmt::Display for SimError {
             SimError::Stalled { round, unhalted } => {
                 write!(f, "protocol stalled in round {round} with {unhalted} nodes still running")
             }
+            SimError::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
         }
     }
 }
@@ -101,6 +109,7 @@ mod tests {
             },
             SimError::RoundLimitExceeded { max_rounds: 10, unhalted: 4 },
             SimError::Stalled { round: 2, unhalted: 1 },
+            SimError::InvalidConfig { what: "max_delay" },
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

@@ -32,13 +32,10 @@ pub struct Metrics {
     /// Sampled peak of `Protocol::memory_words` per node (0 if the protocol
     /// opts out).
     pub peak_memory_per_node: Vec<usize>,
-    /// Messages delivered in each round (empty if recording disabled).
+    /// Messages delivered in each round.
     pub round_traffic: Vec<u64>,
     /// Largest number of messages delivered in any single round of one
-    /// constituent network — maintained **incrementally** every round,
-    /// so disabling the O(rounds) [`round_traffic`](Metrics::round_traffic)
-    /// log (see [`Config::record_round_traffic`](crate::Config::record_round_traffic))
-    /// keeps the headline congestion figure on long lean runs. Under
+    /// constituent network, folded in as each round commits. Under
     /// [`absorb_parallel`](Metrics::absorb_parallel) this is the peak of
     /// any single partition, not the cross-partition per-round sum.
     pub max_round_traffic: u64,

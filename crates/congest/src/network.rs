@@ -133,8 +133,11 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     ///
     /// # Errors
     ///
-    /// [`SimError::NodeCountMismatch`] if `protocols.len() != n`, or any
-    /// fault raised by an `init` callback (e.g. sending to a non-neighbor).
+    /// [`SimError::NodeCountMismatch`] if `protocols.len() != n`,
+    /// [`SimError::InvalidConfig`] if an attached adversary delays
+    /// messages with `max_delay == 0` or crashes a node outside the
+    /// graph, or any fault raised by an `init` callback (e.g. sending to
+    /// a non-neighbor).
     pub fn new(graph: &'g T, config: Config, protocols: Vec<P>) -> Result<Self, SimError> {
         Self::new_inner(graph, config, protocols, None, None)
     }
@@ -206,18 +209,18 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
             });
         }
         let n = graph.node_count();
+        // A null adversary (all knobs zero) is dropped here outright, so
+        // attaching `Adversary::none()` provably cannot perturb the run:
+        // the engine takes its unmodified clean code paths.
+        let adversary = match &config.adversary {
+            Some(adv) if !adv.is_null() => Some(AdversaryState::new(adv.clone(), n)?),
+            _ => None,
+        };
         let parts = match scratch {
             Some(s) => s.take_parts(n),
             None => Parts::fresh(n),
         };
         let trace_capacity = config.trace_capacity;
-        // A null adversary (all knobs zero) is dropped here outright, so
-        // attaching `Adversary::none()` provably cannot perturb the run:
-        // the engine takes its unmodified clean code paths.
-        let adversary = match &config.adversary {
-            Some(adv) if !adv.is_null() => Some(AdversaryState::new(adv.clone(), n)),
-            _ => None,
-        };
         let obs = config.collector.clone();
         let mut net = Network {
             graph,
@@ -523,11 +526,7 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
                 work.push(v);
             }
         }
-        // The O(rounds) log is optional; the running maximum is not — it
-        // is the streaming congestion figure long lean runs keep.
-        if self.config.record_round_traffic {
-            self.metrics.round_traffic.push(round_messages);
-        }
+        self.metrics.round_traffic.push(round_messages);
         self.metrics.max_round_traffic = self.metrics.max_round_traffic.max(round_messages);
 
         let result = self.run_phase(&work, CallKind::Round, &active, round_messages);
@@ -1434,6 +1433,21 @@ mod tests {
         let mut net = Network::new(&g, cfg, flood_nodes(9)).unwrap();
         let err = net.run().unwrap_err();
         assert!(matches!(err, SimError::RoundLimitExceeded { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn invalid_adversaries_are_typed_errors() {
+        // Node 0's init send is delayed for certain, so a missing delay
+        // bound would be drawn from at once.
+        let g = dhc_graph::generator::path_graph(3);
+        let ppm = crate::adversary::PPM;
+        let unbounded_delay = crate::Adversary { delay_ppm: ppm, ..crate::Adversary::seeded(1) };
+        let crash_outside = crate::Adversary::seeded(1).with_crash(3, 1, None);
+        for adv in [unbounded_delay, crash_outside] {
+            let cfg = Config::default().with_adversary(adv);
+            let err = Network::new(&g, cfg, flood_nodes(3)).err();
+            assert!(matches!(err, Some(SimError::InvalidConfig { .. })), "{err:?}");
+        }
     }
 
     #[test]

@@ -43,14 +43,6 @@ pub struct DhcConfig {
     /// keyed by the master seed, and outputs are folded in partition
     /// order — so this trades wall-clock time only.
     pub parallelism: usize,
-    /// Report the engine's per-round message counts (the one O(rounds)
-    /// metrics vector) for every simulation the algorithms run. Default
-    /// `true`; set `false` for long memory-lean runs — the streaming
-    /// [`dhc_congest::Metrics::max_round_traffic`] aggregate is the
-    /// same either way. Phase 1's class networks record their logs in
-    /// both modes, for its round-1 correction, and the phase drops the
-    /// merged log when this is off.
-    pub record_round_traffic: bool,
     /// Optional seeded fault model applied to **every** simulation an
     /// algorithm runs (Phase-1 per-class runs, DHC1 stitching, DHC2
     /// merge levels, Upcast): message drop / duplicate / bounded delay
@@ -86,7 +78,6 @@ impl DhcConfig {
             sample_factor: 8.0,
             root_solve_retries: 8,
             parallelism: 1,
-            record_round_traffic: true,
             adversary: None,
             collector: None,
         }
@@ -121,13 +112,6 @@ impl DhcConfig {
     /// see [`parallelism`](Self::parallelism).
     pub fn with_parallelism(mut self, threads: usize) -> Self {
         self.parallelism = threads;
-        self
-    }
-
-    /// Enables or disables the O(rounds) per-round traffic log; see
-    /// [`record_round_traffic`](Self::record_round_traffic).
-    pub fn with_round_traffic(mut self, record: bool) -> Self {
-        self.record_round_traffic = record;
         self
     }
 
@@ -172,8 +156,7 @@ impl DhcConfig {
     pub fn sim_config(&self) -> SimConfig {
         let mut sim = SimConfig::default()
             .with_max_rounds(self.max_rounds)
-            .with_bandwidth_words(self.bandwidth_words)
-            .with_record_round_traffic(self.record_round_traffic);
+            .with_bandwidth_words(self.bandwidth_words);
         if let Some(adv) = &self.adversary {
             sim = sim.with_adversary(adv.clone());
         }
@@ -188,13 +171,9 @@ impl DhcConfig {
     /// configured adversary is translated with
     /// [`Adversary::for_class`] — crash schedules map global node ids to
     /// the class's local ids (crashes outside `members` do not apply),
-    /// and each class gets its own fault stream. The per-round log is
-    /// always on: Phase 1's round-1 cross-color correction adds to each
-    /// class's round-1 deliveries, and the phase drops the merged log
-    /// afterwards when [`record_round_traffic`](Self::record_round_traffic)
-    /// is off.
+    /// and each class gets its own fault stream.
     pub fn sim_config_for_class(&self, color: u32, members: &[NodeId]) -> SimConfig {
-        let mut sim = self.sim_config().with_record_round_traffic(true);
+        let mut sim = self.sim_config();
         sim.adversary = self.adversary.as_ref().map(|adv| adv.for_class(members, color));
         sim
     }

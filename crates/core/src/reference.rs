@@ -195,17 +195,19 @@ fn stitch_hypernodes<R: Rng + ?Sized>(
             *cycles[h].order.last().expect("non-empty")
         }
     };
-    // Unused draw lists per terminal.
-    let mut unused: std::collections::HashMap<NodeId, Vec<NodeId>> = owner
-        .keys()
-        .map(|&t| {
+    // Unused draw lists per terminal, shuffled in hypernode order (first
+    // terminal, then last) so the rng stream is a function of the seed.
+    // Every subcycle has at least 3 nodes, so its terminals differ.
+    let mut unused = std::collections::HashMap::with_capacity(owner.len());
+    for h in 0..k {
+        for t in [term(h, 0), term(h, 1)] {
             let mut l: Vec<NodeId> =
                 graph.neighbors(t).iter().copied().filter(|x| owner.contains_key(x)).collect();
             use rand::seq::SliceRandom;
             l.shuffle(rng);
-            (t, l)
-        })
-        .collect();
+            unused.insert(t, l);
+        }
+    }
 
     let max_steps = 50 * k * ((k.max(2)) as f64).ln().ceil() as usize + 100;
     for _ in 0..max_steps {
@@ -350,6 +352,18 @@ mod tests {
         let a = dhc2_reference(&g, 4, 68).unwrap();
         let b = dhc2_reference(&g, 4, 68).unwrap();
         assert_eq!(a.order(), b.order());
+    }
+
+    #[test]
+    fn dhc1_reference_is_deterministic() {
+        let n = 256;
+        let p = thresholds::edge_probability(n, 0.5, 6.0);
+        let g = generator::gnp(n, p, &mut rng_from_seed(70)).unwrap();
+        for seed in 0..4 {
+            let a = dhc1_reference(&g, 8, seed).unwrap();
+            let b = dhc1_reference(&g, 8, seed).unwrap();
+            assert_eq!(a.order(), b.order(), "seed {seed}");
+        }
     }
 
     #[test]

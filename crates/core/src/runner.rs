@@ -264,10 +264,6 @@ pub(crate) fn run_phase1(
         }
     }
     account_cross_color_exchange(&mut metrics, &pg);
-    if !cfg.record_round_traffic {
-        // The class logs were kept only for the correction above.
-        metrics.round_traffic = Vec::new();
-    }
     phase_span.add(metrics.rounds as u64, metrics.messages, metrics.words);
     // The synthesized round-1 cross-partition color announcements cross
     // machine links too. Each announcement is one **broadcast** op

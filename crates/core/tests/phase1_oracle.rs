@@ -142,9 +142,8 @@ fn assert_same_failure(got: &DhcError, whole: &DhcError, what: &str) {
 }
 
 /// Every field but received, compute and the round log is equal; those
-/// three differ by exactly the trace-derived gap. With the log off the
-/// runner reports none, but the same peak.
-fn assert_metrics_match(got: &Metrics, whole: &Whole, log: bool, what: &str) {
+/// three differ by exactly the trace-derived gap.
+fn assert_metrics_match(got: &Metrics, whole: &Whole, what: &str) {
     let w = &whole.metrics;
     assert_eq!(got.rounds, w.rounds, "{what}: rounds");
     assert_eq!(got.messages, w.messages, "{what}: messages");
@@ -160,10 +159,6 @@ fn assert_metrics_match(got: &Metrics, whole: &Whole, log: bool, what: &str) {
         assert_eq!(received, whole.gap[v], "{what}: received gap at node {v}");
         assert_eq!(compute, whole.gap[v], "{what}: compute gap at node {v}");
     }
-    if !log {
-        assert!(got.round_traffic.is_empty(), "{what}: log kept with recording off");
-        return;
-    }
     // The gap of class c lands in round R_c + 1, log slot R_c.
     let mut expected = got.round_traffic.clone();
     assert_eq!(expected.len(), w.round_traffic.len(), "{what}: round log length");
@@ -176,27 +171,22 @@ fn assert_metrics_match(got: &Metrics, whole: &Whole, log: bool, what: &str) {
 }
 
 /// Every runner setting the oracle must hold at.
-fn settings(base: &DhcConfig) -> Vec<(DhcConfig, bool, String)> {
-    let mut out = Vec::new();
-    for parallelism in PARALLELISM {
-        for log in [true, false] {
-            let cfg = base.clone().with_parallelism(parallelism).with_round_traffic(log);
-            out.push((cfg, log, format!("parallelism {parallelism}, log {log}")));
-        }
-    }
-    out
+fn settings(base: &DhcConfig) -> impl Iterator<Item = (DhcConfig, String)> + '_ {
+    PARALLELISM.into_iter().map(|parallelism| {
+        (base.clone().with_parallelism(parallelism), format!("parallelism {parallelism}"))
+    })
 }
 
 /// Pins `run_partition_cycles` on `partition` to the whole-graph run at
 /// every setting, and returns the whole run.
 fn pin_partition_cycles(graph: &Graph, partition: &Partition, base: &DhcConfig) -> Whole {
     let whole = whole_graph_phase1(graph, partition.colors(), base);
-    for (cfg, log, setting) in settings(base) {
+    for (cfg, setting) in settings(base) {
         let what = format!("seed {} ({setting})", base.seed);
         match (run_partition_cycles(graph, partition, &cfg), &whole.outcome) {
             (Ok((cycles, metrics)), Ok(expected)) => {
                 assert_eq!(&cycles, expected, "{what}: subcycles diverged");
-                assert_metrics_match(&metrics, &whole, log, &what);
+                assert_metrics_match(&metrics, &whole, &what);
             }
             (Err(got), Err(expected)) => assert_same_failure(&got, expected, &what),
             (got, expected) => panic!("{what}: runner {got:?}, whole graph {expected:?}"),
@@ -293,9 +283,7 @@ fn pin_phase1_of(name: &str, run: fn(&Graph, &DhcConfig) -> Result<RunOutcome, D
         let reason = PartitionFailure::OutOfEdges;
         let expected = failing.map(|color| DhcError::PartitionFailed { color, reason });
         assert_eq!(whole.outcome.as_ref().err(), expected.as_ref(), "k {k}: whole-graph run");
-        // `phases[0]` holds rounds and messages, which the round log
-        // never changes, so the sweep keeps the log on.
-        for (cfg, _, setting) in settings(&cfg).into_iter().filter(|(_, log, _)| *log) {
+        for (cfg, setting) in settings(&cfg) {
             let what = format!("{name}, k {k} ({setting})");
             match (run(&g, &cfg), &whole.outcome) {
                 (Ok(out), Ok(_)) => {
