@@ -44,6 +44,11 @@ pub struct Params {
     pub sizes: Vec<usize>,
     /// Timed repetitions per point (the minimum is reported).
     pub reps: usize,
+    /// Alternating detached/attached window pairs of the collector
+    /// overhead probe.
+    pub overhead_pairs: usize,
+    /// Work per overhead timing window, in seconds.
+    pub overhead_window_s: f64,
     /// Whether to write the `BENCH_engine.json` baseline (disabled for
     /// smoke runs so tests do not touch the filesystem).
     pub emit_json: bool,
@@ -66,6 +71,8 @@ impl Params {
             Effort::Full => Params {
                 sizes: vec![1_000, 10_000],
                 reps: 5,
+                overhead_pairs: 12,
+                overhead_window_s: 2.5,
                 emit_json: true,
                 dhc1: Some(Dhc1Point { n: 10_000, k: 50 }),
                 skipped_heavy: None,
@@ -74,6 +81,8 @@ impl Params {
             Effort::Quick => Params {
                 sizes: vec![1_000, 10_000],
                 reps: 3,
+                overhead_pairs: 12,
+                overhead_window_s: 2.5,
                 emit_json: true,
                 dhc1: Some(Dhc1Point { n: 10_000, k: 50 }),
                 skipped_heavy: None,
@@ -82,6 +91,8 @@ impl Params {
             Effort::Smoke => Params {
                 sizes: vec![256],
                 reps: 1,
+                overhead_pairs: 2,
+                overhead_window_s: 0.02,
                 emit_json: false,
                 dhc1: Some(Dhc1Point { n: 240, k: 4 }),
                 skipped_heavy: None,
@@ -204,7 +215,8 @@ fn measure_dhc1(pt: Dhc1Point, seed: u64, progress: bool) -> Result<Dhc1Sample, 
 /// detached/attached windows so each adjacent pair shares the host's
 /// slow drift, and reports the median of the per-pair overhead ratios
 /// — the drift cancels within a pair and the median rejects the
-/// occasional noisy-neighbor spike.
+/// occasional noisy-neighbor spike. Smoke runs take two pairs of
+/// windows far too short for that; they only exercise the probe.
 struct Overhead {
     n: usize,
     /// Alternating detached/attached window pairs measured.
@@ -237,24 +249,25 @@ fn cpu_ticks() -> Option<u64> {
     Some(utime + stime)
 }
 
-fn measure_overhead(n: usize, reps: usize, seed: u64) -> Overhead {
+fn measure_overhead(n: usize, pairs: usize, window_s: f64, seed: u64) -> Overhead {
     let g = probe_graph(n, seed);
-    let pairs = (2 * reps).max(12);
     let shared = Arc::new(Mutex::new(RunObserver::new()));
     let handle = CollectorHandle::new(shared.clone());
     // Warmup pair swallows the cold start and calibrates the batch size
-    // to ~2.5 s of work per window — long enough that one 10 ms CPU
-    // tick of quantization stays well under the few-percent signal.
+    // to `window_s` of work per window.
     let t0 = Instant::now();
     std::hint::black_box(flood_echo(&g));
     std::hint::black_box(flood_echo_observed(&g, Some(handle.clone())));
     let per_run = (t0.elapsed().as_secs_f64() / 2.0).max(1e-6);
-    let batch = ((2.5 / per_run).ceil() as usize).clamp(1, 500);
-    let cpu = cpu_ticks().is_some();
-    // One timing window: `batch` runs, on-CPU ticks when available
+    let batch = ((window_s / per_run).ceil() as usize).clamp(1, 500);
+    // On-CPU ticks are 10 ms, so they time only windows of a second or
+    // more, where one tick of quantization stays well under the
+    // few-percent signal.
+    let cpu = window_s >= 1.0 && cpu_ticks().is_some();
+    // One timing window: `batch` runs, on-CPU ticks when they apply
     // (immune to scheduler steal), wall clock otherwise. Returned in ms.
     let window = |attached: bool| -> f64 {
-        let (t0, w0) = (cpu_ticks(), Instant::now());
+        let (t0, w0) = (if cpu { cpu_ticks() } else { None }, Instant::now());
         for _ in 0..batch {
             if attached {
                 std::hint::black_box(flood_echo_observed(&g, Some(handle.clone())));
@@ -359,8 +372,12 @@ pub fn run(params: &Params, seed: u64) -> String {
     ));
     // Measured first, on a fresh heap: the storm sweep below fragments
     // the allocator badly enough to swamp a few-percent signal.
-    let overhead =
-        measure_overhead(params.sizes.iter().copied().max().unwrap_or(256), params.reps, seed);
+    let overhead = measure_overhead(
+        params.sizes.iter().copied().max().unwrap_or(256),
+        params.overhead_pairs,
+        params.overhead_window_s,
+        seed,
+    );
     let mut t = Table::new(vec!["workload", "n", "rounds", "messages", "wall ms", "rounds/s"]);
     let mut samples = Vec::new();
     for &workload in &["flood-echo", "broadcast-storm"] {
@@ -459,6 +476,18 @@ mod tests {
         // The smoke point is sub-threshold and passes through untouched.
         let smoke = Params::for_effort(Effort::Smoke).gated(false);
         assert!(smoke.dhc1.is_some() && smoke.skipped_heavy.is_none());
+    }
+
+    #[test]
+    fn overhead_probe_is_sized_by_effort() {
+        // Quick and Full keep the probe's 12 pairs of 2.5 s windows;
+        // Smoke only exercises it.
+        for effort in [Effort::Full, Effort::Quick] {
+            let p = Params::for_effort(effort);
+            assert_eq!((p.overhead_pairs, p.overhead_window_s), (12, 2.5));
+        }
+        let smoke = Params::for_effort(Effort::Smoke);
+        assert!(smoke.overhead_pairs as f64 * 2.0 * smoke.overhead_window_s < 0.1);
     }
 
     fn sample() -> Sample {

@@ -476,8 +476,7 @@ impl Protocol for MergeNode {
                         self.collect_seen = true;
                         self.collect_parent = None;
                         self.collect_pending = self.same_nbrs.len();
-                        let nbrs = self.same_nbrs.clone();
-                        for to in nbrs {
+                        for &to in &self.same_nbrs {
                             ctx.send(to, MergeMsg::CollectReq);
                         }
                         // A coordinator with no same-color neighbors would be
@@ -492,8 +491,7 @@ impl Protocol for MergeNode {
                         idx: self.st.idx as u32,
                         size: self.st.size as u32,
                     };
-                    let nbrs = self.partner_nbrs.clone();
-                    for to in nbrs {
+                    for &to in &self.partner_nbrs {
                         ctx.send(to, msg);
                     }
                 }
@@ -524,8 +522,7 @@ impl Protocol for MergeNode {
                         self.collect_seen = true;
                         self.collect_parent = Some(from);
                         self.collect_pending = self.same_nbrs.len() - 1;
-                        let nbrs = self.same_nbrs.clone();
-                        for to in nbrs {
+                        for &to in &self.same_nbrs {
                             if to != from {
                                 ctx.send(to, MergeMsg::CollectReq);
                             }

@@ -37,7 +37,7 @@ use dhc_graph::{Graph, GraphBuilder};
 use dhc_rotation::{posa_with_restarts, PosaConfig};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Records forwarded per tree edge per round (each is ≤ 3 words, so 4 of
@@ -222,8 +222,7 @@ impl UpcastNode {
                 self.upqueue.push_back((self.id, other));
             }
         }
-        let children = self.children.clone();
-        for c in children {
+        for &c in &self.children {
             ctx.send(c, UpMsg::Start);
         }
         // Pumping happens once, at the end of the round callback.
@@ -312,9 +311,7 @@ impl UpcastNode {
 
     fn pump_down(&mut self, ctx: &mut Context<'_, UpMsg>) {
         let mut any_left = false;
-        let children: Vec<NodeId> = self.downqueues.keys().copied().collect();
-        for c in children {
-            let q = self.downqueues.get_mut(&c).expect("key just listed");
+        for (&c, q) in &mut self.downqueues {
             for _ in 0..BATCH {
                 match q.pop_front() {
                     Some((target, pa, pb)) => ctx.send(c, UpMsg::Down { target, pa, pb }),
@@ -378,35 +375,45 @@ impl Protocol for UpcastNode {
         // choice among the senders that delivered the best root this round.
         // (Deterministic tie-breaking would funnel whole BFS levels through
         // the lowest-id parent and destroy the subtree balance that Lemma 18
-        // relies on for the pipelined congestion bound.)
-        let wave_min = inbox
-            .iter()
-            .filter_map(|(_, m)| match *m {
-                UpMsg::Wave { root } => Some(root),
-                _ => None,
-            })
-            .min();
-        if let Some(r) = wave_min {
-            let senders: Vec<NodeId> = inbox
-                .iter()
-                .filter(|&(_, m)| matches!(*m, UpMsg::Wave { root } if root == r))
-                .map(|(f, _)| f)
-                .collect();
+        // relies on for the pipelined congestion bound.) One pass finds the
+        // smallest root and how many senders delivered it.
+        let (mut r, mut senders) = (0, 0);
+        for (_, m) in inbox.iter() {
+            if let UpMsg::Wave { root } = *m {
+                if senders == 0 || root < r {
+                    (r, senders) = (root, 1);
+                } else if root == r {
+                    senders += 1;
+                }
+            }
+        }
+        if senders > 0 {
             if r < self.best_root {
                 self.best_root = r;
-                let parent = *senders.choose(&mut self.rng).expect("non-empty senders");
+                // The one draw `SliceRandom::choose` makes over the
+                // senders, then a second pass to find the chosen one.
+                let pick = self.rng.gen_range(0..senders);
+                let parent = inbox
+                    .iter()
+                    .filter(|&(_, m)| matches!(*m, UpMsg::Wave { root } if root == r))
+                    .nth(pick)
+                    .map(|(f, _)| f)
+                    .expect("pick is below the sender count");
                 self.parent = Some(parent);
                 self.acc = 0;
                 self.children.clear();
                 // The co-senders of this wave already count as responses.
-                self.pending = (ctx.degree() - 1).saturating_sub(senders.len() - 1);
+                self.pending = (ctx.degree() - 1).saturating_sub(senders - 1);
                 ctx.send_all_except(parent, UpMsg::Wave { root: r });
                 self.wave_check(ctx);
             } else if r == self.best_root {
-                self.pending = self.pending.saturating_sub(senders.len());
+                self.pending = self.pending.saturating_sub(senders);
                 self.wave_check(ctx);
             }
         }
+        // Records of one owner arrive in runs; a repeat of the last owner
+        // routed is already in the table.
+        let mut last_owner = None;
         for (from, msg) in inbox.iter() {
             if self.aborted {
                 return;
@@ -427,7 +434,10 @@ impl Protocol for UpcastNode {
                     }
                 }
                 UpMsg::EdgeRec { owner, other } => {
-                    self.route.entry(owner).or_insert(from);
+                    if last_owner != Some(owner) {
+                        self.route.entry(owner).or_insert(from);
+                        last_owner = Some(owner);
+                    }
                     if self.is_root() {
                         self.records.push((owner, other));
                     } else {

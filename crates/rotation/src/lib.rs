@@ -6,9 +6,11 @@
 //! ch. 5) that the paper's **Distributed Rotation Algorithm (DRA)**
 //! distributes:
 //!
-//! * [`RotationPath`] — the path data structure with `O(segment)` Pósa
-//!   rotations and position bookkeeping matching the paper's renumbering
-//!   rule `i ← h + j + 1 − i`;
+//! * [`RotationPath`] — the path data structure: a circular array whose
+//!   Pósa rotations reverse either the suffix or, with an orientation
+//!   flip, the other arc, whichever is shorter (`min(h − j, j + 1 + n −
+//!   len)` moves), with position bookkeeping matching the paper's
+//!   renumbering rule `i ← h + j + 1 − i`;
 //! * [`posa`] — the full algorithm: grow a path by random unused edges,
 //!   rotate on collisions, close when the head reaches the tail; fully
 //!   instrumented ([`RotationStats`]) so experiment **E1** can check the

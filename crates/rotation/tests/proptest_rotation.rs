@@ -23,13 +23,14 @@ proptest! {
             let j = j % path.len();
             path.rotate(j);
             // Vertex set unchanged.
-            let mut got: Vec<_> = path.order().to_vec();
+            let order = path.order();
+            let mut got = order.clone();
             got.sort_unstable();
             let mut want = members.clone();
             want.sort_unstable();
             prop_assert_eq!(got, want);
             // Position map consistent.
-            for (i, &v) in path.order().iter().enumerate() {
+            for (i, &v) in order.iter().enumerate() {
                 prop_assert_eq!(path.position_of(v), Some(i));
             }
         }
@@ -45,10 +46,10 @@ proptest! {
         for v in 1..len {
             path.extend((v) as u32);
         }
-        let before = path.order().to_vec();
+        let before = path.order();
         path.rotate(j);
         path.rotate(j);
-        prop_assert_eq!(path.order(), &before[..]);
+        prop_assert_eq!(path.order(), before);
     }
 
     /// Pósa either returns a verified Hamiltonian cycle (with exactly n-1
