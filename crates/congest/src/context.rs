@@ -8,12 +8,8 @@ use crate::{NodeId, Payload, SimError};
 ///
 /// Deliberately exposes only what a CONGEST node may know: its own id, `n`,
 /// its neighbor list, and the current round number — not the global
-/// topology. That locality is also what keeps the engine
-/// topology-agnostic: the context carries the node's neighbor **slice**
-/// (plus `n`) rather than a graph reference, so one non-generic `Context`
-/// serves every [`Topology`](dhc_graph::Topology) implementation — full
-/// graphs and zero-copy partition class views alike — without infecting
-/// the [`Protocol`](crate::Protocol) trait with a topology parameter.
+/// topology. The context carries the node's neighbor **slice** (plus `n`)
+/// rather than a graph reference.
 ///
 /// Internally the context is a thin wrapper over the node's private
 /// effects scratch: every mutation a callback performs (sends, halts,
@@ -29,8 +25,8 @@ pub struct Context<'a, M: Payload> {
     pub(crate) node: NodeId,
     pub(crate) round: usize,
     pub(crate) n: usize,
-    /// This node's sorted neighbor slice (the `Topology` contract
-    /// guarantees ascending order, which `is_neighbor` relies on).
+    /// This node's sorted neighbor slice (a [`Graph`](dhc_graph::Graph)
+    /// row is ascending, which `is_neighbor` relies on).
     pub(crate) nbrs: &'a [NodeId],
     pub(crate) fx: &'a mut Effects<M>,
 }

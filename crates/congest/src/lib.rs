@@ -14,10 +14,9 @@
 //!   `send_all_except`, which store one payload copy per flooding op
 //!   instead of one per incident edge —
 //!   scheduling wake-ups, charging local computation, and halting;
-//! * the [`Network`] engine — deterministic round execution over any
-//!   [`dhc_graph::Topology`] (a plain [`dhc_graph::Graph`], a zero-copy
-//!   partition [`dhc_graph::ClassView`], or a future overlay topology)
-//!   with **per-edge bandwidth enforcement**
+//! * the [`Network`] engine — deterministic round execution over a
+//!   [`dhc_graph::Graph`] (the whole input graph, or one Phase-1 class
+//!   subgraph) with **per-edge bandwidth enforcement**
 //!   (more than `B` message-words across one directed edge in one round is
 //!   a simulation error, exactly the CONGEST constraint). Each round runs
 //!   as a **compute phase** (active nodes execute independently against

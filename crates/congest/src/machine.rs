@@ -54,7 +54,7 @@ pub const MAX_MACHINES: usize = 1 << 16;
 /// Assignment of a network's nodes to `k` machines (`node id → machine`).
 ///
 /// The node-id space is the network's own — for a whole-graph simulation
-/// that is the global id space, for a partition class view it is the
+/// that is the global id space, for a Phase-1 class subgraph it is the
 /// class-local one (build the map through the class member list).
 ///
 /// # Example

@@ -40,25 +40,20 @@ use crate::mailbox::Mailboxes;
 use crate::scratch::{EngineScratch, Parts};
 use crate::trace::{Trace, TraceEvent};
 use crate::{Config, Context, Metrics, NodeId, Protocol, Report, SimError};
-use dhc_graph::{Graph, Topology};
+use dhc_graph::Graph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A synchronous CONGEST network: a topology, one [`Protocol`] instance per
-/// node, and the round scheduler.
-///
-/// The network is generic over its [`Topology`] (defaulting to a plain
-/// [`Graph`]), so the same engine simulates a whole graph, a zero-copy
-/// [`dhc_graph::ClassView`] of one partition class, or any future overlay
-/// topology — the engine only ever reads node counts and sorted neighbor
-/// slices.
+/// A synchronous CONGEST network: a [`Graph`], one [`Protocol`] instance
+/// per node, and the round scheduler. A Phase-1 class runs on its own
+/// class subgraph ([`Graph::class_subgraphs`]).
 ///
 /// Execution is deterministic: the compute phase writes only per-node
 /// scratch, and all shared state is updated by the commit fold in
 /// ascending node-id order. Inboxes are sorted by sender. Only nodes
 /// with pending messages or scheduled wake-ups run in a given round.
-pub struct Network<'g, P: Protocol, T: Topology = Graph> {
-    graph: &'g T,
+pub struct Network<'g, P: Protocol> {
+    graph: &'g Graph,
     config: Config,
     nodes: Vec<P>,
     halted: Vec<bool>,
@@ -128,7 +123,7 @@ struct ObsPre {
     halts: u64,
 }
 
-impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
+impl<'g, P: Protocol> Network<'g, P> {
     /// Creates the network and runs every node's `init` (round 0).
     ///
     /// # Errors
@@ -138,7 +133,7 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     /// messages with `max_delay == 0` or crashes a node outside the
     /// graph, or any fault raised by an `init` callback (e.g. sending to
     /// a non-neighbor).
-    pub fn new(graph: &'g T, config: Config, protocols: Vec<P>) -> Result<Self, SimError> {
+    pub fn new(graph: &'g Graph, config: Config, protocols: Vec<P>) -> Result<Self, SimError> {
         Self::new_inner(graph, config, protocols, None, None)
     }
 
@@ -157,7 +152,7 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     ///
     /// As [`new`](Network::new).
     pub fn new_with_scratch(
-        graph: &'g T,
+        graph: &'g Graph,
         config: Config,
         protocols: Vec<P>,
         scratch: &mut EngineScratch<P::Msg>,
@@ -176,27 +171,24 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     ///
     /// # Errors
     ///
-    /// As [`new`](Network::new).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `machines` does not map exactly the graph's nodes.
+    /// As [`new`](Network::new), and [`SimError::InvalidConfig`] if
+    /// `machines` does not map exactly the graph's nodes.
     pub fn new_with_machines(
-        graph: &'g T,
+        graph: &'g Graph,
         config: Config,
         protocols: Vec<P>,
         machines: MachineMap,
     ) -> Result<Self, SimError> {
-        assert_eq!(
-            machines.len(),
-            graph.node_count(),
-            "machine map must cover exactly the graph's nodes"
-        );
+        if machines.len() != graph.node_count() {
+            return Err(SimError::InvalidConfig {
+                what: "machine map must cover exactly the graph's nodes",
+            });
+        }
         Self::new_inner(graph, config, protocols, Some(MachineLayer::new(machines)), None)
     }
 
     fn new_inner(
-        graph: &'g T,
+        graph: &'g Graph,
         config: Config,
         protocols: Vec<P>,
         machines: Option<MachineLayer>,
@@ -564,7 +556,6 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
         // --- Compute phase: per-node, no shared mutation. ---
         {
             let Network { graph, nodes, effects, mail, round, .. } = self;
-            let graph: &T = graph;
             let (n, round) = (graph.node_count(), *round);
             // `work` ascends, so each node is split off the front of the
             // slice. Indexing `nodes[v]` instead measured 6% slower on
@@ -864,7 +855,7 @@ impl<'g, P: Protocol, T: Topology> Network<'g, P, T> {
     }
 }
 
-impl<P: Protocol, T: Topology> std::fmt::Debug for Network<'_, P, T> {
+impl<P: Protocol> std::fmt::Debug for Network<'_, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
             .field("n", &self.nodes.len())
@@ -1447,6 +1438,16 @@ mod tests {
             let cfg = Config::default().with_adversary(adv);
             let err = Network::new(&g, cfg, flood_nodes(3)).err();
             assert!(matches!(err, Some(SimError::InvalidConfig { .. })), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn machine_map_of_the_wrong_size_is_a_typed_error() {
+        let g = dhc_graph::generator::path_graph(3);
+        for machine_of in [vec![0, 1], vec![0, 1, 0, 1]] {
+            let machines = MachineMap::new(machine_of, 2);
+            let err = Network::new_with_machines(&g, Config::default(), flood_nodes(3), machines);
+            assert!(matches!(err.err(), Some(SimError::InvalidConfig { .. })));
         }
     }
 

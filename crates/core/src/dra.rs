@@ -144,7 +144,7 @@ pub struct DraNode {
     part_nbrs: Vec<NodeId>,
     colors_known: bool,
     /// Whether the partition edges are *all* of this node's edges (true
-    /// in the per-class-view simulations that dominate Phase 1). When
+    /// in the per-class simulations that dominate Phase 1). When
     /// set, partition floods lower onto the engine's O(1) broadcast
     /// fabric; otherwise they stay per-neighbor unicasts over the
     /// same-color subset, as in the whole-graph Phase-1 run that

@@ -9,7 +9,7 @@ use crate::{cycle_from_incident_pairs, DhcConfig, DhcError};
 use dhc_congest::machine::{MachineMap, MachineRoundLog};
 use dhc_congest::{EngineScratch, Metrics, Network, Span};
 use dhc_graph::rng::{derive_seed, rng_from_seed};
-use dhc_graph::{ClassView, Graph, HamiltonianCycle, NodeId, Partition, PartitionedGraph};
+use dhc_graph::{Graph, HamiltonianCycle, NodeId, Partition};
 
 /// Per-phase cost breakdown of a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,13 +75,12 @@ struct PartitionRun<'a> {
     machine_log: Option<MachineRoundLog>,
 }
 
-/// Simulates one color class's DRA instance on its induced subgraph,
-/// given as a zero-copy [`ClassView`] whose member list (`local →
-/// global`, ascending) is borrowed by the returned run.
+/// Simulates one color class's DRA instance on its induced subgraph
+/// `class_graph`, whose local ids index `map`, the class's ascending
+/// member list (`local → global`), which the returned run borrows.
 ///
-/// Local ids run over `0..members.len()` in ascending global-id order,
-/// but each node's RNG stream stays keyed by its **global** id, so the
-/// run is a pure function of `(graph, members, color, seed)` —
+/// Each node's RNG stream stays keyed by its **global** id, so the
+/// run is a pure function of `(class_graph, map, color, seed)` —
 /// independent of how the other partitions are scheduled, and the same
 /// run the paper's whole-graph Phase 1 makes for this class (pinned by
 /// `crates/core/tests/phase1_oracle.rs`). Messages that crossed
@@ -89,14 +88,14 @@ struct PartitionRun<'a> {
 /// color exchange, which [`account_cross_color_exchange`] charges
 /// afterwards.
 fn run_one_partition<'a>(
-    view: &ClassView<'a>,
+    class_graph: &Graph,
+    map: &'a [NodeId],
     color: u32,
     cfg: &DhcConfig,
     seed_base: u64,
     machines: Option<MachineMap>,
     mut scratch: Option<&mut EngineScratch<DraMsg>>,
 ) -> Result<PartitionRun<'a>, DhcError> {
-    let map = view.members();
     let protocols: Vec<DraNode> = map
         .iter()
         .enumerate()
@@ -108,10 +107,10 @@ fn run_one_partition<'a>(
     // to this class's local ids and its own fault stream.
     let sim = cfg.sim_config_for_class(color, map);
     let mut net = match machines {
-        Some(m) => Network::new_with_machines(view, sim, protocols, m)?,
+        Some(m) => Network::new_with_machines(class_graph, sim, protocols, m)?,
         None => match scratch.as_deref_mut() {
-            Some(s) => Network::new_with_scratch(view, sim, protocols, s)?,
-            None => Network::new(view, sim, protocols)?,
+            Some(s) => Network::new_with_scratch(class_graph, sim, protocols, s)?,
+            None => Network::new(class_graph, sim, protocols)?,
         },
     };
     // Even on error, route teardown through the scratch so a failed
@@ -143,28 +142,37 @@ fn run_one_partition<'a>(
 /// the cross-color share does not exist inside the per-partition
 /// subgraph simulations — without this correction the partitioned
 /// runner would systematically under-report message/word totals and
-/// per-node load relative to a whole-graph execution. `O(n)`: the
-/// grouped adjacency already knows every node's cross-color degree.
+/// per-node load relative to a whole-graph execution. `O(n)`: a node's
+/// cross-color degree is its degree less its degree in its class
+/// subgraph (`class_graphs[c]` is class `c`'s, as
+/// [`Graph::class_subgraphs`] builds them).
 ///
 /// `metrics.round_traffic` must hold the merged class logs; it is empty
 /// only when no class ran a round.
-fn account_cross_color_exchange(metrics: &mut Metrics, pg: &PartitionedGraph<'_>) {
-    let graph = pg.graph();
-    let cross: Vec<u64> =
-        (0..graph.node_count()).map(|v| pg.cross_degree((v) as u32) as u64).collect();
-    let total: u64 = cross.iter().sum();
+fn account_cross_color_exchange(
+    metrics: &mut Metrics,
+    graph: &Graph,
+    partition: &Partition,
+    class_graphs: &[Graph],
+) {
+    let intra: usize = class_graphs.iter().map(Graph::edge_count).sum();
+    let total = 2 * (graph.edge_count() - intra) as u64;
     if total == 0 {
         return;
     }
     metrics.messages += total;
     metrics.words += total;
-    for (v, &c) in cross.iter().enumerate() {
-        // Symmetric: each cross edge carries one announcement each way,
-        // and the whole-graph engine charges one compute unit per
-        // delivered message.
-        metrics.sent_per_node[v] += c;
-        metrics.received_per_node[v] += c;
-        metrics.compute_per_node[v] += c;
+    for (class, class_graph) in partition.classes().zip(class_graphs) {
+        for (local, &v) in class.iter().enumerate() {
+            let c = (graph.degree(v) - class_graph.degree(local as NodeId)) as u64;
+            // Symmetric: each cross edge carries one announcement each
+            // way, and the whole-graph engine charges one compute unit
+            // per delivered message.
+            let v = v as usize;
+            metrics.sent_per_node[v] += c;
+            metrics.received_per_node[v] += c;
+            metrics.compute_per_node[v] += c;
+        }
     }
     match metrics.round_traffic.first_mut() {
         Some(first) => *first += total,
@@ -181,18 +189,17 @@ fn account_cross_color_exchange(metrics: &mut Metrics, pg: &PartitionedGraph<'_>
 /// partition and validates that every partition built a full subcycle.
 ///
 /// The paper runs all classes at once in one synchronous network. Here
-/// each color class is an **isolated** simulation over a zero-copy
-/// [`ClassView`] into one shared [`PartitionedGraph`] built in a single
-/// `O(n + m)` pass (no per-class CSR, no per-class `O(n)` remap), and
-/// the cross-class round-1 color exchange is charged afterwards. The
-/// result equals the whole-graph run's except for the messages a class
-/// sends in the round its last node halts, which the whole-graph run
-/// delivers to halted nodes (pinned exactly by
-/// `crates/core/tests/phase1_oracle.rs`). The classes execute
-/// concurrently on up to [`DhcConfig::effective_parallelism`] worker
-/// threads. Outcomes are folded in ascending color order and every
-/// per-node stream is keyed by the global node id, so the result is
-/// identical for every parallelism level.
+/// each color class is an **isolated** simulation on its own induced
+/// subgraph, all of them split off in one `O(n + m)` pass
+/// ([`Graph::class_subgraphs`]), and the cross-class round-1 color
+/// exchange is charged afterwards. The result equals the whole-graph
+/// run's except for the messages a class sends in the round its last
+/// node halts, which the whole-graph run delivers to halted nodes
+/// (pinned exactly by `crates/core/tests/phase1_oracle.rs`). The classes
+/// execute concurrently on up to [`DhcConfig::effective_parallelism`]
+/// worker threads. Outcomes are folded in ascending color order and
+/// every per-node stream is keyed by the global node id, so the result
+/// is identical for every parallelism level.
 ///
 /// When the classes run sequentially, one [`EngineScratch`] chains
 /// through all of them, so the `√n` per-class networks share a single
@@ -210,7 +217,7 @@ pub(crate) fn run_phase1(
     let jobs: Vec<usize> =
         (0..partition.class_count()).filter(|&c| !partition.class(c).is_empty()).collect();
     let mut phase_span = parent.child("phase", format!("phase1 classes={}", jobs.len()));
-    let pg = PartitionedGraph::new(graph, partition);
+    let class_graphs = graph.class_subgraphs(partition);
 
     // Immutable view of the machine assignment for the job closures; the
     // probe itself is only touched again after the jobs complete.
@@ -219,12 +226,13 @@ pub(crate) fn run_phase1(
     let run_job = |&class: &usize,
                    scratch: Option<&mut EngineScratch<DraMsg>>|
      -> Result<PartitionRun<'_>, DhcError> {
-        let view = pg.class_view(class).expect("job classes are non-empty");
+        let members = partition.class(class);
         let color = class as u32;
-        let machines = spec.map(|p| p.class_map(view.members()));
-        let mut span =
-            phase_span.child("class", format!("class {color} n={}", view.members().len()));
-        let result = run_one_partition(&view, color, cfg, seed_base, machines, scratch);
+        let machines = spec.map(|p| p.class_map(members));
+        let mut span = phase_span.child("class", format!("class {color} n={}", members.len()));
+        let class_graph = &class_graphs[class];
+        let result =
+            run_one_partition(class_graph, members, color, cfg, seed_base, machines, scratch);
         if let Ok(run) = &result {
             span.add(run.metrics.rounds as u64, run.metrics.messages, run.metrics.words);
         }
@@ -263,7 +271,7 @@ pub(crate) fn run_phase1(
             raw_of[(global) as usize] = Some(run.raw[local]);
         }
     }
-    account_cross_color_exchange(&mut metrics, &pg);
+    account_cross_color_exchange(&mut metrics, graph, partition, &class_graphs);
     phase_span.add(metrics.rounds as u64, metrics.messages, metrics.words);
     // The synthesized round-1 cross-partition color announcements cross
     // machine links too. Each announcement is one **broadcast** op
@@ -648,7 +656,8 @@ mod tests {
         let g = dhc_graph::Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         let partition = Partition::from_colors(vec![0, 1, 0, 1], 2);
         let mut m = Metrics::empty(4);
-        account_cross_color_exchange(&mut m, &PartitionedGraph::new(&g, &partition));
+        let classes = g.class_subgraphs(&partition);
+        account_cross_color_exchange(&mut m, &g, &partition, &classes);
         assert_eq!(m.messages, 8);
         assert_eq!(m.words, 8);
         assert_eq!(m.sent_per_node, vec![2, 2, 2, 2]);
@@ -661,14 +670,14 @@ mod tests {
         let mut m = Metrics::empty(4);
         m.round_traffic = vec![5, 9];
         m.max_round_traffic = 9;
-        account_cross_color_exchange(&mut m, &PartitionedGraph::new(&g, &partition));
+        account_cross_color_exchange(&mut m, &g, &partition, &classes);
         assert_eq!(m.round_traffic, vec![13, 9]);
         assert_eq!(m.max_round_traffic, 13);
 
         // Uniform coloring: nothing crosses, metrics untouched.
         let uniform = Partition::from_colors(vec![0; 4], 1);
         let mut m = Metrics::empty(4);
-        account_cross_color_exchange(&mut m, &PartitionedGraph::new(&g, &uniform));
+        account_cross_color_exchange(&mut m, &g, &uniform, &g.class_subgraphs(&uniform));
         assert_eq!(m, Metrics::empty(4));
     }
 

@@ -12,7 +12,7 @@
 use dhc_congest::{Adversary, Config, Context, Inbox, Network, NodeId, Payload, Protocol, Trace};
 use dhc_core::{run_dhc1, run_dhc2, run_dra, run_upcast, DhcConfig, DhcError, RunOutcome};
 use dhc_graph::rng::rng_from_seed;
-use dhc_graph::{generator, thresholds, Graph, Topology};
+use dhc_graph::{generator, thresholds, Graph};
 
 /// Phase-1 worker threads for the algorithms that have a Phase 1.
 const PARALLELISM: [usize; 2] = [1, 2];
@@ -162,17 +162,14 @@ impl Protocol for Flood {
     }
 }
 
-fn run_traced<T: Topology>(
-    topo: &T,
-    adversary: Option<Adversary>,
-) -> (Trace, dhc_congest::Metrics) {
+fn run_traced(graph: &Graph, adversary: Option<Adversary>) -> (Trace, dhc_congest::Metrics) {
     let nodes: Vec<Flood> =
-        (0..topo.node_count()).map(|_| Flood { seen: false, pending: 0, parent: None }).collect();
+        (0..graph.node_count()).map(|_| Flood { seen: false, pending: 0, parent: None }).collect();
     let mut cfg = Config::default().with_bandwidth_words(4).with_trace_capacity(100_000);
     if let Some(adv) = adversary {
         cfg = cfg.with_adversary(adv);
     }
-    let mut net = Network::new(topo, cfg, nodes).unwrap();
+    let mut net = Network::new(graph, cfg, nodes).unwrap();
     let _ = net.run();
     let trace = net.trace().clone();
     let (report, _) = net.finish();

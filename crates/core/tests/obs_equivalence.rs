@@ -15,7 +15,7 @@ use dhc_core::{
     DhcError, KMachineConfig, RunOutcome,
 };
 use dhc_graph::rng::rng_from_seed;
-use dhc_graph::{generator, thresholds, Topology};
+use dhc_graph::{generator, thresholds, Graph};
 use dhc_obs::RunObserver;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -214,13 +214,13 @@ impl Protocol for Flood {
     }
 }
 
-fn run_traced<T: Topology>(
-    topo: &T,
+fn run_traced(
+    graph: &Graph,
     adversary: Option<Adversary>,
     collector: Option<CollectorHandle>,
 ) -> (Trace, dhc_congest::Metrics) {
     let nodes: Vec<Flood> =
-        (0..topo.node_count()).map(|_| Flood { seen: false, pending: 0, parent: None }).collect();
+        (0..graph.node_count()).map(|_| Flood { seen: false, pending: 0, parent: None }).collect();
     let mut cfg = Config::default().with_bandwidth_words(4).with_trace_capacity(100_000);
     if let Some(adv) = adversary {
         cfg = cfg.with_adversary(adv);
@@ -228,7 +228,7 @@ fn run_traced<T: Topology>(
     if let Some(col) = collector {
         cfg = cfg.with_collector(col);
     }
-    let mut net = Network::new(topo, cfg, nodes).unwrap();
+    let mut net = Network::new(graph, cfg, nodes).unwrap();
     let _ = net.run();
     let trace = net.trace().clone();
     let (report, _) = net.finish();

@@ -1,8 +1,8 @@
 //! Pins Phase 1 to the paper's own Phase 1: every color class's DRA
 //! instance running at once in **one** synchronous whole-graph network.
 //!
-//! The runner simulates each class as an isolated network over a
-//! zero-copy class view and charges the round-1 cross-color exchange
+//! The runner simulates each class as an isolated network on its own
+//! class subgraph and charges the round-1 cross-color exchange
 //! afterwards. Its subcycles and typed failures must equal the
 //! whole-graph run's, and so must every [`Metrics`] field but one known
 //! gap. A class network stops as soon as all its nodes halt, so the
@@ -16,17 +16,14 @@
 //! mixed-color floods are unicast loops, which the machine layer charges
 //! per destination.
 
-use dhc_congest::{
-    Config, Context, Inbox, Metrics, Network, NodeId, Payload, Protocol, SimError, Trace,
-    TraceEvent,
-};
+use dhc_congest::{Config, Metrics, Network, NodeId, SimError, Trace, TraceEvent};
 use dhc_core::dra::DraNode;
 use dhc_core::{
     run_dhc1, run_dhc2, run_dra, run_partition_cycles, DhcConfig, DhcError, PartitionFailure,
     RunOutcome, Subcycle,
 };
 use dhc_graph::rng::{derive_seed, rng_from_seed};
-use dhc_graph::{generator, Graph, Partition, PartitionedGraph, Topology};
+use dhc_graph::{generator, Graph, Partition};
 
 const PARALLELISM: [usize; 2] = [1, 2];
 
@@ -306,86 +303,4 @@ fn dhc1_phase1_matches_whole_graph_run() {
 #[test]
 fn dhc2_phase1_matches_whole_graph_run() {
     pin_phase1_of("dhc2", run_dhc2);
-}
-
-/// Flood-echo over one class, used to pin **trace** equality (the
-/// algorithm runners do not retain per-partition traces, so this drives
-/// the engine directly over both subgraph representations).
-struct Flood {
-    seen: bool,
-    pending: usize,
-    parent: Option<NodeId>,
-}
-
-#[derive(Clone, Debug)]
-struct Tok;
-impl Payload for Tok {}
-
-impl Protocol for Flood {
-    type Msg = Tok;
-    fn init(&mut self, ctx: &mut Context<'_, Tok>) {
-        if ctx.node() == 0 {
-            self.seen = true;
-            self.pending = ctx.degree();
-            ctx.send_all(Tok);
-            if self.pending == 0 {
-                ctx.halt();
-            }
-        }
-    }
-    fn round(&mut self, ctx: &mut Context<'_, Tok>, inbox: Inbox<'_, Tok>) {
-        for (from, _) in inbox.iter() {
-            if self.seen {
-                ctx.send(from, Tok);
-            } else {
-                self.seen = true;
-                self.parent = Some(from);
-                self.pending = ctx.degree() - 1;
-                ctx.send_all_except(from, Tok);
-            }
-        }
-        if self.seen && self.pending == 0 {
-            if let Some(p) = self.parent {
-                ctx.send(p, Tok);
-            }
-            ctx.halt();
-        } else if !inbox.is_empty() {
-            self.pending = self.pending.saturating_sub(inbox.len());
-            if self.pending == 0 {
-                if let Some(p) = self.parent {
-                    ctx.send(p, Tok);
-                }
-                ctx.halt();
-            }
-        }
-    }
-}
-
-fn run_traced<T: Topology>(topo: &T) -> (Trace, dhc_congest::Metrics) {
-    let nodes: Vec<Flood> =
-        (0..topo.node_count()).map(|_| Flood { seen: false, pending: 0, parent: None }).collect();
-    let cfg = Config::default().with_bandwidth_words(4).with_trace_capacity(100_000);
-    let mut net = Network::new(topo, cfg, nodes).unwrap();
-    // Disconnected classes stall the flood; that is fine for trace
-    // comparison purposes — both representations must stall identically.
-    let _ = net.run();
-    let trace = net.trace().clone();
-    let (report, _) = net.finish();
-    (trace, report.metrics)
-}
-
-#[test]
-fn traces_bit_identical_on_class_view_vs_materialized_subgraph() {
-    let n = 120;
-    let g = generator::gnp(n, 0.3, &mut rng_from_seed(95)).unwrap();
-    let partition = Partition::random(n, 4, &mut rng_from_seed(96));
-    let pg = PartitionedGraph::new(&g, &partition);
-    for c in 0..partition.class_count() {
-        let Ok(view) = pg.class_view(c) else { continue };
-        let (sub, _) = g.induced_subgraph(partition.class(c)).unwrap();
-        let (vt, vm) = run_traced(&view);
-        let (ct, cm) = run_traced(&sub);
-        assert!(vt.iter().eq(ct.iter()), "class {c} trace");
-        assert_eq!(vm, cm, "class {c} metrics");
-    }
 }

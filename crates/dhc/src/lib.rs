@@ -6,8 +6,8 @@
 //! This facade re-exports the workspace crates:
 //!
 //! * [`graph`] — `G(n, p)` / `G(n, M)` / random-regular generators, CSR
-//!   adjacency, BFS/diameter, partitions with zero-copy class topology
-//!   views ([`Topology`], [`PartitionedGraph`]), cycle verification;
+//!   adjacency, BFS/diameter, partitions and their class subgraphs
+//!   ([`Graph::class_subgraphs`]), cycle verification;
 //! * [`congest`] — the synchronous CONGEST-model simulator with bandwidth
 //!   enforcement, per-node resource metrics, and an optional k-machine
 //!   accounting layer (intra-machine messages free, bandwidth-limited
@@ -56,7 +56,7 @@ pub use dhc_core::{
     run_dra_kmachine, run_upcast, run_upcast_kmachine, DhcConfig, DhcError, KMachineConfig,
     KMachineReport, RunOutcome,
 };
-pub use dhc_graph::{ClassView, Graph, HamiltonianCycle, Partition, PartitionedGraph, Topology};
+pub use dhc_graph::{Graph, HamiltonianCycle, Partition};
 pub use dhc_obs::{Collector, CollectorHandle, Hist, Manifest, RunObserver, Span};
 
 /// Compiles the workspace README's code blocks as doctests, so the

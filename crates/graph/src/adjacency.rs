@@ -1,6 +1,6 @@
 //! Compact immutable graph representation (CSR) and its builder.
 
-use crate::{GraphError, NodeId};
+use crate::{GraphError, NodeId, Partition};
 use std::fmt;
 
 /// An immutable, simple, undirected graph stored in compressed sparse row
@@ -178,6 +178,68 @@ impl Graph {
             }
         }
         Ok((b.build(), nodes.to_vec()))
+    }
+
+    /// The subgraph induced by every class of `partition`, in one
+    /// `O(n + m)` pass: entry `c` equals
+    /// `induced_subgraph(partition.class(c)).0`, so its local ids follow
+    /// the class's ascending member list, and an empty class gives the
+    /// 0-node graph. Phase 1 of DHC1/DHC2 simulates each class on its
+    /// entry.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dhc_graph::{Graph, Partition};
+    ///
+    /// # fn main() -> Result<(), dhc_graph::GraphError> {
+    /// // Square 0-1-2-3 plus diagonal 0-2, colored {0, 2, 3} / {1}.
+    /// let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])?;
+    /// let classes = g.class_subgraphs(&Partition::from_colors(vec![0, 1, 0, 0], 2));
+    /// // Local ids 0, 1, 2 stand for the members 0, 2, 3.
+    /// assert_eq!(classes[0].edge_count(), 3);
+    /// assert_eq!(classes[0].neighbors(1), &[0, 2]);
+    /// assert_eq!(classes[1].node_count(), 1);
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if the partition's node count differs from the graph's.
+    pub fn class_subgraphs(&self, partition: &Partition) -> Vec<Graph> {
+        let n = self.node_count();
+        assert_eq!(
+            partition.node_count(),
+            n,
+            "partition covers {} nodes but the graph has {n}",
+            partition.node_count()
+        );
+        let colors = partition.colors();
+        let mut local = vec![0 as NodeId; n];
+        for class in partition.classes() {
+            for (l, &v) in class.iter().enumerate() {
+                local[v as usize] = l as NodeId;
+            }
+        }
+        // Each row keeps its same-color neighbors in CSR order, and the
+        // local ids ascend with the global ones, so every row stays sorted.
+        partition
+            .classes()
+            .map(|class| {
+                let mut offsets = Vec::with_capacity(class.len() + 1);
+                offsets.push(0);
+                let mut neighbors = Vec::new();
+                for &v in class {
+                    let c = colors[v as usize];
+                    let same = self.neighbors(v).iter().filter(|&&w| colors[w as usize] == c);
+                    neighbors.extend(same.map(|&w| local[w as usize]));
+                    offsets.push(neighbors.len());
+                }
+                let m = neighbors.len() / 2;
+                Graph { offsets, neighbors, m }
+            })
+            .collect()
     }
 
     /// Total memory footprint of the CSR arrays in machine words
@@ -507,6 +569,18 @@ mod tests {
     fn induced_subgraph_empty_selection_errors() {
         let g = Graph::empty(3);
         assert_eq!(g.induced_subgraph(&[]).unwrap_err(), GraphError::EmptySelection);
+    }
+
+    #[test]
+    fn class_subgraphs_single_class_is_the_whole_graph() {
+        let g = crate::generator::gnp(32, 0.3, &mut crate::rng::rng_from_seed(7)).unwrap();
+        assert_eq!(g.class_subgraphs(&Partition::from_colors(vec![0; 32], 1)), vec![g]);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition covers")]
+    fn class_subgraphs_size_mismatch_panics() {
+        crate::generator::cycle_graph(4).class_subgraphs(&Partition::from_colors(vec![0; 3], 1));
     }
 
     #[test]

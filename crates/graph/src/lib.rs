@@ -10,11 +10,9 @@
 //!   `G(n, M)` and random-regular models mentioned as extensions,
 //! * structural queries used by the analysis: BFS ([`bfs`]), exact and
 //!   estimated diameter ([`diameter`]), connectivity,
-//! * vertex [`partition`]s and their induced subgraphs — materialized, or
-//!   as zero-copy [`ClassView`]s over a [`PartitionedGraph`] (Phase 1 of
-//!   DHC1/DHC2),
-//! * the [`Topology`] trait the CONGEST engine is generic over, so views
-//!   and future overlay topologies simulate without copying,
+//! * vertex [`partition`]s and their induced subgraphs: one selection
+//!   ([`Graph::induced_subgraph`]), or every class of a partition in one
+//!   `O(n + m)` pass ([`Graph::class_subgraphs`], Phase 1 of DHC1/DHC2),
 //! * a strict Hamiltonian-cycle verifier ([`cycle`]),
 //! * deterministic seeding helpers ([`rng`]) so every experiment is
 //!   reproducible from a single `u64`.
@@ -43,22 +41,17 @@ mod adjacency;
 pub mod bfs;
 pub mod cycle;
 pub mod diameter;
-pub mod dot;
 mod error;
 pub mod generator;
 pub mod partition;
 pub mod rng;
 pub mod stats;
 pub mod thresholds;
-pub mod topology;
-pub mod view;
 
 pub use adjacency::{EdgeIter, Graph, GraphBuilder};
 pub use cycle::HamiltonianCycle;
 pub use error::GraphError;
 pub use partition::Partition;
-pub use topology::Topology;
-pub use view::{ClassView, PartitionedGraph};
 
 /// Node identifier inside a [`Graph`]: a dense index in `0..n`.
 ///
@@ -66,8 +59,8 @@ pub use view::{ClassView, PartitionedGraph};
 /// this workspace simulates satisfies `n ≤ 2³²`, so a 32-bit id *is* a
 /// word. Halving the id width halves the footprint of every id-bearing
 /// array on the hot path (CSR neighbor lists, partition member lists,
-/// grouped intra-class adjacency, message routing buckets). Indexing
-/// into `Vec`s widens with `as usize` (infallible on 64-bit targets).
+/// message routing buckets). Indexing into `Vec`s widens with `as usize`
+/// (infallible on 64-bit targets).
 pub type NodeId = u32;
 
 /// Widens a [`NodeId`] to a `usize` index (infallible: `u32 → usize`).

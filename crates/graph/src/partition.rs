@@ -7,9 +7,9 @@
 //!
 //! Class membership is stored flat, CSR-style (one offsets array plus one
 //! member array), so a `k`-class partition of `n` nodes costs `n + k + 1`
-//! words regardless of `k`, every class is a contiguous ascending slice,
-//! and [`PartitionedGraph`](crate::PartitionedGraph) can index straight
-//! into it.
+//! words regardless of `k`, and every class is a contiguous ascending
+//! slice: the member list that maps a class subgraph's local ids back to
+//! global ones ([`Graph::class_subgraphs`](crate::Graph::class_subgraphs)).
 
 use crate::NodeId;
 use rand::Rng;

@@ -105,6 +105,35 @@ proptest! {
     }
 
     #[test]
+    fn class_subgraphs_match_induced_subgraphs(
+        seed in any::<u64>(),
+        n in 1usize..64,
+        pm in 0u32..100,
+        k in 1usize..9,
+        raw in prop::collection::vec(0u32..8, 63..64),
+    ) {
+        let g = generator::gnp(n, pm as f64 / 100.0, &mut rng_from_seed(seed)).unwrap();
+        // Few nodes or many colors leave some classes empty.
+        let colors: Vec<u32> = raw[..n].iter().map(|&c| c % k as u32).collect();
+        let partition = Partition::from_colors(colors.clone(), k);
+        let classes = g.class_subgraphs(&partition);
+        prop_assert_eq!(classes.len(), k);
+        let mut degree_sum = 0;
+        for (c, sub) in classes.iter().enumerate() {
+            match partition.class(c) {
+                [] => prop_assert_eq!(sub, &Graph::empty(0)),
+                members => prop_assert_eq!(sub, &g.induced_subgraph(members).unwrap().0),
+            }
+            degree_sum += (0..sub.node_count() as u32).map(|v| sub.degree(v)).sum::<usize>();
+        }
+        for v in 0..n {
+            let cross = g.neighbors(v as u32).iter().filter(|&&w| colors[w as usize] != colors[v]);
+            degree_sum += cross.count();
+        }
+        prop_assert_eq!(degree_sum, 2 * g.edge_count());
+    }
+
+    #[test]
     fn partition_classes_are_disjoint_cover(seed in any::<u64>(), k in 1usize..10) {
         let p = Partition::random(64, k, &mut rng_from_seed(seed));
         let total: usize = p.classes().map(<[u32]>::len).sum();
