@@ -584,6 +584,44 @@ mod tests {
     }
 
     #[test]
+    fn class_subgraphs_match_induced_subgraphs_on_gnp() {
+        let g = crate::generator::gnp(64, 0.2, &mut crate::rng::rng_from_seed(5)).unwrap();
+        let p = Partition::random(64, 5, &mut crate::rng::rng_from_seed(6));
+        let classes = g.class_subgraphs(&p);
+        assert_eq!(classes.len(), 5);
+        for (c, sub) in classes.iter().enumerate() {
+            let (copy, map) = g.induced_subgraph(p.class(c)).unwrap();
+            assert_eq!(map, p.class(c));
+            assert_eq!(sub, &copy, "class {c}");
+        }
+    }
+
+    #[test]
+    fn class_subgraphs_empty_class_is_the_empty_graph() {
+        let g = crate::generator::cycle_graph(4);
+        let p = Partition::from_colors(vec![0; 4], 2);
+        assert_eq!(g.induced_subgraph(p.class(1)).unwrap_err(), GraphError::EmptySelection);
+        assert_eq!(g.class_subgraphs(&p), vec![g, Graph::empty(0)]);
+    }
+
+    #[test]
+    fn class_subgraphs_intra_and_cross_degrees_partition_the_degree() {
+        let g = crate::generator::gnp(48, 0.25, &mut crate::rng::rng_from_seed(9)).unwrap();
+        let p = Partition::random(48, 4, &mut crate::rng::rng_from_seed(10));
+        let classes = g.class_subgraphs(&p);
+        let mut intra_total = 0;
+        for v in 0..48 {
+            let c = p.color(v) as usize;
+            let local = p.class(c).iter().position(|&u| u == v).unwrap() as NodeId;
+            let intra = classes[c].degree(local);
+            let cross = g.neighbors(v).iter().filter(|&&w| p.color(w) as usize != c).count();
+            assert_eq!(intra + cross, g.degree(v), "node {v}");
+            intra_total += intra;
+        }
+        assert_eq!(intra_total, 2 * classes.iter().map(Graph::edge_count).sum::<usize>());
+    }
+
+    #[test]
     fn debug_is_nonempty() {
         let g = Graph::empty(2);
         assert!(!format!("{g:?}").is_empty());
