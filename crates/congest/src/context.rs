@@ -129,6 +129,18 @@ impl<M: Payload> Context<'_, M> {
         }
     }
 
+    /// Records that a delivered message broke an invariant of this
+    /// node's protocol, as [`SimError::ProtocolViolation`]. Like a send to
+    /// a non-neighbor, it aborts the simulation during this round's
+    /// commit fold, at this node's entry; the first fault of a callback
+    /// wins.
+    pub fn violation(&mut self, what: &'static str) {
+        if self.fx.fault.is_none() {
+            self.fx.fault =
+                Some(SimError::ProtocolViolation { node: self.node, round: self.round, what });
+        }
+    }
+
     /// Marks this node as terminated. It will not be invoked again and
     /// messages addressed to it are dropped.
     pub fn halt(&mut self) {

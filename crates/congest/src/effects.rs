@@ -334,6 +334,20 @@ mod tests {
     }
 
     #[test]
+    fn first_fault_of_a_callback_wins() {
+        let mut fx = Effects::default();
+        with_ctx(&mut fx, 2, &[1, 3], |ctx| {
+            ctx.violation("first");
+            ctx.send(9, W(1));
+            ctx.violation("second");
+        });
+        assert_eq!(
+            fx.fault,
+            Some(SimError::ProtocolViolation { node: 2, round: 3, what: "first" })
+        );
+    }
+
+    #[test]
     fn each_push_method_updates_the_round_totals() {
         let nbrs: &[NodeId] = &[1, 3, 4];
         let totals = |fx: &Effects<W>| {

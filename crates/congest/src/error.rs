@@ -60,6 +60,18 @@ pub enum SimError {
         /// Description of the offending parameter.
         what: &'static str,
     },
+    /// A node received a message its protocol state cannot take (see
+    /// [`Context::violation`](crate::Context::violation)). Clean runs
+    /// never raise it; duplicated or delayed copies under an adversary
+    /// can.
+    ProtocolViolation {
+        /// The node that detected the violation.
+        node: NodeId,
+        /// Round of the detection.
+        round: usize,
+        /// The broken invariant.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -85,6 +97,9 @@ impl fmt::Display for SimError {
                 write!(f, "protocol stalled in round {round} with {unhalted} nodes still running")
             }
             SimError::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
+            SimError::ProtocolViolation { node, round, what } => {
+                write!(f, "node {node} broke its protocol in round {round}: {what}")
+            }
         }
     }
 }
@@ -110,6 +125,7 @@ mod tests {
             SimError::RoundLimitExceeded { max_rounds: 10, unhalted: 4 },
             SimError::Stalled { round: 2, unhalted: 1 },
             SimError::InvalidConfig { what: "max_delay" },
+            SimError::ProtocolViolation { node: 4, round: 9, what: "resume without a rotation" },
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

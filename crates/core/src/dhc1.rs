@@ -256,10 +256,14 @@ impl HypNode {
 
     /// The live terminal draws the next unused cross edge.
     fn head_act(&mut self, ctx: &mut Context<'_, HypMsg>) {
-        debug_assert!(self.live && !self.awaiting);
+        if !self.live || self.awaiting {
+            ctx.violation("stitch terminal drew while not the idle live terminal");
+            return;
+        }
         match self.unused.pop() {
             None => self.abort_flood(ctx, None),
             Some((t, _)) => {
+                // Every site that sets `live` has set `hypidx` first.
                 let pos = self.hypidx.expect("live terminal's hypernode is on the path");
                 ctx.send(t, HypMsg::HypProgress { pos: pos as u32 });
                 self.awaiting = true;
@@ -364,10 +368,14 @@ impl HypNode {
             return;
         }
         if self.rot_initiator {
-            let target = self.rot_resume_target.expect("initiator saved old link");
+            let Some(target) = self.rot_resume_target else {
+                ctx.violation("rotation initiator has no resume target");
+                return;
+            };
             ctx.send(target, HypMsg::HypResume);
             self.rot_initiator = false;
         } else if let Some(p) = self.rot_parent {
+            // The early return above saw `rot_key` set.
             let key = self.rot_key.expect("checked above");
             ctx.send(p, HypMsg::HypRotAck { key });
             self.rot_parent = None;
@@ -487,7 +495,10 @@ impl Protocol for HypNode {
                     }
                 }
                 HypMsg::HypResume => {
-                    debug_assert!(self.live);
+                    if !self.live {
+                        ctx.violation("HypResume reached a terminal that is not live");
+                        return;
+                    }
                     self.awaiting = false;
                     self.head_act(ctx);
                 }

@@ -360,7 +360,8 @@ impl MergeNode {
         match self.collect_parent {
             Some(p) => ctx.send(p, MergeMsg::CollectReply { best: self.best }),
             None => {
-                // Coordinator: decide.
+                // Coordinator: decide. Only the coordinator marks
+                // `collect_seen` without a parent, so no message breaks this.
                 debug_assert!(self.is_coordinator());
                 match self.best {
                     None => {
@@ -495,6 +496,7 @@ impl Protocol for MergeNode {
                         ctx.send(to, msg);
                     }
                 }
+                // Leftover nodes returned above, before reading any message.
                 Role::Leftover => unreachable!("handled above"),
             }
             return;

@@ -245,10 +245,14 @@ impl DraNode {
 
     /// The head draws the next unused edge and sends `Progress`.
     fn head_act(&mut self, ctx: &mut Context<'_, DraMsg>) {
-        debug_assert!(self.is_head && !self.awaiting_reply && !self.await_resume);
+        if !self.is_head || self.awaiting_reply || self.await_resume {
+            ctx.violation("DRA node acted as head while not the idle head");
+            return;
+        }
         match self.unused.pop() {
             None => self.fail_and_flood(ctx, PartitionFailure::OutOfEdges),
             Some(u) => {
+                // Every site that sets `is_head` has set `cycindex` first.
                 let pos = self.cycindex.expect("head is on the path");
                 ctx.send(u, DraMsg::Progress { pos: pos as u32 });
                 self.awaiting_reply = true;
@@ -311,11 +315,14 @@ impl DraNode {
             return;
         }
         if self.rot_initiator {
-            let target =
-                self.rot_resume_target.expect("initiator saved its old successor as resume target");
+            let Some(target) = self.rot_resume_target else {
+                ctx.violation("rotation initiator has no resume target");
+                return;
+            };
             ctx.send(target, DraMsg::Resume);
             self.rot_initiator = false;
         } else if let Some(p) = self.rot_parent {
+            // The early return above saw `rot_key` set.
             let key = self.rot_key.expect("checked above");
             ctx.send(p, DraMsg::RotAck { key });
         }
@@ -372,6 +379,7 @@ impl DraNode {
                 // path start. Flood success.
                 self.pred = Some(s);
                 self.done = true;
+                // The match guard just compared `cycle_size` with `Some`.
                 let size = self.cycle_size.expect("leader knows size") as u32;
                 let tail = self.id;
                 self.flood(ctx, DraMsg::Done { tail, head: s, size }, None);
@@ -538,7 +546,10 @@ impl Protocol for DraNode {
                     }
                 }
                 DraMsg::Resume => {
-                    debug_assert!(self.is_head && self.await_resume);
+                    if !(self.is_head && self.await_resume) {
+                        ctx.violation("Resume reached a DRA node that awaits none");
+                        return;
+                    }
                     self.await_resume = false;
                     self.head_act(ctx);
                 }

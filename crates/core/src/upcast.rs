@@ -398,6 +398,7 @@ impl Protocol for UpcastNode {
                     .filter(|&(_, m)| matches!(*m, UpMsg::Wave { root } if root == r))
                     .nth(pick)
                     .map(|(f, _)| f)
+                    // This pass walks the same `senders` wave copies as the count.
                     .expect("pick is below the sender count");
                 self.parent = Some(parent);
                 self.acc = 0;

@@ -11,6 +11,7 @@
 
 use dhc_congest::{Adversary, Config, Context, Inbox, Network, NodeId, Payload, Protocol, Trace};
 use dhc_core::{run_dhc1, run_dhc2, run_dra, run_upcast, DhcConfig, DhcError, RunOutcome};
+use dhc_graph::cycle::is_hamiltonian_cycle;
 use dhc_graph::rng::rng_from_seed;
 use dhc_graph::{generator, thresholds, Graph};
 
@@ -250,23 +251,59 @@ fn faulty_runs_match_recorded_digests() {
     }
 }
 
-/// Recorded `(case, digest)` of `faulty_run(case)`. Cases 0, 1, 4, 9, 12
-/// and 16 have no single outcome to pin: there a duplicate or a delay
-/// makes a DRA head act while it still awaits a reply, which trips the
-/// debug assertion in `DraNode::head_act` in debug builds and runs on to
-/// a bandwidth error in release builds.
-const FAULTY_DIGESTS: [(u64, u64); 18] = [
+/// Every runner under duplicates and delays returns a cycle that
+/// verifies, or a typed error; it never panics. A duplicated or delayed
+/// copy can reach a node in a state no clean run produces, and the node
+/// then reports a `SimError::ProtocolViolation`.
+#[test]
+fn faulty_runs_end_in_a_cycle_or_a_typed_error() {
+    let faults: [fn(u64) -> Adversary; 4] = [
+        |s| Adversary::seeded(s).with_duplicate_ppm(3_000),
+        |s| Adversary::seeded(s).with_duplicate_ppm(2_000),
+        |s| Adversary::seeded(s).with_duplicate_ppm(500).with_delay(500, 2),
+        |s| Adversary::seeded(s).with_delay(2_000, 3),
+    ];
+    type Runner = fn(&Graph, &DhcConfig) -> Result<RunOutcome, DhcError>;
+    let runners: [(&str, Runner); 4] =
+        [("dra", run_dra), ("dhc1", run_dhc1), ("dhc2", run_dhc2), ("upcast", run_upcast)];
+    for seed in 0..12 {
+        let g =
+            generator::gnp(64 + 8 * (seed % 3) as usize, 0.5, &mut rng_from_seed(seed)).unwrap();
+        for (f, adversary) in faults.iter().enumerate() {
+            let cfg = DhcConfig::new(seed).with_partitions(4).with_adversary(adversary(seed));
+            for (name, run) in runners {
+                if let Ok(out) = run(&g, &cfg) {
+                    let order = out.cycle.order();
+                    assert!(is_hamiltonian_cycle(&g, order), "{name}, seed {seed}, faults {f}");
+                }
+            }
+        }
+    }
+}
+
+/// Recorded `(case, digest)` of `faulty_run(case)`. In cases 0, 1, 4, 9
+/// and 12 a duplicate or a delay makes a DRA head act while it still
+/// awaits a reply, which ends the run in a `ProtocolViolation`; in case
+/// 16 the same happens in class 1, and class 0's bandwidth error is the
+/// one reported.
+const FAULTY_DIGESTS: [(u64, u64); 24] = [
+    (0, 0x01BD_DEBB_B8C6_8A5B),
+    (1, 0x01BD_DEBB_B8C6_8A5B),
     (2, 0x98FE_8544_76E5_3D82),
     (3, 0x6ACB_2692_4D17_3D7B),
+    (4, 0x01BD_DEBB_B8C6_8A5B),
     (5, 0x9605_5D6A_265B_2E48),
     (6, 0x6ACB_2692_4D17_3D7B),
     (7, 0x2837_50F2_748D_B1B2),
     (8, 0xCB0D_B1E3_7E45_BC90),
+    (9, 0xC80E_F05B_FA43_89BE),
     (10, 0xC553_039B_E4AC_389B),
     (11, 0x7AA4_6558_68EC_9374),
+    (12, 0x01BD_DEBB_B8C6_8A5B),
     (13, 0xC553_039B_E4AC_389B),
     (14, 0xAEAC_5E4D_F5AF_CDC2),
     (15, 0x6ACB_2692_4D17_3D7B),
+    (16, 0x86EB_A2B6_FD14_B700),
     (17, 0x8629_0CFA_209B_0D33),
     (18, 0x257F_CEFA_4E06_5D56),
     (19, 0x8317_1E9F_1D99_E3B1),
