@@ -34,6 +34,7 @@
 //! `(pred, succ)`; each terminal replaces its partner-side subcycle edge
 //! with its cross-edge `link`.
 
+use crate::flood::{RotKey, RotationFlood, RotationMsg};
 use crate::kmachine::KMachineProbe;
 use crate::output::NodeCycleOutput;
 use crate::runner::{
@@ -46,9 +47,6 @@ use dhc_graph::Graph;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// Identifier of one hypernode-rotation broadcast: `(initiator, sequence)`.
-pub type RotKey = (NodeId, u32);
 
 /// Messages of the hypernode-stitching phase. Positions are `u32` words,
 /// like the node ids.
@@ -122,6 +120,14 @@ impl Payload for HypMsg {
     }
 }
 
+impl RotationMsg for HypMsg {
+    const RESUME: Self = HypMsg::HypResume;
+
+    fn ack(key: RotKey) -> Self {
+        HypMsg::HypRotAck { key }
+    }
+}
+
 /// Role of a terminal on the hypernode path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TermRole {
@@ -158,13 +164,8 @@ pub(crate) struct HypNode {
     live: bool,
     awaiting: bool,
 
-    // Rotation flood relay state (over all edges).
-    rot_key: Option<RotKey>,
-    rot_parent: Option<NodeId>,
-    rot_pending: usize,
-    rot_initiator: bool,
-    rot_resume_target: Option<NodeId>,
-    rot_seq: u32,
+    /// This node's share of the rotation floods, over all edges.
+    rot: RotationFlood,
 
     /// Set when the stitch completed.
     pub done: bool,
@@ -216,12 +217,7 @@ impl HypNode {
             announces_seen: false,
             live,
             awaiting: false,
-            rot_key: None,
-            rot_parent: None,
-            rot_pending: 0,
-            rot_initiator: false,
-            rot_resume_target: None,
-            rot_seq: 0,
+            rot: RotationFlood::default(),
             done: false,
             failed: false,
         }
@@ -294,14 +290,8 @@ impl HypNode {
                     TermRole::Exit if self.link.is_some() => {
                         // Rotation pivot: f_j's exit re-links to x (the old
                         // head hypernode's exit, which becomes its entry).
-                        self.rot_seq += 1;
-                        let key = (self.id, self.rot_seq);
-                        self.rot_resume_target = self.link;
+                        let key = self.rot.start(self.id, self.link, ctx.degree());
                         self.link = Some(x);
-                        self.rot_key = Some(key);
-                        self.rot_parent = None;
-                        self.rot_initiator = true;
-                        self.rot_pending = ctx.degree();
                         ctx.send_all(HypMsg::HypRotation {
                             key,
                             h: pos as u32,
@@ -361,50 +351,6 @@ impl HypNode {
                 TermRole::Free => {}
             }
         }
-    }
-
-    fn rot_complete_check(&mut self, ctx: &mut Context<'_, HypMsg>) {
-        if self.rot_pending != 0 || self.rot_key.is_none() {
-            return;
-        }
-        if self.rot_initiator {
-            let Some(target) = self.rot_resume_target else {
-                ctx.violation("rotation initiator has no resume target");
-                return;
-            };
-            ctx.send(target, HypMsg::HypResume);
-            self.rot_initiator = false;
-        } else if let Some(p) = self.rot_parent {
-            // The early return above saw `rot_key` set.
-            let key = self.rot_key.expect("checked above");
-            ctx.send(p, HypMsg::HypRotAck { key });
-            self.rot_parent = None;
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // one parameter per message field
-    fn on_rotation(
-        &mut self,
-        ctx: &mut Context<'_, HypMsg>,
-        from: NodeId,
-        key: RotKey,
-        h: u32,
-        j: u32,
-        y: NodeId,
-        x: NodeId,
-    ) {
-        if self.rot_key == Some(key) {
-            self.rot_pending = self.rot_pending.saturating_sub(1);
-            self.rot_complete_check(ctx);
-            return;
-        }
-        self.rot_key = Some(key);
-        self.rot_parent = Some(from);
-        self.rot_initiator = false;
-        self.apply_rotation(h as usize, j as usize, y, x);
-        self.rot_pending = ctx.degree() - 1;
-        ctx.send_all_except(from, HypMsg::HypRotation { key, h, j, y, x });
-        self.rot_complete_check(ctx);
     }
 
     /// This node's final two cycle neighbors.
@@ -486,12 +432,15 @@ impl Protocol for HypNode {
                     }
                 }
                 HypMsg::HypRotation { key, h, j, y, x } => {
-                    self.on_rotation(ctx, from, key, h, j, y, x)
+                    if self.rot.copy(key, from, ctx.degree()) {
+                        self.apply_rotation(h as usize, j as usize, y, x);
+                        ctx.send_all_except(from, *msg);
+                    }
+                    self.rot.echo(ctx);
                 }
                 HypMsg::HypRotAck { key } => {
-                    if self.rot_key == Some(key) {
-                        self.rot_pending = self.rot_pending.saturating_sub(1);
-                        self.rot_complete_check(ctx);
+                    if self.rot.ack(key) {
+                        self.rot.echo(ctx);
                     }
                 }
                 HypMsg::HypResume => {

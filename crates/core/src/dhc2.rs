@@ -32,6 +32,7 @@
 //! Levels are separated by a global barrier (one protocol execution per
 //! level), which the paper's synchronous phase structure assumes.
 
+use crate::flood::flood_over;
 use crate::kmachine::KMachineProbe;
 use crate::output::pairs_from_links;
 use crate::runner::{compact_colors, draw_colors, run_phase1, PhaseBreakdown, RunOutcome};
@@ -211,11 +212,10 @@ pub(crate) struct MergeNode {
 
     same_nbrs: Vec<NodeId>,
     partner_nbrs: Vec<NodeId>,
+    /// Neighbors in either paired color class: the decision and abort
+    /// floods go over them, as one broadcast when they are the whole
+    /// neighborhood (always at the last merge level).
     relay_nbrs: Vec<NodeId>,
-    /// Whether the relay set (both paired color classes) covers the whole
-    /// neighborhood — always true at the last merge level — so the
-    /// decision/abort floods can ride the O(1) broadcast fabric.
-    relay_all: bool,
 
     /// As `u`: queue of partner-neighbor ids to pipeline to `pred`.
     send_queue: Vec<NodeId>,
@@ -259,7 +259,6 @@ impl MergeNode {
             same_nbrs: Vec::new(),
             partner_nbrs: Vec::new(),
             relay_nbrs: Vec::new(),
-            relay_all: false,
             send_queue: Vec::new(),
             sent_end: false,
             uset: HashSet::new(),
@@ -366,7 +365,7 @@ impl MergeNode {
                 match self.best {
                     None => {
                         self.no_bridge = true;
-                        self.relay_flood(ctx, MergeMsg::NoBridge, None);
+                        flood_over(ctx, &self.relay_nbrs, None, MergeMsg::NoBridge);
                         ctx.halt();
                     }
                     Some(c) => {
@@ -383,24 +382,9 @@ impl MergeNode {
                         };
                         apply_decision(&mut self.st, &d, true);
                         self.decided = true;
-                        self.relay_flood(ctx, MergeMsg::Decision(d), None);
+                        flood_over(ctx, &self.relay_nbrs, None, MergeMsg::Decision(d));
                         ctx.halt();
                     }
-                }
-            }
-        }
-    }
-
-    /// Floods `msg` over the two paired color classes, optionally
-    /// skipping the neighbor it arrived from. Broadcasts when the relay
-    /// set is the whole neighborhood (observationally identical).
-    fn relay_flood(&self, ctx: &mut Context<'_, MergeMsg>, msg: MergeMsg, skip: Option<NodeId>) {
-        if self.relay_all {
-            ctx.flood_except(skip, msg);
-        } else {
-            for &to in &self.relay_nbrs {
-                if Some(to) != skip {
-                    ctx.send(to, msg);
                 }
             }
         }
@@ -412,7 +396,7 @@ impl MergeNode {
         }
         apply_decision(&mut self.st, &d, self.role == Role::Active);
         self.decided = true;
-        self.relay_flood(ctx, MergeMsg::Decision(d), Some(from));
+        flood_over(ctx, &self.relay_nbrs, Some(from), MergeMsg::Decision(d));
         ctx.halt();
     }
 
@@ -421,7 +405,7 @@ impl MergeNode {
             return;
         }
         self.no_bridge = true;
-        self.relay_flood(ctx, MergeMsg::NoBridge, Some(from));
+        flood_over(ctx, &self.relay_nbrs, Some(from), MergeMsg::NoBridge);
         ctx.halt();
     }
 }
@@ -467,7 +451,6 @@ impl Protocol for MergeNode {
                     }
                 }
             }
-            self.relay_all = self.relay_nbrs.len() == ctx.degree();
             match self.role {
                 Role::Active => {
                     // As u: pipeline partner-neighbor ids to pred.

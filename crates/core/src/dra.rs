@@ -28,14 +28,14 @@
 //! flood, so the simulation always terminates with a typed outcome.
 
 use crate::error::PartitionFailure;
+use crate::flood::{flood_over, RotationFlood, RotationMsg};
 use dhc_congest::{Context, Inbox, NodeId, Payload, Protocol};
 use dhc_graph::rng::derive_seed;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Identifier of one rotation broadcast instance: `(initiator, sequence)`.
-pub type RotKey = (NodeId, u32);
+pub use crate::flood::RotKey;
 
 /// Messages of the distributed rotation protocol.
 ///
@@ -119,6 +119,14 @@ impl Payload for DraMsg {
     }
 }
 
+impl RotationMsg for DraMsg {
+    const RESUME: Self = DraMsg::Resume;
+
+    fn ack(key: RotKey) -> Self {
+        DraMsg::RotAck { key }
+    }
+}
+
 fn encode_failure(f: PartitionFailure) -> u8 {
     match f {
         PartitionFailure::TooSmall => 0,
@@ -140,16 +148,11 @@ pub struct DraNode {
     /// Partition color of this node.
     pub color: u32,
     rng: SmallRng,
-    /// Same-color neighbors (the partition-internal edges).
+    /// Same-color neighbors (the partition-internal edges), which every
+    /// partition flood covers: with one broadcast in the per-class runs,
+    /// with unicasts in the whole-graph run `phase1_oracle.rs` pins.
     part_nbrs: Vec<NodeId>,
     colors_known: bool,
-    /// Whether the partition edges are *all* of this node's edges (true
-    /// in the per-class simulations that dominate Phase 1). When
-    /// set, partition floods lower onto the engine's O(1) broadcast
-    /// fabric; otherwise they stay per-neighbor unicasts over the
-    /// same-color subset, as in the whole-graph Phase-1 run that
-    /// `crates/core/tests/phase1_oracle.rs` pins the runner to.
-    flood_all: bool,
 
     // Leader election.
     best_root: NodeId,
@@ -174,13 +177,8 @@ pub struct DraNode {
     /// after `Done`.
     pub cycle_size: Option<usize>,
 
-    // Rotation broadcast bookkeeping.
-    rot_key: Option<RotKey>,
-    rot_parent: Option<NodeId>,
-    rot_pending: usize,
-    rot_initiator: bool,
-    rot_resume_target: Option<NodeId>,
-    rot_seq: u32,
+    /// This node's share of the rotation broadcasts.
+    rot: RotationFlood,
 
     /// Set when this node's partition completed its subcycle.
     pub done: bool,
@@ -207,7 +205,6 @@ impl DraNode {
             rng: SmallRng::seed_from_u64(stream),
             part_nbrs: Vec::new(),
             colors_known: false,
-            flood_all: false,
             best_root: id,
             wave_parent: None,
             wave_pending: 0,
@@ -221,12 +218,7 @@ impl DraNode {
             awaiting_reply: false,
             await_resume: false,
             cycle_size: None,
-            rot_key: None,
-            rot_parent: None,
-            rot_pending: 0,
-            rot_initiator: false,
-            rot_resume_target: None,
-            rot_seq: 0,
+            rot: RotationFlood::default(),
             done: false,
             failed: None,
         }
@@ -239,7 +231,7 @@ impl DraNode {
 
     fn fail_and_flood(&mut self, ctx: &mut Context<'_, DraMsg>, reason: PartitionFailure) {
         self.failed = Some(reason);
-        self.flood(ctx, DraMsg::Abort { reason: encode_failure(reason) }, None);
+        flood_over(ctx, &self.part_nbrs, None, DraMsg::Abort { reason: encode_failure(reason) });
         ctx.halt();
     }
 
@@ -264,22 +256,6 @@ impl DraNode {
     fn remove_unused(&mut self, v: NodeId) {
         if let Some(i) = self.unused.iter().position(|&x| x == v) {
             self.unused.swap_remove(i);
-        }
-    }
-
-    /// Floods `msg` over the partition edges, optionally skipping one
-    /// neighbor (the relay pattern). Uses the broadcast fabric when the
-    /// partition spans the whole neighborhood — one payload copy instead
-    /// of `deg(v)` — and is observationally identical either way.
-    fn flood(&self, ctx: &mut Context<'_, DraMsg>, msg: DraMsg, skip: Option<NodeId>) {
-        if self.flood_all {
-            ctx.flood_except(skip, msg);
-        } else {
-            for &to in &self.part_nbrs {
-                if Some(to) != skip {
-                    ctx.send(to, msg);
-                }
-            }
         }
     }
 
@@ -310,26 +286,6 @@ impl DraNode {
         }
     }
 
-    fn rot_complete_check(&mut self, ctx: &mut Context<'_, DraMsg>) {
-        if self.rot_pending != 0 || self.rot_key.is_none() {
-            return;
-        }
-        if self.rot_initiator {
-            let Some(target) = self.rot_resume_target else {
-                ctx.violation("rotation initiator has no resume target");
-                return;
-            };
-            ctx.send(target, DraMsg::Resume);
-            self.rot_initiator = false;
-        } else if let Some(p) = self.rot_parent {
-            // The early return above saw `rot_key` set.
-            let key = self.rot_key.expect("checked above");
-            ctx.send(p, DraMsg::RotAck { key });
-        }
-        // Keep rot_key so late duplicates of this instance are recognized;
-        // pending stays 0 and further duplicates are ignored via saturation.
-    }
-
     /// Applies the renumbering `i ← h + j + 1 − i` (plus pointer fixes) to
     /// this node for rotation `(h, j, vj, vh)`.
     fn apply_rotation(&mut self, h: usize, j: usize, vj: NodeId, vh: NodeId) {
@@ -337,7 +293,7 @@ impl DraNode {
         if self.id == vj {
             // The pivot's successor becomes the old head (set at initiation
             // for the initiator, but a pivot also receives the flood echoes
-            // as duplicates, never re-applying thanks to rot_key).
+            // as duplicates, never re-applying thanks to the flood key).
             return;
         }
         if idx > j && idx <= h {
@@ -382,51 +338,20 @@ impl DraNode {
                 // The match guard just compared `cycle_size` with `Some`.
                 let size = self.cycle_size.expect("leader knows size") as u32;
                 let tail = self.id;
-                self.flood(ctx, DraMsg::Done { tail, head: s, size }, None);
+                flood_over(ctx, &self.part_nbrs, None, DraMsg::Done { tail, head: s, size });
                 ctx.halt();
             }
             Some(j) => {
                 // Rotation: this node is the pivot v_j.
                 let (h, j) = (pos as u32, j as u32);
-                self.rot_seq += 1;
-                let key = (self.id, self.rot_seq);
-                self.rot_resume_target = self.succ;
+                // At least the old head s is a partition neighbor, so the
+                // flood waits for one answer or more.
+                let key = self.rot.start(self.id, self.succ, self.part_nbrs.len());
                 self.succ = Some(s);
-                self.rot_key = Some(key);
-                self.rot_parent = None;
-                self.rot_initiator = true;
-                self.rot_pending = self.part_nbrs.len();
-                self.flood(ctx, DraMsg::Rotation { key, h, j, vj: self.id, vh: s }, None);
-                // At least the old head s is a partition neighbor, so
-                // rot_pending >= 1 here.
+                let msg = DraMsg::Rotation { key, h, j, vj: self.id, vh: s };
+                flood_over(ctx, &self.part_nbrs, None, msg);
             }
         }
-    }
-
-    #[allow(clippy::too_many_arguments)] // one parameter per message field
-    fn on_rotation(
-        &mut self,
-        ctx: &mut Context<'_, DraMsg>,
-        s: NodeId,
-        key: RotKey,
-        h: u32,
-        j: u32,
-        vj: NodeId,
-        vh: NodeId,
-    ) {
-        if self.rot_key == Some(key) {
-            // Duplicate: counts as this neighbor's response.
-            self.rot_pending = self.rot_pending.saturating_sub(1);
-            self.rot_complete_check(ctx);
-            return;
-        }
-        self.rot_key = Some(key);
-        self.rot_parent = Some(s);
-        self.rot_initiator = false;
-        self.apply_rotation(h as usize, j as usize, vj, vh);
-        self.rot_pending = self.part_nbrs.len() - 1;
-        self.flood(ctx, DraMsg::Rotation { key, h, j, vj, vh }, Some(s));
-        self.rot_complete_check(ctx);
     }
 
     fn on_done(
@@ -447,7 +372,7 @@ impl DraNode {
             self.awaiting_reply = false;
             self.is_head = false;
         }
-        self.flood(ctx, DraMsg::Done { tail, head, size }, Some(s));
+        flood_over(ctx, &self.part_nbrs, Some(s), DraMsg::Done { tail, head, size });
         ctx.halt();
     }
 
@@ -456,7 +381,7 @@ impl DraNode {
             return;
         }
         self.failed = Some(decode_failure(reason));
-        self.flood(ctx, DraMsg::Abort { reason }, Some(s));
+        flood_over(ctx, &self.part_nbrs, Some(s), DraMsg::Abort { reason });
         ctx.halt();
     }
 }
@@ -486,7 +411,6 @@ impl Protocol for DraNode {
                 }
             }
             self.colors_known = true;
-            self.flood_all = self.part_nbrs.len() == ctx.degree();
             if self.part_nbrs.is_empty() {
                 // Isolated within its partition: a 1-node component.
                 self.failed = Some(PartitionFailure::TooSmall);
@@ -500,7 +424,7 @@ impl Protocol for DraNode {
             self.wave_parent = None;
             self.wave_pending = self.part_nbrs.len();
             self.wave_acc = 0;
-            self.flood(ctx, DraMsg::Wave { root: self.id }, None);
+            flood_over(ctx, &self.part_nbrs, None, DraMsg::Wave { root: self.id });
             return;
         }
         for (from, msg) in inbox.iter() {
@@ -515,7 +439,7 @@ impl Protocol for DraNode {
                         self.wave_parent = Some(from);
                         self.wave_acc = 0;
                         self.wave_pending = self.part_nbrs.len() - 1;
-                        self.flood(ctx, DraMsg::Wave { root }, Some(from));
+                        flood_over(ctx, &self.part_nbrs, Some(from), DraMsg::Wave { root });
                         self.wave_complete_check(ctx);
                     } else if root == self.best_root {
                         self.wave_pending = self.wave_pending.saturating_sub(1);
@@ -537,12 +461,15 @@ impl Protocol for DraNode {
                     self.is_head = false;
                 }
                 DraMsg::Rotation { key, h, j, vj, vh } => {
-                    self.on_rotation(ctx, from, key, h, j, vj, vh)
+                    if self.rot.copy(key, from, self.part_nbrs.len()) {
+                        self.apply_rotation(h as usize, j as usize, vj, vh);
+                        flood_over(ctx, &self.part_nbrs, Some(from), *msg);
+                    }
+                    self.rot.echo(ctx);
                 }
                 DraMsg::RotAck { key } => {
-                    if self.rot_key == Some(key) {
-                        self.rot_pending = self.rot_pending.saturating_sub(1);
-                        self.rot_complete_check(ctx);
+                    if self.rot.ack(key) {
+                        self.rot.echo(ctx);
                     }
                 }
                 DraMsg::Resume => {

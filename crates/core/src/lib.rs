@@ -66,6 +66,7 @@ pub mod dhc1;
 pub mod dhc2;
 pub mod dra;
 mod error;
+mod flood;
 pub mod kmachine;
 mod output;
 pub mod reference;
