@@ -38,7 +38,7 @@ use crate::flood::{RotKey, RotationFlood, RotationMsg};
 use crate::kmachine::KMachineProbe;
 use crate::output::NodeCycleOutput;
 use crate::runner::{
-    compact_colors, draw_colors, run_phase1, Phase1Outcome, PhaseBreakdown, RunOutcome,
+    compact_colors, draw_colors, run_phase1, CycleState, Phase1Outcome, PhaseBreakdown, RunOutcome,
 };
 use crate::{cycle_from_incident_pairs, DhcConfig, DhcError};
 use dhc_congest::{Context, Inbox, Network, NodeId, Payload, Protocol, SimError, Span};
@@ -175,17 +175,8 @@ pub(crate) struct HypNode {
 
 impl HypNode {
     /// `state` is this node's Phase-1 result; `k` the number of subcycles.
-    #[allow(clippy::too_many_arguments)] // mirrors the Phase-1 state tuple
-    pub(crate) fn new(
-        id: NodeId,
-        color: u32,
-        idx: usize,
-        succ: NodeId,
-        pred: NodeId,
-        size: usize,
-        k: usize,
-        seed: u64,
-    ) -> Self {
+    pub(crate) fn new(id: NodeId, state: &CycleState, k: usize, seed: u64) -> Self {
+        let CycleState { color, idx, succ, pred, size } = *state;
         // Terminals: cycindex 0 (u_i) and cycindex size-1 (v_i = pred u_i).
         let is_terminal = idx == 0 || idx == size - 1;
         let partner = if idx == 0 { pred } else { succ };
@@ -516,9 +507,7 @@ fn stitch(
         .states
         .iter()
         .enumerate()
-        .map(|(v, s)| {
-            HypNode::new((v) as u32, s.color, s.cycindex, s.succ, s.pred, s.cycle_size, k, cfg.seed)
-        })
+        .map(|(v, s)| HypNode::new((v) as u32, s, k, cfg.seed))
         .collect();
     let mut net = match km.as_deref() {
         Some(p) => Network::new_with_machines(graph, cfg.sim_config(), nodes, p.global_map())?,

@@ -35,7 +35,9 @@
 use crate::flood::flood_over;
 use crate::kmachine::KMachineProbe;
 use crate::output::pairs_from_links;
-use crate::runner::{compact_colors, draw_colors, run_phase1, PhaseBreakdown, RunOutcome};
+use crate::runner::{
+    compact_colors, draw_colors, run_phase1, CycleState, Phase1Outcome, PhaseBreakdown, RunOutcome,
+};
 use crate::{cycle_from_incident_pairs, DhcConfig, DhcError};
 use dhc_congest::{
     Context, EngineScratch, Inbox, Metrics, Network, NodeId, Payload, Protocol, SimError, Span,
@@ -93,16 +95,6 @@ pub(crate) struct Decision {
     w_id: NodeId,
     u_id: NodeId,
     x_id: NodeId,
-}
-
-/// One node's cycle bookkeeping between levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CycleState {
-    pub color: u32,
-    pub idx: usize,
-    pub succ: NodeId,
-    pub pred: NodeId,
-    pub size: usize,
 }
 
 /// Applies the splice to one node's state. `active_side` says whether the
@@ -572,25 +564,13 @@ pub(crate) fn run_with_colors(
     let k = compacted.class_count();
 
     let mut run_span = Span::root(cfg.collector.as_ref(), "run", format!("dhc2 n={n} k={k}"));
-    let phase1 = run_phase1(graph, &compacted, cfg, km.as_deref_mut(), &run_span)?;
-    let mut metrics = phase1.metrics.clone();
+    let Phase1Outcome { mut states, mut metrics } =
+        run_phase1(graph, &compacted, cfg, km.as_deref_mut(), &run_span)?;
     let mut phases = vec![PhaseBreakdown {
         name: "phase1".to_string(),
-        rounds: phase1.metrics.rounds,
-        messages: phase1.metrics.messages,
+        rounds: metrics.rounds,
+        messages: metrics.messages,
     }];
-
-    let mut states: Vec<CycleState> = phase1
-        .states
-        .iter()
-        .map(|s| CycleState {
-            color: s.color,
-            idx: s.cycindex,
-            succ: s.succ,
-            pred: s.pred,
-            size: s.cycle_size,
-        })
-        .collect();
 
     let mut colors_remaining = k;
     let mut level = 0usize;

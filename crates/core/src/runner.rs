@@ -33,20 +33,24 @@ pub struct RunOutcome {
     pub phases: Vec<PhaseBreakdown>,
 }
 
-/// One node's Phase-1 result, extracted from the protocol state.
+/// One node's place on its subcycle: Phase 1's result, which the DHC1
+/// stitch starts from and the DHC2 merge levels carry from level to
+/// level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Phase1State {
+pub(crate) struct CycleState {
     pub color: u32,
-    pub cycindex: usize,
+    /// Position on the cycle (the paper's `cycindex`).
+    pub idx: usize,
     pub succ: NodeId,
     pub pred: NodeId,
-    pub cycle_size: usize,
+    /// Cycle length.
+    pub size: usize,
 }
 
 /// Outcome of Phase 1 across all partitions.
 #[derive(Debug, Clone)]
 pub(crate) struct Phase1Outcome {
-    pub states: Vec<Phase1State>,
+    pub states: Vec<CycleState>,
     pub metrics: Metrics,
 }
 
@@ -339,7 +343,7 @@ pub(crate) fn run_phase1(
     let mut states = Vec::with_capacity(n);
     for node in &raw_of {
         let expected = class_size[&node.color];
-        let (Some(cycindex), Some(succ), Some(pred), Some(cycle_size), true) =
+        let (Some(idx), Some(succ), Some(pred), Some(size), true) =
             (node.cycindex, node.succ, node.pred, node.cycle_size, node.done)
         else {
             return Err(DhcError::PartitionFailed {
@@ -347,14 +351,14 @@ pub(crate) fn run_phase1(
                 reason: PartitionFailure::OutOfEdges,
             });
         };
-        if cycle_size != expected {
+        if size != expected {
             // A component-local cycle: the partition was disconnected.
             return Err(DhcError::PartitionFailed {
                 color: node.color,
                 reason: PartitionFailure::TooSmall,
             });
         }
-        states.push(Phase1State { color: node.color, cycindex, succ, pred, cycle_size });
+        states.push(CycleState { color: node.color, idx, succ, pred, size });
     }
     Ok(Phase1Outcome { states, metrics })
 }
@@ -417,7 +421,7 @@ pub fn run_partition_cycles(
     let mut by_color: std::collections::BTreeMap<u32, Vec<(usize, NodeId)>> =
         std::collections::BTreeMap::new();
     for (v, st) in outcome.states.iter().enumerate() {
-        by_color.entry(st.color).or_default().push((st.cycindex, (v) as u32));
+        by_color.entry(st.color).or_default().push((st.idx, (v) as u32));
     }
     let mut cycles = Vec::with_capacity(by_color.len());
     for (color, mut members) in by_color {
