@@ -34,8 +34,6 @@ pub struct DhcConfig {
     /// Upcast: each node samples `ceil(sample_factor · ln n)` incident
     /// edges (the paper's `c' log n`).
     pub sample_factor: f64,
-    /// Upcast: retries for the root's local rotation solve.
-    pub root_solve_retries: usize,
     /// Worker threads for Phase 1's independent per-partition DRA
     /// simulations: `1` (the default) runs them sequentially, `0` uses
     /// all available cores. Results are **identical for every value**
@@ -76,7 +74,6 @@ impl DhcConfig {
             max_rounds: 5_000_000,
             bandwidth_words: 16,
             sample_factor: 8.0,
-            root_solve_retries: 8,
             parallelism: 1,
             adversary: None,
             collector: None,

@@ -17,7 +17,7 @@
 //!    `G(n, p)`.
 //! 3. **Local solve**: the root assembles the sampled subgraph and runs the
 //!    sequential rotation algorithm ([`dhc_rotation::posa`]), retrying with
-//!    fresh randomness a configured number of times.
+//!    fresh randomness up to `ROOT_SOLVE_RETRIES` (8) times.
 //! 4. **Downcast**: the root sends each node its two incident cycle edges,
 //!    routed along the tree (same pipelining, same congestion bound). Every
 //!    node halts when it has its own record and has forwarded all of its
@@ -43,6 +43,11 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 /// Records forwarded per tree edge per round (each is ≤ 3 words, so 4 of
 /// them fit the default 16-word budget).
 const BATCH: usize = 4;
+
+/// Attempts the root's local rotation solve makes, each with fresh
+/// randomness, before the run fails with
+/// [`DhcError::RootSolveFailed`].
+const ROOT_SOLVE_RETRIES: usize = 8;
 
 /// Messages of the Upcast protocol. The subtree count is a `u32` word,
 /// like the node ids.
@@ -103,7 +108,6 @@ pub(crate) struct UpcastNode {
     all_edges: bool,
     sample_factor: f64,
     sample_count: usize,
-    root_retries: usize,
     seed: u64,
 
     // Election.
@@ -149,7 +153,6 @@ impl UpcastNode {
             all_edges,
             sample_factor: cfg.sample_factor,
             sample_count: 0,
-            root_retries: cfg.root_solve_retries,
             seed: cfg.seed,
             best_root: id,
             parent: None,
@@ -276,7 +279,7 @@ impl UpcastNode {
         let cycle = match posa_with_restarts(
             &local,
             &PosaConfig::default(),
-            self.root_retries.max(1),
+            ROOT_SOLVE_RETRIES,
             &mut rng,
         ) {
             Ok((cycle, stats)) => {
