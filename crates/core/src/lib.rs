@@ -22,8 +22,6 @@
 //!   election + BFS tree, `Θ(log n)` edge samples per node, pipelined
 //!   upcast, local solve at the root (via [`dhc_rotation::posa`]), and a
 //!   routed downcast of each node's two cycle edges.
-//! * [`mod@reference`] — centralized re-implementations of
-//!   DHC1/DHC2 used as correctness oracles in tests;
 //! * [`kmachine`] — the paper's §IV k-machine conversion, both
 //!   **estimated** ([`kmachine::ConversionEstimate`], the KNPR
 //!   `Õ(M/k² + T·Δ'/k)` bound on measured CONGEST metrics) and
@@ -69,7 +67,6 @@ mod error;
 mod flood;
 pub mod kmachine;
 mod output;
-pub mod reference;
 mod runner;
 pub mod upcast;
 

@@ -4,14 +4,12 @@
 //! rotation, bridge merging / hypernode stitching) sequentially, with
 //! direct access to the whole graph. They exist as **oracles**: the
 //! distributed protocols and these references must agree on feasibility,
-//! and any cycle either side produces is independently verified. They are
-//! also handy for experiments that need many trials cheaply (no simulator
-//! cost).
+//! and any cycle either side produces is independently verified.
 
-use crate::DhcError;
-use dhc_graph::rng::{derive_seed, rng_from_seed};
-use dhc_graph::{Graph, HamiltonianCycle, NodeId, Partition};
-use dhc_rotation::{posa, PosaConfig};
+use dhc::core::{DhcError, PartitionFailure};
+use dhc::graph::rng::{derive_seed, rng_from_seed};
+use dhc::graph::{Graph, HamiltonianCycle, NodeId, Partition};
+use dhc::rotation::{posa, PosaConfig};
 use rand::Rng;
 
 /// One subcycle during centralized merging: the global-id visiting order.
@@ -94,16 +92,13 @@ fn phase1_cycles(graph: &Graph, partition: &Partition, seed: u64) -> Result<Vec<
         if class.len() < 3 {
             return Err(DhcError::PartitionFailed {
                 color: color as u32,
-                reason: crate::error::PartitionFailure::TooSmall,
+                reason: PartitionFailure::TooSmall,
             });
         }
         let (sub, map) = graph.induced_subgraph(class).expect("non-empty class");
         let mut rng = rng_from_seed(derive_seed(seed, 0x1000 + color as u64));
         let (cycle, _) = posa(&sub, &PosaConfig::default(), &mut rng).map_err(|_| {
-            DhcError::PartitionFailed {
-                color: color as u32,
-                reason: crate::error::PartitionFailure::OutOfEdges,
-            }
+            DhcError::PartitionFailed { color: color as u32, reason: PartitionFailure::OutOfEdges }
         })?;
         let order: Vec<NodeId> = cycle.order().iter().map(|&local| map[(local) as usize]).collect();
         cycles.push(Cycle { order });
@@ -300,7 +295,7 @@ fn realize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhc_graph::{generator, thresholds};
+    use dhc::graph::{generator, thresholds};
 
     #[test]
     fn dhc2_reference_solves_paper_regime() {

@@ -4,9 +4,12 @@
 //! cycles on solvable instances) and *validity* (everything produced
 //! verifies against the same graph).
 
-use dhc::core::reference::{dhc1_reference, dhc2_reference};
+#[path = "common/reference.rs"]
+mod reference;
+
 use dhc::core::{run_dhc1, run_dhc2, DhcConfig};
 use dhc::graph::{generator, rng::rng_from_seed, thresholds, HamiltonianCycle};
+use reference::{dhc1_reference, dhc2_reference};
 
 #[test]
 fn dhc2_distributed_and_reference_agree_on_paper_regime() {
