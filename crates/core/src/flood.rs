@@ -11,6 +11,7 @@ pub type RotKey = (NodeId, u32);
 /// Sends `msg` to every neighbor in `subset` but `skip`: as one broadcast
 /// when `subset` is the whole neighborhood, else as one unicast per
 /// member, in order. Receivers see the same messages either way.
+#[inline]
 pub(crate) fn flood_over<M: Payload + Copy>(
     ctx: &mut Context<'_, M>,
     subset: &[NodeId],
@@ -56,8 +57,10 @@ pub(crate) enum Echo {
 pub(crate) struct RotationFlood {
     key: Option<RotKey>,
     parent: Option<NodeId>,
-    /// Neighbors yet to answer.
-    pending: usize,
+    /// Neighbors yet to answer. A `u32` like the node ids, which bound
+    /// every degree; it keeps this struct at 40 bytes, so embedding it
+    /// does not grow `DraNode`.
+    pending: u32,
     initiator: bool,
     resume: Option<NodeId>,
     /// Floods this node has started.
@@ -67,11 +70,12 @@ pub(crate) struct RotationFlood {
 impl RotationFlood {
     /// Starts a flood at `me` that waits for `fanout` answers, then
     /// resumes at `resume`. Returns the key its copies carry.
+    #[inline]
     pub(crate) fn start(&mut self, me: NodeId, resume: Option<NodeId>, fanout: usize) -> RotKey {
         self.seq += 1;
         self.key = Some((me, self.seq));
         self.parent = None;
-        self.pending = fanout;
+        self.pending = fanout as u32;
         self.initiator = true;
         self.resume = resume;
         (me, self.seq)
@@ -81,19 +85,21 @@ impl RotationFlood {
     /// `fanout` neighbors. Returns `true` for the first copy, which the
     /// caller applies and relays to all but `from`; a repeat counts as
     /// `from`'s answer, as an ack would.
+    #[inline]
     pub(crate) fn copy(&mut self, key: RotKey, from: NodeId, fanout: usize) -> bool {
         if self.ack(key) {
             return false;
         }
         self.key = Some(key);
         self.parent = Some(from);
-        self.pending = fanout - 1;
+        self.pending = fanout as u32 - 1;
         self.initiator = false;
         true
     }
 
     /// Takes an ack of flood `key`; returns whether it was this flood's,
     /// in which case the caller calls [`echo`](Self::echo).
+    #[inline]
     pub(crate) fn ack(&mut self, key: RotKey) -> bool {
         let ours = self.key == Some(key);
         if ours {
@@ -104,6 +110,7 @@ impl RotationFlood {
 
     /// What this node owes now: nothing while answers are pending, else
     /// an ack to its parent or the initiator's one resume.
+    #[inline]
     pub(crate) fn complete(&mut self) -> Option<Echo> {
         let key = self.key?;
         if self.pending != 0 {
@@ -117,6 +124,7 @@ impl RotationFlood {
 
     /// Sends what [`complete`](Self::complete) says this node owes. A
     /// missing resume target is a protocol violation.
+    #[inline]
     pub(crate) fn echo<M: RotationMsg>(&mut self, ctx: &mut Context<'_, M>) {
         match self.complete() {
             Some(Echo::Ack { parent, key }) => ctx.send(parent, M::ack(key)),
