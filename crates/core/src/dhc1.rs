@@ -22,8 +22,8 @@
 //!   hypernode swapping entry/exit roles (always realizable, since the
 //!   subcycle path between terminals is undirected). The rotation
 //!   parameters are flooded over the whole graph with an echo, after which
-//!   the initiator resumes the new head — exactly the DRA pattern, one
-//!   level up;
+//!   the initiator resumes the new head — DRA's rotation flood one level
+//!   up, run by the same `flood::RotationFlood` state as DRA's;
 //! * an entry terminal, or the free terminal of the first hypernode while
 //!   the path is incomplete, rejects the draw (`HypReject`) — these draws
 //!   are the price of the orientation-sound construction;
@@ -33,6 +33,10 @@
 //! The final edge set: every non-terminal keeps its Phase-1
 //! `(pred, succ)`; each terminal replaces its partner-side subcycle edge
 //! with its cross-edge `link`.
+//!
+//! As in DRA, a duplicated or delayed message that reaches a terminal in
+//! a state no clean run produces ends the run with
+//! [`SimError::ProtocolViolation`].
 
 use crate::flood::{RotKey, RotationFlood, RotationMsg};
 use crate::kmachine::KMachineProbe;

@@ -19,13 +19,21 @@
 //!    on-path receiver initiates a **rotation broadcast**: the renumbering
 //!    parameters `(h, j, v_j, v_h)` are flooded through the partition with
 //!    an echo acknowledgement; when the echo completes, the initiator sends
-//!    `Resume` to the new head (its old successor). When the head's draw
-//!    hits the leader while the path spans the whole partition, the leader
-//!    floods `Done(tail, head, size)` and the partition terminates.
+//!    `Resume` to the new head (its old successor). The flood's state and
+//!    rules live in `flood::RotationFlood`, which DHC1's hypernode stitch
+//!    shares; this module keeps the messages and the renumbering. When the
+//!    head's draw hits the leader while the path spans the whole
+//!    partition, the leader floods `Done(tail, head, size)` and the
+//!    partition terminates.
 //!
 //! Failures (a partition smaller than 3, or a head running out of unused
 //! edges — the paper's event `E2`) abort the partition via an `Abort`
-//! flood, so the simulation always terminates with a typed outcome.
+//! flood, so the simulation always terminates with a typed outcome. Under
+//! an adversary, a duplicated or delayed message can reach a node in a
+//! state no clean run produces (a head that still awaits a reply, a
+//! `Resume` nobody awaits, a rotation initiator without a resume target);
+//! the node then ends the run with
+//! [`SimError::ProtocolViolation`](dhc_congest::SimError::ProtocolViolation).
 
 use crate::error::PartitionFailure;
 use crate::flood::{flood_over, RotationFlood, RotationMsg};

@@ -14,7 +14,9 @@
 //! * [`dhc1`] — Algorithm 2 (`p = c ln n / √n`): Phase 1 partitions the
 //!   graph into `√n` color classes that run DRA in parallel; Phase 2 forms
 //!   one *hypernode* per subcycle and runs a terminal-aware DRA over the
-//!   hypernode graph to stitch the subcycles.
+//!   hypernode graph to stitch the subcycles. Its rotation flood with echo
+//!   is DRA's: one private `flood` module holds it, and the broadcast or
+//!   unicast choice of DRA's and the merge levels' subset floods.
 //! * [`dhc2`] — Algorithm 3 (`p = c ln n / n^δ`): Phase 1 with `n^{1-δ}`
 //!   classes; Phase 2 merges cycle pairs level by level through *bridges*
 //!   (two vertex-disjoint cross edges), `⌈log₂ n^{1-δ}⌉` levels.
@@ -34,7 +36,9 @@
 //! Every algorithm returns a [`RunOutcome`] containing the verified
 //! [`dhc_graph::HamiltonianCycle`] and full [`dhc_congest::Metrics`]
 //! (rounds, messages, words, per-node memory and compute) — the quantities
-//! the paper's theorems bound.
+//! the paper's theorems bound — or a typed [`DhcError`], also under an
+//! adversary: a message that breaks a protocol's state is a
+//! [`dhc_congest::SimError::ProtocolViolation`], not a panic.
 //!
 //! # Example
 //!
